@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from isac_ident.mlp import save_model
 from isac_ident.radar_detect import detect_objects, write_candidates
 from isac_ident.radar_frontend import CubeFormatError, load_cube
 from isac_ident.scene import dft_codebook
-from isac_ident.solvers import SOLVER_NAMES, DnnSolver, evaluate, make_solver
+from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, evaluate, make_solver
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,7 +115,10 @@ def _dataset_config(data_dir: Path, args) -> RunConfig:
     else:
         manifest_path = data_dir / "manifest.json"
         if manifest_path.exists():
-            snapshot = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+            try:
+                snapshot = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise DataError(f"{manifest_path}: not a dataset manifest ({exc!r})") from None
             cfg = config_from_dict(snapshot)
         else:
             cfg = RunConfig()
@@ -197,19 +200,9 @@ def _write_predictions(path: Path, solvers, test) -> None:
 
 def _save_solver_params(solver, out_dir: Path, cfg: RunConfig) -> None:
     if isinstance(solver, DnnSolver):
-        hyper = {"lr": cfg.training.lr, "epochs": cfg.training.epochs,
-                 "batch": cfg.training.batch, "seed": cfg.training.seed}
-        save_model(solver.model, out_dir / "model.ckpt", hyper=hyper)
+        save_model(solver.model, out_dir / "model.ckpt", hyper=asdict(cfg.training))
         return
-    params: dict = {"solver": solver.name}
-    if solver.name == "offset":
-        params["psi0"] = solver.psi0
-    elif solver.name == "linreg-angle":
-        params.update(intercept=solver.intercept, slope=solver.slope)
-    elif solver.name == "linreg-3d":
-        params["fits"] = [list(f) for f in solver.fits]
-    elif solver.name == "lookup":
-        params["table"] = list(solver.table)
+    params = {"solver": solver.name, **solver.params}
     (out_dir / "params.json").write_text(
         json.dumps(params, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -258,19 +251,14 @@ def cmd_report(args) -> int:
     samples = train + test
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["report.csv"])
-    offset, linreg, lookup = _fit_solvers(["offset", "linreg-angle", "lookup"],
-                                          cfg, train)
-    angles = offset.pointing_angles
+    solvers = _fit_solvers(["offset", "linreg-angle", "lookup"], cfg, train)
+    angles = solvers[0].pointing_angles
     with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
         fh.write("beam_angle_deg,target_angle_deg,offset_deg,linreg_deg,lookup_deg\n")
         for s in samples:
-            phi = float(angles[s.b_star])
-            target = s.candidates[s.label].angle_deg
-            fh.write(
-                f"{phi!r},{target!r},{phi + offset.psi0!r},"
-                f"{linreg.intercept + linreg.slope * phi!r},"
-                f"{float(lookup.table[s.b_star])!r}\n"
-            )
+            curves = [float(sv.table[s.b_star, 1]) for sv in solvers]
+            row = [float(angles[s.b_star]), s.candidates[s.label].angle_deg, *curves]
+            fh.write(",".join(map(repr, row)) + "\n")
     _finish_manifest(manifest, t0, out_dir)
     print(f"wrote scatter and fitted curves for {len(samples)} samples -> {out_dir}")
     return EXIT_OK
@@ -332,7 +320,7 @@ def main(argv=None) -> int:
     except (ConfigError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, SampleFormatError, CubeFormatError) as exc:
+    except (DataError, SampleFormatError, CubeFormatError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

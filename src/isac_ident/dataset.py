@@ -449,8 +449,11 @@ def load_samples(path) -> list[Sample]:
         for j, row in enumerate(block):
             if row[3] != j:
                 raise SampleFormatError(f"{path}:{row[10]}: candidate index {row[3]} out of order")
-            cands.append(Candidate(range_m=row[4], angle_deg=row[5],
-                                   vel_mps=row[6], n_points=1, power=row[7]))
+            try:
+                cands.append(Candidate(range_m=row[4], angle_deg=row[5],
+                                       vel_mps=row[6], n_points=1, power=row[7]))
+            except ValueError as exc:
+                raise SampleFormatError(f"{path}:{row[10]}: {exc}") from None
         try:
             samples.append(Sample(
                 sample_id=sid, sequence_id=seq, candidates=tuple(cands),

@@ -9,6 +9,7 @@ candidate object summarized by the mean of its members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,12 @@ class Candidate:
     power: float = 1.0
 
     def __post_init__(self):
-        if self.range_m < 0:
-            raise ValueError("candidate range must be non-negative")
+        if not 0.0 <= self.range_m < math.inf:
+            raise ValueError("candidate range must be finite and non-negative")
         if not -90.0 <= self.angle_deg <= 90.0:
             raise ValueError("candidate angle must be within [-90, 90] deg")
+        if not math.isfinite(self.vel_mps):
+            raise ValueError("candidate velocity must be finite")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ feed-forward network and returns the argmax.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ from isac_ident.mlp import (
 from isac_ident.radar_detect import Candidate
 from isac_ident.seeding import child_rng
 
-SOLVER_NAMES = ("offset", "linreg-angle", "linreg-3d", "lookup", "dnn")
+
+class SolverError(ValueError):
+    """Training or test data from which a solver cannot be fitted or scored."""
 
 
 @dataclass(frozen=True)
@@ -62,21 +65,19 @@ class TrainConfig:
 
 def _require_labeled(samples, what: str) -> None:
     if not samples:
-        raise ValueError(f"{what} set must be non-empty")
+        raise SolverError(f"{what} set must be non-empty")
     if any(s.label is None for s in samples):
-        raise ValueError(f"{what} set must be fully labeled")
+        raise SolverError(f"{what} set must be fully labeled")
+
+
+def _beam_angles(train, pointing_angles) -> np.ndarray:
+    """Serving-beam angle of every sample of a labeled train set."""
+    _require_labeled(train, "train")
+    return np.asarray(pointing_angles)[[s.b_star for s in train]]
 
 
 def _target_angles(train) -> np.ndarray:
     return np.array([s.candidates[s.label].angle_deg for s in train])
-
-
-def nearest_angle_index(candidates, target_deg: float) -> int:
-    """Candidate whose angle is closest to the target; ties take the lowest index."""
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    diffs = np.abs(np.array([c.angle_deg for c in candidates]) - target_deg)
-    return int(np.argmin(diffs))
 
 
 def estimate_offset(train, pointing_angles) -> float:
@@ -85,84 +86,77 @@ def estimate_offset(train, pointing_angles) -> float:
     This is the squared-error-minimizing constant for the radar angle
     model psi_r = psi_0 + beam angle.
     """
-    _require_labeled(train, "train")
-    angles = np.asarray(pointing_angles)
-    residuals = _target_angles(train) - angles[[s.b_star for s in train]]
-    return float(residuals.mean())
-
-
-def predict_offset(candidates, b_star: int, psi0: float, pointing_angles) -> int:
-    return nearest_angle_index(candidates, float(pointing_angles[b_star]) + psi0)
+    x = _beam_angles(train, pointing_angles)
+    return float((_target_angles(train) - x).mean())
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares intercept and slope for y = a + b*x."""
+    # Not sxx == 0: the mean of identical floats is inexact, so sxx is noise.
+    if np.ptp(x) == 0:
+        raise SolverError("degenerate design: all beam angles are equal")
     sxx = float(((x - x.mean()) ** 2).sum())
-    if sxx == 0.0:
-        raise ValueError("degenerate design: all beam angles are equal")
     slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
     return float(y.mean() - slope * x.mean()), slope
 
 
-def fit_linreg_angle(train, pointing_angles) -> tuple[float, float]:
-    """(intercept, slope) of target radar angle against serving-beam angle."""
-    _require_labeled(train, "train")
-    x = np.asarray(pointing_angles)[[s.b_star for s in train]]
-    return _ols(x, _target_angles(train))
+# The fit rules of TableSolver follow; see its docstring for what they return.
+_ANGLE_ONLY = (math.inf, 1.0, math.inf)
 
 
-def fit_linreg_3d(train, pointing_angles):
+def _angle_table(angles: np.ndarray) -> np.ndarray:
+    table = np.zeros((len(angles), 3))
+    table[:, 1] = angles
+    return table
+
+
+def _fit_offset(train, pointing_angles):
+    psi0 = estimate_offset(train, pointing_angles)
+    return {"psi0": psi0}, _angle_table(pointing_angles + psi0), _ANGLE_ONLY
+
+
+def _fit_linreg_angle(train, pointing_angles):
+    x = _beam_angles(train, pointing_angles)
+    intercept, slope = _ols(x, _target_angles(train))
+    table = _angle_table(intercept + slope * pointing_angles)
+    return {"intercept": intercept, "slope": slope}, table, _ANGLE_ONLY
+
+
+def _fit_linreg_3d(train, pointing_angles):
     """Per-axis linear fits of the target state from the serving-beam angle.
 
-    Returns ((intercept, slope, residual_sigma) for range, angle, velocity);
-    residual sigmas are floored so no axis degenerates in the z-scored
-    distance used at prediction time.
+    `fits` holds [intercept, slope, residual_sigma] for range, angle and
+    velocity; residual sigmas are floored so no axis degenerates in the
+    z-scored distance used at prediction time.
     """
-    _require_labeled(train, "train")
-    x = np.asarray(pointing_angles)[[s.b_star for s in train]]
+    x = _beam_angles(train, pointing_angles)
     fits = []
-    for getter in (
-        lambda c: c.range_m,
-        lambda c: c.angle_deg,
-        lambda c: c.vel_mps,
-    ):
-        y = np.array([getter(s.candidates[s.label]) for s in train])
+    for axis in ("range_m", "angle_deg", "vel_mps"):
+        y = np.array([getattr(s.candidates[s.label], axis) for s in train])
         intercept, slope = _ols(x, y)
         sigma = float(np.sqrt(np.mean((y - intercept - slope * x) ** 2)))
-        fits.append((intercept, slope, max(sigma, 1e-6)))
-    return tuple(fits)
+        fits.append([intercept, slope, max(sigma, 1e-6)])
+    table = np.stack([a + b * pointing_angles for a, b, _ in fits], axis=1)
+    return {"fits": fits}, table, tuple(s for _, _, s in fits)
 
 
-def predict_linreg_3d(candidates, b_star: int, fits, pointing_angles) -> int:
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    phi = float(pointing_angles[b_star])
-    predicted = [a + b * phi for a, b, _ in fits]
-    sigmas = [s for _, _, s in fits]
-    best, best_d = 0, None
-    for k, c in enumerate(candidates):
-        state = (c.range_m, c.angle_deg, c.vel_mps)
-        d = sum(((p - v) / s) ** 2 for p, v, s in zip(predicted, state, sigmas))
-        if best_d is None or d < best_d:
-            best, best_d = k, d
-    return best
-
-
-def fit_lookup(train, pointing_angles) -> np.ndarray:
+def _fit_lookup(train, pointing_angles):
     """Per-beam mean target radar angle; unseen beams fall back to phi_b + offset."""
-    _require_labeled(train, "train")
-    angles = np.asarray(pointing_angles, dtype=float)
-    psi0 = estimate_offset(train, angles)
-    table = angles + psi0
+    table = pointing_angles + estimate_offset(train, pointing_angles)
     targets = _target_angles(train)
     beams = np.array([s.b_star for s in train])
     for b in np.unique(beams):
         table[b] = targets[beams == b].mean()
-    return table
+    return {"table": table.tolist()}, _angle_table(table), _ANGLE_ONLY
 
 
-def predict_lookup(candidates, b_star: int, table) -> int:
-    return nearest_angle_index(candidates, float(table[b_star]))
+_FIT_RULES = {
+    "offset": _fit_offset,
+    "linreg-angle": _fit_linreg_angle,
+    "linreg-3d": _fit_linreg_3d,
+    "lookup": _fit_lookup,
+}
+SOLVER_NAMES = (*_FIT_RULES, "dnn")
 
 
 def expand_to_rows(samples):
@@ -205,7 +199,7 @@ def train_dnn(
     _require_labeled(train, "train")
     feats, beams, targets = expand_to_rows(train)
     if len(feats) == 0:
-        raise ValueError("training expansion produced no rows")
+        raise SolverError("training expansion produced no rows")
     model = init_weights(widths, norm_bounds_from_rows(feats, n_beams),
                          seed=hyper.seed)
     params = model.parameters()
@@ -247,62 +241,37 @@ class Solver(ABC):
     def predict(self, candidates, b_star: int) -> int: ...
 
 
-class OffsetSolver(Solver):
-    name = "offset"
+class TableSolver(Solver):
+    """Model-based baseline: a predicted (range, angle, velocity) per beam.
 
-    def __init__(self, pointing_angles):
+    `fit_rule(train, pointing_angles)` returns `params` (the fitted values
+    written to params.json), the (n_beams, 3) `table` and the per-axis
+    `sigma`; angle-only rules give range and velocity an infinite sigma.
+    `predict` picks the candidate minimizing
+    sum(((table[b_star] - state) / sigma) ** 2), ties to the lowest index.
+    """
+
+    def __init__(self, name: str, fit_rule, pointing_angles):
+        self.name = name
+        self.fit_rule = fit_rule
         self.pointing_angles = np.asarray(pointing_angles, dtype=float)
-        self.psi0: float | None = None
 
     def fit(self, train) -> None:
-        self.psi0 = estimate_offset(train, self.pointing_angles)
+        self.params, self.table, self.sigma = self.fit_rule(train, self.pointing_angles)
 
     def predict(self, candidates, b_star: int) -> int:
-        return predict_offset(candidates, b_star, self.psi0, self.pointing_angles)
-
-
-class LinRegAngleSolver(Solver):
-    name = "linreg-angle"
-
-    def __init__(self, pointing_angles):
-        self.pointing_angles = np.asarray(pointing_angles, dtype=float)
-        self.intercept: float | None = None
-        self.slope: float | None = None
-
-    def fit(self, train) -> None:
-        self.intercept, self.slope = fit_linreg_angle(train, self.pointing_angles)
-
-    def predict(self, candidates, b_star: int) -> int:
-        target = self.intercept + self.slope * float(self.pointing_angles[b_star])
-        return nearest_angle_index(candidates, target)
-
-
-class LinReg3dSolver(Solver):
-    name = "linreg-3d"
-
-    def __init__(self, pointing_angles):
-        self.pointing_angles = np.asarray(pointing_angles, dtype=float)
-        self.fits = None
-
-    def fit(self, train) -> None:
-        self.fits = fit_linreg_3d(train, self.pointing_angles)
-
-    def predict(self, candidates, b_star: int) -> int:
-        return predict_linreg_3d(candidates, b_star, self.fits, self.pointing_angles)
-
-
-class LookupSolver(Solver):
-    name = "lookup"
-
-    def __init__(self, pointing_angles):
-        self.pointing_angles = np.asarray(pointing_angles, dtype=float)
-        self.table: np.ndarray | None = None
-
-    def fit(self, train) -> None:
-        self.table = fit_lookup(train, self.pointing_angles)
-
-    def predict(self, candidates, b_star: int) -> int:
-        return predict_lookup(candidates, b_star, self.table)
+        if not candidates:
+            raise ValueError("candidate list must be non-empty")
+        # Python floats: numpy arithmetic per candidate is several times slower.
+        pr, pa, pv = self.table[b_star].tolist()
+        sr, sa, sv = self.sigma
+        best, best_d = 0, math.inf
+        for k, c in enumerate(candidates):
+            d = (((pr - c.range_m) / sr) ** 2 + ((pa - c.angle_deg) / sa) ** 2
+                 + ((pv - c.vel_mps) / sv) ** 2)
+            if d < best_d:
+                best, best_d = k, d
+        return best
 
 
 class DnnSolver(Solver):
@@ -327,17 +296,11 @@ class DnnSolver(Solver):
 
 
 def make_solver(name: str, pointing_angles, hyper: TrainConfig | None = None) -> Solver:
-    if name == "offset":
-        return OffsetSolver(pointing_angles)
-    if name == "linreg-angle":
-        return LinRegAngleSolver(pointing_angles)
-    if name == "linreg-3d":
-        return LinReg3dSolver(pointing_angles)
-    if name == "lookup":
-        return LookupSolver(pointing_angles)
     if name == "dnn":
         return DnnSolver(pointing_angles, hyper or TrainConfig())
-    raise ValueError(f"unknown solver {name!r}; valid names: {', '.join(SOLVER_NAMES)}")
+    if name not in _FIT_RULES:
+        raise ValueError(f"unknown solver {name!r}; valid names: {', '.join(SOLVER_NAMES)}")
+    return TableSolver(name, _FIT_RULES[name], pointing_angles)
 
 
 def evaluate(solver: Solver, test) -> float:

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from isac_ident.cli import main
-from isac_ident.dataset import load_samples
+from isac_ident.config import config_from_dict
+from isac_ident.dataset import load_samples, save_samples
+from isac_ident.radar_detect import Candidate
 from isac_ident.radar_frontend import RadarConfig, synthesize_frame, save_cube
-from isac_ident.scene import SceneObject
+from isac_ident.scene import SceneObject, dft_codebook
+from isac_ident.solvers import Sample
 
 SMALL_YAML = """
 seed: 11
@@ -37,6 +40,11 @@ def dataset_dir(tmp_path, small_config):
 def read_accuracy(path):
     rows = path.read_text().strip().splitlines()[1:]
     return {line.split(",")[0]: float(line.split(",")[1]) for line in rows}
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------- simulate
@@ -139,6 +147,36 @@ def test_train_offset_solver(dataset_dir, tmp_path):
     assert np.isfinite(params["psi0"])
 
 
+@pytest.mark.parametrize("solver", ["offset", "linreg-angle", "linreg-3d", "lookup"])
+def test_train_params_reproduce_predictions(dataset_dir, tmp_path, solver):
+    out = tmp_path / "fit"
+    assert main(["train", str(dataset_dir), "--solver", solver, "--out", str(out)]) == 0
+    params = json.loads((out / "params.json").read_text())
+    assert params["solver"] == solver
+    comm = config_from_dict(json.loads((dataset_dir / "manifest.json").read_text())["config"]).comm
+    angles = dft_codebook(comm.n_antennas, comm.n_beams, comm.element_spacing).pointing_angles
+    rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
+    test = load_samples(dataset_dir / "test.csv")
+    assert len(rows) == len(test)
+    for s, row in zip(test, rows):
+        phi = float(angles[s.b_star])
+        dists = []
+        for c in s.candidates:
+            if solver == "linreg-3d":
+                state = (c.range_m, c.angle_deg, c.vel_mps)
+                dists.append(sum(((a + b * phi - v) / sigma) ** 2
+                                 for (a, b, sigma), v in zip(params["fits"], state)))
+                continue
+            if solver == "offset":
+                target = phi + params["psi0"]
+            elif solver == "linreg-angle":
+                target = params["intercept"] + params["slope"] * phi
+            else:
+                target = params["table"][s.b_star]
+            dists.append(abs(c.angle_deg - target))
+        assert int(row.split(",")[2]) == dists.index(min(dists))
+
+
 def test_train_unknown_solver_exits_2(dataset_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(dataset_dir), "--solver", "magic",
@@ -166,6 +204,35 @@ def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
     test = load_samples(dataset_dir / "test.csv")
     assert len(preds) == len(test) + 1
     assert preds[0] == "sample_id,label,offset,linreg-angle,linreg-3d,lookup,dnn"
+
+
+def single_beam_dataset(path, beam=5, n=120):
+    """Train and test sets served by one beam: no line can be fitted to them."""
+    path.mkdir()
+    samples = [Sample(sample_id=t, sequence_id=t % 2,
+                      candidates=(Candidate(range_m=40.0, angle_deg=-50.0 + t % 3, vel_mps=1.0),),
+                      b_star=beam, label=0) for t in range(n)]
+    save_samples(samples, path / "train.csv")
+    save_samples(samples[:10], path / "test.csv")
+    return path
+
+
+@pytest.mark.parametrize("argv", [["train", "--solver", "linreg-angle"],
+                                  ["train", "--solver", "linreg-3d"],
+                                  ["eval"], ["report"]],
+                         ids=["train-linreg-angle", "train-linreg-3d", "eval", "report"])
+def test_degenerate_design_exits_3(tmp_path, capsys, argv):
+    data = single_beam_dataset(tmp_path / "data")
+    assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("manifest", ["{oops", "[]", "{}"])
+def test_malformed_dataset_manifest_exits_3(dataset_dir, tmp_path, capsys, manifest):
+    (dataset_dir / "manifest.json").write_text(manifest)
+    assert main(["train", str(dataset_dir), "--solver", "offset",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert_one_line_error(capsys)
 
 
 # ---------------------------------------------------------------- report

@@ -196,13 +196,16 @@ def test_handwritten_fixture_parses(tmp_path):
 
 def test_malformed_row_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(
-        "sample_id,sequence_id,K_t,k,range_m,angle_deg,vel_mps,power,b_star,label_k\n"
-        "0,0,1,0,50.0,10.0,3.0,2.0,12,0\n"
-        "1,0,1,0,oops,10.0,3.0,2.0,12,0\n"
-    )
-    with pytest.raises(SampleFormatError, match=r":3:"):
-        load_samples(path)
+    # range, angle, velocity: unparsable, then values a Candidate rejects
+    for bad in ("oops,10.0,3.0", "inf,10.0,3.0", "-1.0,10.0,3.0", "50.0,95.0,3.0",
+                "50.0,10.0,nan"):
+        path.write_text(
+            "sample_id,sequence_id,K_t,k,range_m,angle_deg,vel_mps,power,b_star,label_k\n"
+            "0,0,1,0,50.0,10.0,3.0,2.0,12,0\n"
+            f"1,0,1,0,{bad},2.0,12,0\n"
+        )
+        with pytest.raises(SampleFormatError, match=r":3:"):
+            load_samples(path)
 
 
 def test_truncated_sample_block_rejected(tmp_path):

@@ -235,6 +235,9 @@ def test_candidate_validation():
         Candidate(range_m=-1.0, angle_deg=0.0, vel_mps=0.0)
     with pytest.raises(ValueError):
         Candidate(range_m=1.0, angle_deg=120.0, vel_mps=0.0)
+    for r, v in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Candidate(range_m=r, angle_deg=0.0, vel_mps=v)
 
 
 # ---------------------------------------------------------------- full chain

@@ -12,15 +12,8 @@ from isac_ident.solvers import (
     TrainConfig,
     estimate_offset,
     evaluate,
-    fit_linreg_3d,
-    fit_linreg_angle,
-    fit_lookup,
     make_solver,
-    nearest_angle_index,
     predict_dnn,
-    predict_linreg_3d,
-    predict_lookup,
-    predict_offset,
     train_dnn,
 )
 
@@ -30,6 +23,18 @@ TINY = ModelWidths(radar=(8, 12, 16), beam=(8, 12, 16), head=(16, 8, 4))
 
 def cand(a, r=50.0, v=0.0, power=1.0):
     return Candidate(range_m=r, angle_deg=float(np.clip(a, -90, 90)), vel_mps=v, power=power)
+
+
+def fitted(name, train):
+    solver = make_solver(name, ANGLES)
+    solver.fit(train)
+    return solver
+
+
+def at_beam(b, *angles):
+    """One labeled sample per target angle, all served by beam b."""
+    return [Sample(sample_id=t, sequence_id=0, candidates=(cand(a),), b_star=b, label=0)
+            for t, a in enumerate(angles)]
 
 
 def offset_samples(psi0, n, rng, noise=0.0, n_decoys=2, decoy_sep=8.0):
@@ -80,27 +85,30 @@ def test_estimate_offset_empty_errors():
 def test_predict_offset_picks_nearest():
     cands = (cand(-10.0), cand(0.5), cand(20.0))
     beam = int(np.argmin(np.abs(ANGLES)))  # beam pointing closest to 0 deg
-    k = predict_offset(cands, beam, psi0=-float(ANGLES[beam]), pointing_angles=ANGLES)
-    assert k == 1
+    solver = fitted("offset", at_beam(beam, 0.0))
+    assert solver.params["psi0"] == -float(ANGLES[beam])
+    assert solver.predict(cands, beam) == 1
 
 
 def test_predict_offset_single_candidate():
-    assert predict_offset((cand(45.0),), 3, 0.0, ANGLES) == 0
+    solver = fitted("offset", at_beam(3, ANGLES[3]))
+    assert solver.params["psi0"] == 0.0
+    assert solver.predict((cand(45.0),), 3) == 0
 
 
 def test_predict_offset_perfect_construction():
     # zero noise and a true offset: nearest-angle matching is exact
     rng = np.random.default_rng(3)
     samples = offset_samples(7.0, 1000, rng, noise=0.0, decoy_sep=6.0)
-    psi0 = estimate_offset(samples, ANGLES)
-    hits = sum(predict_offset(s.candidates, s.b_star, psi0, ANGLES) == s.label
-               for s in samples)
+    solver = fitted("offset", samples)
+    hits = sum(solver.predict(s.candidates, s.b_star) == s.label for s in samples)
     assert hits == 1000
 
 
 def test_nearest_angle_tie_breaks_low():
+    solver = fitted("offset", at_beam(12, 10.0))
     cands = (cand(10.0), cand(10.0), cand(50.0))
-    assert nearest_angle_index(cands, 10.0) == 0
+    assert solver.predict(cands, 12) == 0
 
 
 # ---------------------------------------------------------------- linear fits
@@ -119,15 +127,16 @@ def linear_samples(psi0, alpha, n, rng, noise=0.0):
 def test_linreg_angle_recovers_exact_line():
     rng = np.random.default_rng(4)
     train = linear_samples(2.0, 0.95, 300, rng)
-    intercept, slope = fit_linreg_angle(train, ANGLES)
-    assert intercept == pytest.approx(2.0, abs=1e-9)
-    assert slope == pytest.approx(0.95, abs=1e-9)
+    params = fitted("linreg-angle", train).params
+    assert params["intercept"] == pytest.approx(2.0, abs=1e-9)
+    assert params["slope"] == pytest.approx(0.95, abs=1e-9)
 
 
 def test_linreg_angle_alpha_one_reduces_to_offset():
     rng = np.random.default_rng(5)
     train = linear_samples(4.0, 1.0, 250, rng, noise=0.5)
-    intercept, slope = fit_linreg_angle(train, ANGLES)
+    params = fitted("linreg-angle", train).params
+    intercept, slope = params["intercept"], params["slope"]
     # with a unit slope the intercept is the plain mean offset
     shifted = estimate_offset(train, ANGLES)
     assert slope == pytest.approx(1.0, abs=0.02)
@@ -140,18 +149,18 @@ def test_linreg_angle_recovers_alpha_within_ols_error():
     train = linear_samples(1.0, 0.9, 400, rng, noise=sigma)
     x = ANGLES[[s.b_star for s in train]]
     se = sigma / np.sqrt(((x - x.mean()) ** 2).sum())  # closed-form OLS slope error
-    _, slope = fit_linreg_angle(train, ANGLES)
+    slope = fitted("linreg-angle", train).params["slope"]
     assert abs(slope - 0.9) < 2 * se + 1e-12
 
 
 def test_linreg_angle_rejects_degenerate_design():
-    rng = np.random.default_rng(7)
-    samples = []
-    for t in range(10):
-        samples.append(Sample(sample_id=t, sequence_id=0,
-                              candidates=(cand(5.0),), b_star=12, label=0))
-    with pytest.raises(ValueError):
-        fit_linreg_angle(samples, ANGLES)
+    # The mean of 10 copies of beam 12's angle is exact; that of 120 copies of
+    # beam 5's is not, so its centred design is rounding noise, not zero.
+    for beam, n in ((12, 10), (5, 120)):
+        samples = at_beam(beam, *[5.0] * n)
+        for name in ("linreg-angle", "linreg-3d"):
+            with pytest.raises(ValueError):
+                fitted(name, samples)
 
 
 def samples_3d(n, rng, angle_noise=0.0, r_slope=1.2, v_slope=0.1):
@@ -170,9 +179,8 @@ def samples_3d(n, rng, angle_noise=0.0, r_slope=1.2, v_slope=0.1):
 def test_linreg_3d_exact_linear_data_is_perfect():
     rng = np.random.default_rng(8)
     train = samples_3d(200, rng)
-    fits = fit_linreg_3d(train, ANGLES)
-    hits = sum(predict_linreg_3d(s.candidates, s.b_star, fits, ANGLES) == s.label
-               for s in train)
+    solver = fitted("linreg-3d", train)
+    hits = sum(solver.predict(s.candidates, s.b_star) == s.label for s in train)
     assert hits == len(train)
 
 
@@ -187,12 +195,11 @@ def test_linreg_3d_angle_dominates_when_other_axes_are_noisy():
         decoy = cand(phi + 12.0, r=rng.uniform(20, 200), v=rng.uniform(-15, 15))
         train.append(Sample(sample_id=t, sequence_id=t % 3,
                             candidates=(target, decoy), b_star=b, label=0))
-    fits = fit_linreg_3d(train, ANGLES)
-    intercept, slope = fit_linreg_angle(train, ANGLES)
+    linreg_3d, linreg_angle = fitted("linreg-3d", train), fitted("linreg-angle", train)
     agree = 0
     for s in train:
-        k3 = predict_linreg_3d(s.candidates, s.b_star, fits, ANGLES)
-        ka = nearest_angle_index(s.candidates, intercept + slope * ANGLES[s.b_star])
+        k3 = linreg_3d.predict(s.candidates, s.b_star)
+        ka = linreg_angle.predict(s.candidates, s.b_star)
         agree += k3 == ka
     assert agree >= 0.99 * len(train)
 
@@ -200,13 +207,8 @@ def test_linreg_3d_angle_dominates_when_other_axes_are_noisy():
 # ---------------------------------------------------------------- lookup
 
 def test_lookup_table_stores_per_beam_means():
-    rng = np.random.default_rng(10)
-    samples = []
-    for t in range(60):
-        cands = (cand(12.0),)
-        samples.append(Sample(sample_id=t, sequence_id=0, candidates=cands,
-                              b_star=5, label=0))
-    table = fit_lookup(samples, ANGLES)
+    samples = at_beam(5, *[12.0] * 60)
+    table = fitted("lookup", samples).params["table"]
     assert table[5] == pytest.approx(12.0)
     # unseen beams fall back to beam angle + global offset
     psi0 = estimate_offset(samples, ANGLES)
@@ -221,16 +223,16 @@ def test_lookup_single_sample_per_beam():
         want[b] = a
         samples.append(Sample(sample_id=t, sequence_id=0,
                               candidates=(cand(a),), b_star=b, label=0))
-    table = fit_lookup(samples, ANGLES)
+    table = fitted("lookup", samples).params["table"]
     for b, a in want.items():
         assert table[b] == pytest.approx(a)
 
 
 def test_predict_lookup_nearest():
-    table = np.asarray(ANGLES).copy()
-    table[7] = 3.0
+    solver = fitted("lookup", at_beam(7, 3.0))
+    assert solver.params["table"][7] == 3.0
     cands = (cand(-20.0), cand(2.0), cand(40.0))
-    assert predict_lookup(cands, 7, table) == 1
+    assert solver.predict(cands, 7) == 1
 
 
 # ---------------------------------------------------------------- dnn
