@@ -30,7 +30,7 @@ from isac_ident.dataset import (
     split_by_sequence,
 )
 from isac_ident.mlp import save_model
-from isac_ident.radar_detect import detect_objects, write_candidates
+from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
 from isac_ident.radar_frontend import CubeFormatError, load_cube
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, evaluate, make_solver
@@ -56,18 +56,8 @@ class RunManifest:
     elapsed_s: float | None = None
 
     def write(self, out_dir: Path) -> None:
-        payload = {
-            "command": self.command,
-            "argv": self.argv,
-            "seed": self.seed,
-            "config": self.config,
-            "outputs": self.outputs,
-            "versions": self.versions,
-            "started_utc": self.started_utc,
-            "elapsed_s": self.elapsed_s,
-        }
         tmp = out_dir / "manifest.json.tmp"
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
         os.replace(tmp, out_dir / "manifest.json")
 
@@ -127,12 +117,22 @@ def _dataset_config(data_dir: Path, args) -> RunConfig:
     return cfg
 
 
-def _load_split(data_dir: Path):
-    train_path = data_dir / "train.csv"
-    test_path = data_dir / "test.csv"
-    if not train_path.exists() or not test_path.exists():
+def _load_split(data_dir: Path, n_beams: int):
+    """Train and test samples; every one must be labeled and served by a codebook beam."""
+    paths = (data_dir / "train.csv", data_dir / "test.csv")
+    if not all(path.exists() for path in paths):
         raise DataError(f"{data_dir} does not contain train.csv and test.csv")
-    return load_samples(train_path), load_samples(test_path)
+    split = []
+    for path in paths:
+        samples = load_samples(path)
+        for s in samples:
+            if s.label is None:
+                raise DataError(f"{path}: sample {s.sample_id} is unlabeled")
+            if s.b_star >= n_beams:
+                raise DataError(f"{path}: sample {s.sample_id} has beam {s.b_star}, "
+                                f"outside the {n_beams}-beam codebook")
+        split.append(samples)
+    return split
 
 
 def cmd_simulate(args) -> int:
@@ -210,7 +210,7 @@ def _save_solver_params(solver, out_dir: Path, cfg: RunConfig) -> None:
 def cmd_train(args) -> int:
     data_dir = Path(args.dataset)
     cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir)
+    train, test = _load_split(data_dir, cfg.comm.n_beams)
     out_dir = Path(args.out)
     outputs = ["accuracy.csv", "predictions.csv"]
     outputs.append("model.ckpt" if args.solver == "dnn" else "params.json")
@@ -229,7 +229,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     data_dir = Path(args.dataset)
     cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir)
+    train, test = _load_split(data_dir, cfg.comm.n_beams)
     names = list(SOLVER_NAMES) if args.solver == "all" else [args.solver]
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["accuracy.csv", "predictions.csv"])
@@ -247,7 +247,7 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     data_dir = Path(args.dataset)
     cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir)
+    train, test = _load_split(data_dir, cfg.comm.n_beams)
     samples = train + test
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["report.csv"])
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GenerationError) as exc:
+    except (ConfigError, GenerationError, DetectConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, SampleFormatError, CubeFormatError, SolverError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ class CheckpointError(ValueError):
     """Model checkpoint file is malformed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray     # (out,)
+    weights: np.ndarray  # (out, in), a view into MlpModel.theta
+    bias: np.ndarray     # (out,), a view into MlpModel.theta
     activation: str = "relu"
 
     def __post_init__(self):
@@ -66,65 +66,50 @@ class ModelWidths:
     head: tuple[int, ...] = (64, 32, 16)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpModel:
+    """`theta` holds every parameter: per layer its weights (row-major), then
+    its bias, layers in radar, beam, head order. Layers hold views into it."""
+
     radar_branch: list[DenseLayer]
     beam_branch: list[DenseLayer]
     head: list[DenseLayer]
     norm: NormBounds
+    theta: np.ndarray
 
     def layers(self) -> list[DenseLayer]:
         return [*self.radar_branch, *self.beam_branch, *self.head]
 
-    def parameters(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers():
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        layers = self.layers()
-        if len(params) != 2 * len(layers):
-            raise ValueError("parameter list length mismatch")
-        for k, layer in enumerate(layers):
-            w, b = params[2 * k], params[2 * k + 1]
-            if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-                raise ValueError("parameter shape mismatch")
-            layer.weights = w
-            layer.bias = b
+def _model_on(shapes, n_radar: int, n_beam: int, norm: NormBounds,
+              theta: np.ndarray | None = None) -> MlpModel:
+    """Lay (out, in, activation) layers over `theta` (zeros if None) as views."""
+    if theta is None:
+        theta = np.zeros(sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes))
+    layers, off = [], 0
+    for out_dim, in_dim, act in shapes:
+        end = off + out_dim * in_dim
+        layers.append(DenseLayer(weights=theta[off:end].reshape(out_dim, in_dim),
+                                 bias=theta[end:end + out_dim], activation=act))
+        off = end + out_dim
+    return MlpModel(radar_branch=layers[:n_radar],
+                    beam_branch=layers[n_radar:n_radar + n_beam],
+                    head=layers[n_radar + n_beam:], norm=norm, theta=theta)
 
 
 def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpModel:
     """He-style uniform initialization: weights ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)]."""
     rng = child_rng(seed, "init")
-
-    def make(sizes, final_out=None, final_act=None):
-        layers = []
-        dims = list(sizes)
-        for j in range(len(dims) - 1):
-            fan_in, fan_out = dims[j], dims[j + 1]
-            bound = np.sqrt(6.0 / fan_in)
-            layers.append(DenseLayer(
-                weights=rng.uniform(-bound, bound, size=(fan_out, fan_in)),
-                bias=np.zeros(fan_out),
-                activation="relu",
-            ))
-        if final_out is not None:
-            fan_in = dims[-1]
-            bound = np.sqrt(6.0 / fan_in)
-            layers.append(DenseLayer(
-                weights=rng.uniform(-bound, bound, size=(final_out, fan_in)),
-                bias=np.zeros(final_out),
-                activation=final_act,
-            ))
-        return layers
-
-    radar = make((3, *widths.radar))
-    beam = make((1, *widths.beam))
     concat = widths.radar[-1] + widths.beam[-1]
-    head = make((concat, *widths.head), final_out=1, final_act="sigmoid")
-    return MlpModel(radar_branch=radar, beam_branch=beam, head=head, norm=norm)
+    branches = [(3, *widths.radar), (1, *widths.beam), (concat, *widths.head, 1)]
+    shapes = [(fan_out, fan_in, "relu")
+              for dims in branches for fan_in, fan_out in zip(dims, dims[1:])]
+    shapes[-1] = (1, shapes[-1][1], "sigmoid")
+    model = _model_on(shapes, len(widths.radar), len(widths.beam), norm)
+    for layer in model.layers():
+        bound = np.sqrt(6.0 / layer.weights.shape[1])
+        layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
+    return model
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -155,12 +140,13 @@ def _forward_layers(layers, x):
 
 
 def _backward_layers(layers, caches, d_out):
+    """Per-layer gradients in theta's order, plus the gradient of the input."""
     grads: list[np.ndarray] = []
     d = d_out
     for layer, (a_in, z, a_out) in zip(reversed(layers), reversed(caches)):
         dz = d * _activation_grad(z, a_out, layer.activation)
         grads.append(dz.sum(axis=0))        # bias
-        grads.append(dz.T @ a_in)           # weights
+        grads.append((dz.T @ a_in).ravel())  # weights
         d = dz @ layer.weights
     grads.reverse()  # now (dW, db) per layer in forward order
     return grads, d
@@ -208,7 +194,7 @@ def forward(model: MlpModel, candidate, beam: int) -> float:
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
     """Mean squared error over a batch plus backprop gradients.
 
-    Gradients come back as a flat list aligned with model.parameters().
+    The gradient comes back as one vector aligned with model.theta.
     """
     feats = np.asarray(feats, dtype=float)
     beams = np.asarray(beams, dtype=float)
@@ -225,11 +211,11 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
     g_head, d_h = _backward_layers(model.head, c_head, d_scores)
     g_radar, _ = _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width])
     g_beam, _ = _backward_layers(model.beam_branch, c_beam, d_h[:, radar_width:])
-    return loss, [*g_radar, *g_beam, *g_head]
+    return loss, np.concatenate([*g_radar, *g_beam, *g_head])
 
 
 def loss_and_grad(model: MlpModel, batch):
-    """Batch of (candidate, beam, target) triples -> (mse, gradient list)."""
+    """Batch of (candidate, beam, target) triples -> (mse, gradient vector)."""
     if not batch:
         raise ValueError("batch must be non-empty")
     feats = [(c.range_m, c.angle_deg, c.vel_mps) for c, _, _ in batch]
@@ -245,35 +231,20 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    m: np.ndarray | float = 0.0  # shaped like theta after the first step
+    v: np.ndarray | float = 0.0
 
 
-def adam_step(state: AdamState, params, grads) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter, gradient and state lengths must match")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of `theta`, in place."""
+    if theta.shape != grad.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    new_params = []
-    for k, (p, g) in enumerate(zip(params, grads)):
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return new_params
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
+    m_hat = state.m / (1.0 - state.beta1 ** state.step)
+    v_hat = state.v / (1.0 - state.beta2 ** state.step)
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
@@ -288,9 +259,7 @@ def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
         for layer in layers:
             fh.write(struct.pack("<IIB", layer.weights.shape[0],
                                  layer.weights.shape[1], _ACT_CODES[layer.activation]))
-        for layer in layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+        fh.write(model.theta.astype("<f8").tobytes())
     sidecar = {
         "format_version": _CKPT_VERSION,
         "normalization": {
@@ -332,23 +301,16 @@ def load_model(path) -> MlpModel:
         raise CheckpointError(f"{path}: unsupported version {version}")
     r_max, a_span, v_max, n_beams = take("<dddd")
     n_radar, n_beam, n_head = take("<III")
-    shapes = [take("<IIB") for _ in range(n_radar + n_beam + n_head)]
-    layers = []
-    for out_dim, in_dim, act in shapes:
+    shapes = []
+    for _ in range(n_radar + n_beam + n_head):
+        out_dim, in_dim, act = take("<IIB")
         if act not in _ACT_NAMES:
             raise CheckpointError(f"{path}: unknown activation code {act}")
-        n_w, n_b = out_dim * in_dim, out_dim
-        need = (n_w + n_b) * 8
-        if off + need > len(raw):
-            raise CheckpointError(f"{path}: truncated weight data")
-        w = np.frombuffer(raw, dtype="<f8", count=n_w, offset=off).reshape(out_dim, in_dim)
-        off += n_w * 8
-        b = np.frombuffer(raw, dtype="<f8", count=n_b, offset=off)
-        off += n_b * 8
-        layers.append(DenseLayer(weights=w.copy(), bias=b.copy(),
-                                 activation=_ACT_NAMES[act]))
+        shapes.append((out_dim, in_dim, _ACT_NAMES[act]))
+    n = sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
+    if off + 8 * n > len(raw):
+        raise CheckpointError(f"{path}: truncated weight data")
+    theta = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
     norm = NormBounds(range_max=r_max, angle_span=a_span, vel_max=v_max,
                       n_beams=int(n_beams))
-    return MlpModel(radar_branch=layers[:n_radar],
-                    beam_branch=layers[n_radar:n_radar + n_beam],
-                    head=layers[n_radar + n_beam:], norm=norm)
+    return _model_on(shapes, n_radar, n_beam, norm, theta)  # checks finiteness

@@ -202,8 +202,7 @@ def train_dnn(
         raise SolverError("training expansion produced no rows")
     model = init_weights(widths, norm_bounds_from_rows(feats, n_beams),
                          seed=hyper.seed)
-    params = model.parameters()
-    state = AdamState.for_params(params, lr=hyper.lr)
+    state = AdamState(lr=hyper.lr)
     rng = child_rng(hyper.seed, "shuffle")
     n = len(feats)
     for _ in range(hyper.epochs):
@@ -211,9 +210,8 @@ def train_dnn(
         total = 0.0
         for start in range(0, n, hyper.batch):
             idx = order[start:start + hyper.batch]
-            loss, grads = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
-            params = adam_step(state, params, grads)
-            model.set_parameters(params)
+            loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
+            adam_step(state, model.theta, grad)
             total += loss * len(idx)
         if epoch_losses is not None:
             epoch_losses.append(total / n)

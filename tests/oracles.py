@@ -98,19 +98,15 @@ def min_relu_preactivation(model, feats, beams):
 
 
 def finite_difference_grads(model, feats, beams, targets, h=1e-4):
-    """Central differences through the full loss, one parameter at a time."""
-    grads = []
-    for p in model.parameters():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lo_p, _ = loss_and_grad_arrays(model, feats, beams, targets)
-            flat[i] = orig - h
-            lo_m, _ = loss_and_grad_arrays(model, feats, beams, targets)
-            flat[i] = orig
-            gflat[i] = (lo_p - lo_m) / (2 * h)
-        grads.append(g)
+    """Central differences through the full loss, one entry of theta at a time."""
+    theta = model.theta
+    grads = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        lo_p, _ = loss_and_grad_arrays(model, feats, beams, targets)
+        theta[i] = orig - h
+        lo_m, _ = loss_and_grad_arrays(model, feats, beams, targets)
+        theta[i] = orig
+        grads[i] = (lo_p - lo_m) / (2 * h)
     return grads

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -45,6 +46,7 @@ def read_accuracy(path):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 # ---------------------------------------------------------------- simulate
@@ -123,6 +125,23 @@ def test_detect_empty_dir_exits_3(tmp_path):
     cube_dir = tmp_path / "cubes"
     cube_dir.mkdir()
     assert main(["detect", str(cube_dir), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command", ["detect", "simulate-full"])
+def test_cfar_window_wider_than_range_axis_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text("scenario:\n  sequences: 1\n  samples_per_sequence: [1, 1]\n"
+                   "detect:\n  cfar_train: 200\n  cfar_guard: 100\n")
+    if command == "detect":
+        cube_dir = tmp_path / "cubes"
+        cube_dir.mkdir()
+        save_cube(synthesize_frame([moving_obj(0, 30.0, 0.0, 5.0)], RadarConfig(), seed=0),
+                  cube_dir / "frame000.rcub")
+        argv = ["detect", str(cube_dir)]
+    else:
+        argv = ["simulate", "--mode", "full"]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "CFAR window of 601 cells" in assert_one_line_error(capsys)
 
 
 def test_detect_corrupt_header_exits_3(tmp_path, capsys):
@@ -225,6 +244,30 @@ def test_degenerate_design_exits_3(tmp_path, capsys, argv):
     data = single_beam_dataset(tmp_path / "data")
     assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
     assert_one_line_error(capsys)
+
+
+def dataset_with_bad_test_sample(path, **bad):
+    """A fittable labeled dataset whose last test sample is changed by `bad`."""
+    path.mkdir()
+    samples = [Sample(sample_id=t, sequence_id=t % 2,
+                      candidates=(Candidate(range_m=40.0, angle_deg=-40.0 + 10.0 * (t % 4),
+                                            vel_mps=1.0),
+                                  Candidate(range_m=80.0, angle_deg=30.0, vel_mps=-2.0)),
+                      b_star=10 + 10 * (t % 4), label=0) for t in range(12)]
+    save_samples(samples, path / "train.csv")
+    save_samples([*samples[:3], dataclasses.replace(samples[3], **bad)], path / "test.csv")
+    return path
+
+
+@pytest.mark.parametrize("argv", [["eval", "--solver", "offset"], ["eval", "--solver", "dnn"],
+                                  ["report"]],
+                         ids=["eval-offset", "eval-dnn", "report"])
+@pytest.mark.parametrize("bad", [{"label": None}, {"b_star": 99}],
+                         ids=["unlabeled", "beam-outside-codebook"])
+def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
+    data = dataset_with_bad_test_sample(tmp_path / "data", **bad)
+    assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
+    assert "test.csv: sample 3 " in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("manifest", ["{oops", "[]", "{}"])

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from isac_ident.mlp import (
     AdamState,
-    DenseLayer,
-    MlpModel,
     ModelWidths,
     NormBounds,
     adam_step,
@@ -31,9 +29,7 @@ def cand(r=40.0, a=10.0, v=-3.0):
 
 
 def zeroed(model):
-    for layer in model.layers():
-        layer.weights = np.zeros_like(layer.weights)
-        layer.bias = np.zeros_like(layer.bias)
+    model.theta[:] = 0
     return model
 
 
@@ -97,10 +93,10 @@ def test_scores_stay_in_unit_interval(seed, r, a, v, beam):
 def test_loss_zero_when_scores_match():
     # drive the sigmoid to saturation with a huge bias: score == 1.0 in float
     model = zeroed(init_weights(TINY, NORM, seed=0))
-    model.head[-1].bias = np.array([600.0])
-    loss, grads = loss_and_grad(model, [(cand(), 1, 1.0)])
+    model.head[-1].bias[:] = 600.0
+    loss, grad = loss_and_grad(model, [(cand(), 1, 1.0)])
     assert loss == 0.0
-    assert all(np.all(g == 0) for g in grads)
+    assert np.all(grad == 0)
 
 
 def test_loss_half_score_quarter():
@@ -130,40 +126,33 @@ def test_gradients_match_central_differences():
         seed += 1
         if min_relu_preactivation(model, feats, beams) < 1e-3:
             continue
-        _, grads = loss_and_grad_arrays(model, feats, beams, y)
+        _, grad = loss_and_grad_arrays(model, feats, beams, y)
         numeric = finite_difference_grads(model, feats, beams, y)
-        for g, gn in zip(grads, numeric):
-            rel = np.abs(g - gn) / np.maximum(np.abs(g) + np.abs(gn), 1e-6)
-            assert rel.max() < 1e-4
+        assert grad.shape == numeric.shape == model.theta.shape
+        rel = np.abs(grad - numeric) / np.maximum(np.abs(grad) + np.abs(numeric), 1e-6)
+        assert rel.max() < 1e-4
         checked += 1
 
 
 # ---------------------------------------------------------------- Adam
 
-def params_one():
-    return [np.array([1.0])]
-
-
 def test_adam_zero_gradient_keeps_params():
-    p = params_one()
-    state = AdamState.for_params(p, lr=0.1)
-    out = adam_step(state, p, [np.array([0.0])])
-    assert out[0][0] == pytest.approx(1.0)
+    theta = np.array([1.0])
+    adam_step(AdamState(lr=0.1), theta, np.array([0.0]))
+    assert theta[0] == pytest.approx(1.0)
 
 
 def test_adam_first_step_is_lr_times_sign():
     for g in (3.7, -0.002):
-        p = params_one()
-        state = AdamState.for_params(p, lr=0.05)
-        out = adam_step(state, p, [np.array([g])])
-        assert out[0][0] == pytest.approx(1.0 - 0.05 * np.sign(g), abs=1e-6)
+        theta = np.array([1.0])
+        adam_step(AdamState(lr=0.05), theta, np.array([g]))
+        assert theta[0] == pytest.approx(1.0 - 0.05 * np.sign(g), abs=1e-6)
 
 
 def test_adam_shape_mismatch():
-    p = params_one()
-    state = AdamState.for_params(p)
+    theta = np.array([1.0])
     with pytest.raises(ValueError):
-        adam_step(state, p, [np.zeros(2)])
+        adam_step(AdamState(), theta, np.zeros(2))
 
 
 def test_adam_trajectory_matches_scratch_implementation():
@@ -180,13 +169,12 @@ def test_adam_trajectory_matches_scratch_implementation():
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
         expected.append(w)
 
-    p = [np.array([1.0])]
-    state = AdamState.for_params(p, lr=lr)
+    theta = np.array([1.0])
+    state = AdamState(lr=lr)
     got = []
     for _ in range(10):
-        grad = [2.0 * p[0]]
-        p = adam_step(state, p, grad)
-        got.append(float(p[0][0]))
+        adam_step(state, theta, 2.0 * theta)
+        got.append(float(theta[0]))
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -196,8 +184,8 @@ def test_init_deterministic_per_seed():
     a = init_weights(TINY, NORM, seed=5)
     b = init_weights(TINY, NORM, seed=5)
     c = init_weights(TINY, NORM, seed=6)
-    assert all(np.array_equal(x, y) for x, y in zip(a.parameters(), b.parameters()))
-    assert any(not np.array_equal(x, y) for x, y in zip(a.parameters(), c.parameters()))
+    assert np.array_equal(a.theta, b.theta)
+    assert not np.array_equal(a.theta, c.theta)
 
 
 def test_init_weight_variance_tracks_fan_in():
@@ -223,8 +211,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(model, path, hyper={"lr": 0.001, "epochs": 100})
     loaded = load_model(path)
-    for a, b in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.theta, loaded.theta)
     assert loaded.norm == model.norm
     assert [l.activation for l in loaded.layers()] == [l.activation for l in model.layers()]
 

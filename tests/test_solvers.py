@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isac_ident.mlp import ModelWidths
+from isac_ident.mlp import ModelWidths, load_model, save_model
 from isac_ident.radar_detect import Candidate
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import (
@@ -280,7 +282,22 @@ def test_dnn_training_deterministic():
     kw = dict(n_beams=len(ANGLES), widths=TINY, hyper=TrainConfig(epochs=20, batch=8, seed=3))
     m1 = train_dnn(train, **kw)
     m2 = train_dnn(train, **kw)
-    assert all(np.array_equal(a, b) for a, b in zip(m1.parameters(), m2.parameters()))
+    assert np.array_equal(m1.theta, m2.theta)
+
+
+def test_dnn_layers_stay_views_into_theta(tmp_path):
+    rng = np.random.default_rng(17)
+    model = train_dnn(toy_train(rng), n_beams=len(ANGLES), widths=TINY,
+                      hyper=TrainConfig(epochs=3, batch=8, seed=2))
+    save_model(model, tmp_path / "model.ckpt")
+    loaded = load_model(tmp_path / "model.ckpt")
+    assert np.array_equal(loaded.theta, model.theta)
+    for m in (model, loaded):
+        for layer in m.layers():
+            assert np.shares_memory(layer.weights, m.theta)
+            assert np.shares_memory(layer.bias, m.theta)
+        with pytest.raises(FrozenInstanceError):
+            m.head[0].weights = np.zeros_like(m.head[0].weights)
 
 
 def test_predict_dnn_single_candidate():
