@@ -33,7 +33,7 @@ from isac_ident.mlp import save_model
 from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
 from isac_ident.radar_frontend import CubeFormatError, load_cube
 from isac_ident.scene import dft_codebook
-from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, evaluate, make_solver
+from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, make_solver
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -182,20 +182,20 @@ def _fit_solvers(names, cfg: RunConfig, train):
     return solvers
 
 
-def _write_accuracy(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _score_test(solvers, test, out_dir: Path) -> list[tuple[str, float]]:
+    """Predict each test sample once per solver; write accuracy.csv and predictions.csv."""
+    columns = [[sv.predict(s.candidates, s.b_star) for s in test] for sv in solvers]
+    rows = [(sv.name, sum(p == s.label for p, s in zip(col, test)) / len(test))
+            for sv, col in zip(solvers, columns)]
+    with open(out_dir / "accuracy.csv", "w", encoding="utf-8") as fh:
         fh.write("solver,accuracy\n")
         for name, acc in rows:
             fh.write(f"{name},{acc:.6f}\n")
-
-
-def _write_predictions(path: Path, solvers, test) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        names = ",".join(s.name for s in solvers)
-        fh.write(f"sample_id,label,{names}\n")
-        for s in test:
-            preds = ",".join(str(sv.predict(s.candidates, s.b_star)) for sv in solvers)
-            fh.write(f"{s.sample_id},{s.label},{preds}\n")
+    with open(out_dir / "predictions.csv", "w", encoding="utf-8") as fh:
+        fh.write("sample_id,label," + ",".join(sv.name for sv in solvers) + "\n")
+        for s, *preds in zip(test, *columns):
+            fh.write(f"{s.sample_id},{s.label},{','.join(map(str, preds))}\n")
+    return rows
 
 
 def _save_solver_params(solver, out_dir: Path, cfg: RunConfig) -> None:
@@ -211,15 +211,15 @@ def cmd_train(args) -> int:
     data_dir = Path(args.dataset)
     cfg = _dataset_config(data_dir, args)
     train, test = _load_split(data_dir, cfg.comm.n_beams)
+    if not test:
+        raise DataError(f"{data_dir / 'test.csv'}: test set must be non-empty")
     out_dir = Path(args.out)
     outputs = ["accuracy.csv", "predictions.csv"]
     outputs.append("model.ckpt" if args.solver == "dnn" else "params.json")
     manifest, t0 = _start_manifest(args, cfg, outputs)
     (solver,) = _fit_solvers([args.solver], cfg, train)
-    acc = evaluate(solver, test)
     _save_solver_params(solver, out_dir, cfg)
-    _write_accuracy(out_dir / "accuracy.csv", [(solver.name, acc)])
-    _write_predictions(out_dir / "predictions.csv", [solver], test)
+    ((_, acc),) = _score_test([solver], test, out_dir)
     _finish_manifest(manifest, t0, out_dir)
     print(f"{solver.name}: test accuracy {acc:.4f} "
           f"({len(train)} train / {len(test)} test samples)")
@@ -230,13 +230,12 @@ def cmd_eval(args) -> int:
     data_dir = Path(args.dataset)
     cfg = _dataset_config(data_dir, args)
     train, test = _load_split(data_dir, cfg.comm.n_beams)
+    if not test:
+        raise DataError(f"{data_dir / 'test.csv'}: test set must be non-empty")
     names = list(SOLVER_NAMES) if args.solver == "all" else [args.solver]
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["accuracy.csv", "predictions.csv"])
-    solvers = _fit_solvers(names, cfg, train)
-    rows = [(s.name, evaluate(s, test)) for s in solvers]
-    _write_accuracy(out_dir / "accuracy.csv", rows)
-    _write_predictions(out_dir / "predictions.csv", solvers, test)
+    rows = _score_test(_fit_solvers(names, cfg, train), test, out_dir)
     _finish_manifest(manifest, t0, out_dir)
     width = max(len(n) for n, _ in rows)
     for name, acc in rows:

@@ -7,7 +7,7 @@ trajectories for direct frame synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -163,11 +163,5 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     """Copy of the config with the root seed (and derived seeds) replaced."""
-    scenario = ScenarioConfig(**{**_as_kwargs(cfg.scenario), "seed": seed})
-    training = TrainConfig(**{**_as_kwargs(cfg.training), "seed": seed})
-    return RunConfig(seed=seed, comm=cfg.comm, scenario=scenario, radar=cfg.radar,
-                     detect=cfg.detect, training=training, objects=cfg.objects)
-
-
-def _as_kwargs(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return replace(cfg, seed=seed, scenario=replace(cfg.scenario, seed=seed),
+                   training=replace(cfg.training, seed=seed))

@@ -323,7 +323,6 @@ def generate_dataset(
     comm: CommConfig | None = None,
     radar: RadarConfig | None = None,
     detect: DetectConfig | None = None,
-    traffic: TrafficModel = DEFAULT_TRAFFIC,
 ) -> list[Sample]:
     """Labeled samples for all sequences; deterministic for a given seed.
 
@@ -344,14 +343,14 @@ def generate_dataset(
     sample_id = 0
     for seq in range(cfg.n_sequences):
         rng = child_rng(cfg.seed, "sequence", seq)
-        truths = _sequence_truths(cfg, traffic, rng)
+        truths = _sequence_truths(cfg, DEFAULT_TRAFFIC, rng)
         k_ts = [int(rng.integers(cfg.candidates_range[0], cfg.candidates_range[1] + 1))
                 for _ in truths]
         seq_samples: list[Sample | None] = []
         if mode == "fast":
             for t, gt in enumerate(truths):
                 seq_samples.append(_fast_sample(
-                    sample_id + t, seq, gt, k_ts[t], cfg, traffic, comm, codebook,
+                    sample_id + t, seq, gt, k_ts[t], cfg, DEFAULT_TRAFFIC, comm, codebook,
                     rng, seed=int(child_rng(cfg.seed, "beam", seq, t).integers(2**31)),
                 ))
         else:
@@ -363,13 +362,10 @@ def generate_dataset(
             workers = max(1, int(os.environ.get("ISAC_IDENT_THREADS", "1")))
             def run(job):
                 sid, sq, gt, kt, job_rng, fseed = job
-                return _full_sample(sid, sq, gt, kt, cfg, traffic, comm, codebook,
+                return _full_sample(sid, sq, gt, kt, cfg, DEFAULT_TRAFFIC, comm, codebook,
                                     radar, detect, job_rng, fseed)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    seq_samples = list(pool.map(run, jobs))
-            else:
-                seq_samples = [run(j) for j in jobs]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                seq_samples = list(pool.map(run, jobs))
         kept = [s for s in seq_samples if s is not None]
         if not kept:
             raise GenerationError(f"sequence {seq} produced no usable samples")

@@ -39,8 +39,6 @@ class DenseLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("weight/bias shapes are inconsistent")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("layer parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -185,12 +183,6 @@ def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
     return scores
 
 
-def forward(model: MlpModel, candidate, beam: int) -> float:
-    """Score one candidate object against one beam index."""
-    feats = [(candidate.range_m, candidate.angle_deg, candidate.vel_mps)]
-    return float(score_candidates(model, feats, [beam])[0])
-
-
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
     """Mean squared error over a batch plus backprop gradients.
 
@@ -212,16 +204,6 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
     g_radar, _ = _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width])
     g_beam, _ = _backward_layers(model.beam_branch, c_beam, d_h[:, radar_width:])
     return loss, np.concatenate([*g_radar, *g_beam, *g_head])
-
-
-def loss_and_grad(model: MlpModel, batch):
-    """Batch of (candidate, beam, target) triples -> (mse, gradient vector)."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    feats = [(c.range_m, c.angle_deg, c.vel_mps) for c, _, _ in batch]
-    beams = [b for _, b, _ in batch]
-    targets = [t for _, _, t in batch]
-    return loss_and_grad_arrays(model, feats, beams, targets)
 
 
 @dataclass
@@ -310,7 +292,11 @@ def load_model(path) -> MlpModel:
     n = sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
     if off + 8 * n > len(raw):
         raise CheckpointError(f"{path}: truncated weight data")
+    if off + 8 * n < len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - off - 8 * n} bytes after the weight data")
     theta = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
+    if not np.isfinite(theta).all():
+        raise CheckpointError(f"{path}: non-finite weights")
     norm = NormBounds(range_max=r_max, angle_span=a_span, vel_max=v_max,
                       n_beams=int(n_beams))
-    return _model_on(shapes, n_radar, n_beam, norm, theta)  # checks finiteness
+    return _model_on(shapes, n_radar, n_beam, norm, theta)

@@ -129,8 +129,11 @@ def cfar_threshold_factor(n_train: int, pfa: float) -> float:
     return n_train * (pfa ** (-1.0 / n_train) - 1.0)
 
 
-def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> list[tuple[tuple[int, int, int], float]]:
-    """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice."""
+def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> np.ndarray:
+    """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice.
+
+    Returns the flagged cells' (angle, Doppler, range) indices, shape (N, 3).
+    """
     n_range = pc.power.shape[2]
     window = 2 * (cfg.cfar_train + cfg.cfar_guard) + 1
     if window > n_range:
@@ -140,11 +143,7 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> list[tuple[tuple[int, int, 
     alpha = cfar_threshold_factor(2 * cfg.cfar_train, cfg.cfar_pfa)
     noise = _sliding_training_mean(pc.power, cfg.cfar_train, cfg.cfar_guard)
     floor = cfg.cfar_floor_frac * pc.power.max()
-    flagged = pc.power > alpha * np.maximum(noise, floor)
-    cells = np.argwhere(flagged)
-    return [
-        ((int(a), int(d), int(r)), float(pc.power[a, d, r])) for a, d, r in cells
-    ]
+    return np.argwhere(pc.power > alpha * np.maximum(noise, floor))
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -196,26 +195,27 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def summarize_clusters(detections, labels, pc: PowerCube) -> list[Candidate]:
+def summarize_clusters(cells, labels, pc: PowerCube) -> list[Candidate]:
     """One candidate per cluster: unweighted mean of member-cell coordinates.
 
-    Noise points are dropped; output is sorted by descending total power.
+    `cells` holds (angle, Doppler, range) indices into `pc`, one row per
+    label; a cluster's power is the sum of `pc.power` over its cells. Noise
+    points are dropped; output is sorted by descending total power.
     """
+    cells = np.asarray(cells, dtype=int)
     labels = np.asarray(labels)
-    if len(labels) != len(detections):
-        raise ValueError("labels must align with detections")
+    if len(labels) != len(cells):
+        raise ValueError("labels must align with cells")
     out = []
     for cid in sorted(set(int(x) for x in labels) - {-1}):
-        member = [detections[i] for i in np.flatnonzero(labels == cid)]
-        cells = np.array([c for c, _ in member])
-        powers = np.array([p for _, p in member])
+        a, d, r = cells[labels == cid].T
         out.append(
             Candidate(
-                range_m=float(pc.range_m[cells[:, 2]].mean()),
-                angle_deg=float(pc.angle_deg[cells[:, 0]].mean()),
-                vel_mps=float(pc.velocity_mps[cells[:, 1]].mean()),
-                n_points=len(member),
-                power=float(powers.sum()),
+                range_m=float(pc.range_m[r].mean()),
+                angle_deg=float(pc.angle_deg[a].mean()),
+                vel_mps=float(pc.velocity_mps[d].mean()),
+                n_points=len(a),
+                power=float(pc.power[a, d, r].sum()),
             )
         )
     out.sort(key=lambda c: -c.power)
@@ -225,12 +225,9 @@ def summarize_clusters(detections, labels, pc: PowerCube) -> list[Candidate]:
 def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
     """Full chain: power cube, CFAR cells, DBSCAN in bin units, summaries."""
     pc = process_cube(cube, angle_fft_size=cfg.angle_fft_size)
-    detections = cfar_detect(pc, cfg)
-    if not detections:
-        return []
-    points = np.array([cell for cell, _ in detections], dtype=float)
-    labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
-    return summarize_clusters(detections, labels, pc)
+    cells = cfar_detect(pc, cfg)
+    labels = dbscan(cells, cfg.dbscan_eps, cfg.dbscan_min_pts)
+    return summarize_clusters(cells, labels, pc)
 
 
 def write_candidates(rows, path) -> None:

@@ -76,11 +76,6 @@ class RadarConfig:
     def doppler_bin_mps(self) -> float:
         return C0 / (2.0 * self.carrier_hz * self.n_chirps * self.chirp_interval_s)
 
-    @property
-    def max_velocity_mps(self) -> float:
-        """Unambiguous radial velocity, set by the chirp repetition interval."""
-        return C0 / (4.0 * self.carrier_hz * self.chirp_interval_s)
-
 
 @dataclass(frozen=True)
 class RadarCube:

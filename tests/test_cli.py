@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -7,11 +8,11 @@ import pytest
 
 from isac_ident.cli import main
 from isac_ident.config import config_from_dict
-from isac_ident.dataset import load_samples, save_samples
+from isac_ident.dataset import SAMPLE_HEADER, load_samples, save_samples
 from isac_ident.radar_detect import Candidate
 from isac_ident.radar_frontend import RadarConfig, synthesize_frame, save_cube
 from isac_ident.scene import SceneObject, dft_codebook
-from isac_ident.solvers import Sample
+from isac_ident.solvers import SOLVER_NAMES, DnnSolver, Sample, TableSolver
 
 SMALL_YAML = """
 seed: 11
@@ -223,6 +224,30 @@ def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
     test = load_samples(dataset_dir / "test.csv")
     assert len(preds) == len(test) + 1
     assert preds[0] == "sample_id,label,offset,linreg-angle,linreg-3d,lookup,dnn"
+
+
+def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for cls in (TableSolver, DnnSolver):
+        def counted(self, candidates, b_star, original=cls.predict):
+            calls[self.name] += 1
+            return original(self, candidates, b_star)
+        monkeypatch.setattr(cls, "predict", counted)
+    assert main(["eval", str(dataset_dir), "--out", str(tmp_path / "eval")]) == 0
+    n_test = len(load_samples(dataset_dir / "test.csv"))
+    assert calls == {name: n_test for name in SOLVER_NAMES}
+
+
+@pytest.mark.parametrize("argv", [["train", "--solver", "dnn"], ["eval"]],
+                         ids=["train-dnn", "eval"])
+def test_empty_test_split_exits_3_before_fit(dataset_dir, tmp_path, capsys, argv):
+    (dataset_dir / "test.csv").write_text(SAMPLE_HEADER + "\n")
+    out = tmp_path / "o"
+    assert main([argv[0], str(dataset_dir), *argv[1:], "--out", str(out)]) == 3
+    assert "test set must be non-empty" in assert_one_line_error(capsys)
+    assert not (out / "model.ckpt").exists()
+    assert not out.exists()  # rejected before the manifest is written
+    assert main(["report", str(dataset_dir), "--out", str(tmp_path / "rep")]) == 0
 
 
 def single_beam_dataset(path, beam=5, n=120):

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,22 +12,20 @@ from isac_ident.mlp import (
     ModelWidths,
     NormBounds,
     adam_step,
-    forward,
     init_weights,
     load_model,
-    loss_and_grad,
     loss_and_grad_arrays,
     save_model,
     score_candidates,
 )
-from isac_ident.radar_detect import Candidate
 
 NORM = NormBounds(range_max=100.0, angle_span=180.0, vel_max=20.0, n_beams=16)
 TINY = ModelWidths(radar=(4, 6, 8), beam=(4, 6, 8), head=(8, 6, 4))
 
 
-def cand(r=40.0, a=10.0, v=-3.0):
-    return Candidate(range_m=r, angle_deg=a, vel_mps=v)
+def feat(r=40.0, a=10.0, v=-3.0):
+    """One (range, angle, velocity) input row."""
+    return [(r, a, v)]
 
 
 def zeroed(model):
@@ -37,20 +37,21 @@ def zeroed(model):
 
 def test_zero_model_scores_half():
     model = zeroed(init_weights(TINY, NORM, seed=0))
-    assert forward(model, cand(), beam=3) == pytest.approx(0.5)
+    assert score_candidates(model, feat(), [3]) == pytest.approx([0.5])
 
 
 def test_forward_deterministic():
     model = init_weights(TINY, NORM, seed=1)
-    assert forward(model, cand(), 5) == forward(model, cand(), 5)
+    assert np.array_equal(score_candidates(model, feat(), [5]),
+                          score_candidates(model, feat(), [5]))
 
 
 def test_forward_matches_hand_rolled_recomputation():
     # oracle: per-neuron python loops, no matrix ops
     model = init_weights(TINY, NORM, seed=7)
-    c, beam = cand(72.3, -28.0, 11.5), 9
+    (r, a, v), beam = (72.3, -28.0, 11.5), 9
 
-    x_radar = [c.range_m / 100.0, (c.angle_deg + 90.0) / 180.0, (c.vel_mps + 20.0) / 40.0]
+    x_radar = [r / 100.0, (a + 90.0) / 180.0, (v + 20.0) / 40.0]
     x_beam = [beam / 15.0]
 
     def run_layers(layers, x):
@@ -70,13 +71,13 @@ def test_forward_matches_hand_rolled_recomputation():
 
     hidden = run_layers(model.radar_branch, x_radar) + run_layers(model.beam_branch, x_beam)
     expected = run_layers(model.head, hidden)[0]
-    assert forward(model, c, beam) == pytest.approx(expected, abs=1e-6)
+    assert score_candidates(model, feat(r, a, v), [beam]) == pytest.approx([expected], abs=1e-6)
 
 
 def test_forward_rejects_non_finite():
     model = init_weights(TINY, NORM, seed=0)
     with pytest.raises(ValueError):
-        forward(model, cand(r=float("nan")), 0)
+        score_candidates(model, feat(r=float("nan")), [0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,7 +85,7 @@ def test_forward_rejects_non_finite():
        v=st.floats(-20, 20), beam=st.integers(0, 15))
 def test_scores_stay_in_unit_interval(seed, r, a, v, beam):
     model = init_weights(TINY, NORM, seed=seed)
-    s = forward(model, cand(r, a, v), beam)
+    (s,) = score_candidates(model, feat(r, a, v), [beam])
     assert 0.0 < s < 1.0
 
 
@@ -94,23 +95,23 @@ def test_loss_zero_when_scores_match():
     # drive the sigmoid to saturation with a huge bias: score == 1.0 in float
     model = zeroed(init_weights(TINY, NORM, seed=0))
     model.head[-1].bias[:] = 600.0
-    loss, grad = loss_and_grad(model, [(cand(), 1, 1.0)])
+    loss, grad = loss_and_grad_arrays(model, feat(), [1], [1.0])
     assert loss == 0.0
     assert np.all(grad == 0)
 
 
 def test_loss_half_score_quarter():
     model = zeroed(init_weights(TINY, NORM, seed=0))
-    loss, _ = loss_and_grad(model, [(cand(), 0, 1.0)])
+    loss, _ = loss_and_grad_arrays(model, feat(), [0], [1.0])
     assert loss == pytest.approx(0.25)
 
 
 def test_loss_rejects_empty_and_bad_targets():
     model = init_weights(TINY, NORM, seed=0)
     with pytest.raises(ValueError):
-        loss_and_grad(model, [])
+        loss_and_grad_arrays(model, np.empty((0, 3)), [], [])
     with pytest.raises(ValueError):
-        loss_and_grad(model, [(cand(), 0, 0.5)])
+        loss_and_grad_arrays(model, feat(), [0], [0.5])
 
 
 def test_gradients_match_central_differences():
@@ -220,16 +221,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
     from isac_ident.mlp import CheckpointError
-    with pytest.raises(CheckpointError):
-        load_model(path)
+    good = tmp_path / "good.ckpt"
+    save_model(init_weights(TINY, NORM, seed=3), good)
+    raw = good.read_bytes()
+    bad = {
+        "magic": b"XXXX" + b"\x00" * 32,
+        "nan-weight": raw[:-8] + struct.pack("<d", math.nan),
+        "trailing-bytes": raw + b"garbage",
+    }
+    for name, data in bad.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_model(path)
 
 
 def test_score_candidates_batches_match_singles():
     model = init_weights(TINY, NORM, seed=9)
     feats = [(30.0, 5.0, 2.0), (60.0, -40.0, -7.0), (90.0, 60.0, 14.0)]
     batch = score_candidates(model, feats, [1, 2, 3])
-    singles = [forward(model, Candidate(*f), b) for f, b in zip(feats, [1, 2, 3])]
+    singles = [score_candidates(model, [f], [b])[0] for f, b in zip(feats, [1, 2, 3])]
     assert np.allclose(batch, singles)

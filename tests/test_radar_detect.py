@@ -89,11 +89,11 @@ def test_cfar_single_impulse_flagged_exactly():
     pc = flat_cube(1e-9, n_range=128)
     pc.power[0, 0, 50] = 1.0
     hits = cfar_detect(pc, DetectConfig())
-    assert [cell for cell, _ in hits] == [(0, 0, 50)]
+    assert hits.tolist() == [[0, 0, 50]]
 
 
 def test_cfar_all_equal_power_no_detections():
-    assert cfar_detect(flat_cube(3.7), DetectConfig()) == []
+    assert cfar_detect(flat_cube(3.7), DetectConfig()).tolist() == []
 
 
 def test_cfar_scale_invariance():
@@ -104,7 +104,7 @@ def test_cfar_scale_invariance():
     scaled = PowerCube(power=power * 773.1, angle_deg=np.zeros(2),
                        velocity_mps=np.zeros(4), range_m=np.arange(256, dtype=float))
     cfg = DetectConfig(cfar_pfa=5e-2)
-    assert [c for c, _ in cfar_detect(pc, cfg)] == [c for c, _ in cfar_detect(scaled, cfg)]
+    assert cfar_detect(pc, cfg).tolist() == cfar_detect(scaled, cfg).tolist()
 
 
 def test_cfar_window_must_fit():
@@ -198,11 +198,18 @@ def axis_cube():
     )
 
 
+def with_powers(pc, cells, powers):
+    """Write each cell's power into the cube; return the cells."""
+    for cell, p in zip(cells, powers):
+        pc.power[cell] = p
+    return cells
+
+
 def test_summarize_single_cluster_mean():
     pc = axis_cube()
-    detections = [((2, 4, 10), 2.0), ((2, 4, 12), 4.0)]
+    cells = with_powers(pc, [(2, 4, 10), (2, 4, 12)], [2.0, 4.0])
     labels = [0, 0]
-    (cand,) = summarize_clusters(detections, labels, pc)
+    (cand,) = summarize_clusters(cells, labels, pc)
     assert cand.range_m == pytest.approx((pc.range_m[10] + pc.range_m[12]) / 2)
     assert cand.angle_deg == pytest.approx(pc.angle_deg[2])
     assert cand.vel_mps == pytest.approx(pc.velocity_mps[4])
@@ -212,9 +219,9 @@ def test_summarize_single_cluster_mean():
 
 def test_summarize_drops_noise_and_sorts_by_power():
     pc = axis_cube()
-    detections = [((0, 0, 5), 1.0), ((3, 3, 20), 9.0), ((5, 5, 25), 4.0)]
+    cells = with_powers(pc, [(0, 0, 5), (3, 3, 20), (5, 5, 25)], [1.0, 9.0, 4.0])
     labels = [-1, 1, 0]
-    cands = summarize_clusters(detections, labels, pc)
+    cands = summarize_clusters(cells, labels, pc)
     assert len(cands) == 2
     assert cands[0].power == 9.0 and cands[1].power == 4.0
 
@@ -222,11 +229,10 @@ def test_summarize_drops_noise_and_sorts_by_power():
 def test_summarize_count_equals_cluster_count():
     pc = axis_cube()
     rng = np.random.default_rng(4)
-    detections = [((int(a), int(d), int(r)), float(p)) for a, d, r, p in
-                  zip(rng.integers(0, 8, 30), rng.integers(0, 16, 30),
-                      rng.integers(0, 32, 30), rng.uniform(1, 5, 30))]
+    cells = with_powers(pc, list(zip(rng.integers(0, 8, 30), rng.integers(0, 16, 30),
+                                     rng.integers(0, 32, 30))), rng.uniform(1, 5, 30))
     labels = rng.integers(-1, 4, 30)
-    cands = summarize_clusters(detections, labels.tolist(), pc)
+    cands = summarize_clusters(cells, labels.tolist(), pc)
     assert len(cands) == len(set(labels.tolist()) - {-1})
 
 
