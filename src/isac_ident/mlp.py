@@ -10,6 +10,7 @@ for a fixed seed on a given platform.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +52,9 @@ class NormBounds:
     n_beams: int
 
     def __post_init__(self):
-        if min(self.range_max, self.angle_span, self.vel_max) <= 0 or self.n_beams < 1:
-            raise ValueError("normalization constants must be positive")
+        spans = (self.range_max, self.angle_span, self.vel_max)
+        if not all(0.0 < x < math.inf for x in spans) or self.n_beams < 1:
+            raise ValueError("normalization constants must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -282,6 +284,10 @@ def load_model(path) -> MlpModel:
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     r_max, a_span, v_max, n_beams = take("<dddd")
+    if not all(0.0 < x < math.inf for x in (r_max, a_span, v_max)) or not 1 <= n_beams < math.inf:
+        raise CheckpointError(
+            f"{path}: normalization constants must be finite and positive, got "
+            f"range_max={r_max!r}, angle_span={a_span!r}, vel_max={v_max!r}, n_beams={n_beams!r}")
     n_radar, n_beam, n_head = take("<III")
     shapes = []
     for _ in range(n_radar + n_beam + n_head):

@@ -16,6 +16,8 @@ import numpy as np
 
 from isac_ident.radar_frontend import C0, RadarCube
 
+DOPPLER_SLAB = 4  # Doppler bins per angle-FFT pass in process_cube
+
 
 class DetectConfigError(ValueError):
     """Detection parameters are inconsistent with the data."""
@@ -86,14 +88,31 @@ class PowerCube:
 
 
 def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool = True) -> PowerCube:
-    """FFT pipeline from ADC cube to (angle, Doppler, range) power."""
+    """FFT pipeline from ADC cube to (angle, Doppler, range) power.
+
+    The zero-padded angle FFT runs over DOPPLER_SLAB Doppler bins at a time,
+    on a copy with the antenna axis last so that each transform reads and
+    writes contiguous memory, and each slab's squared magnitude is written,
+    angle-shifted, straight into `power`. Every transform and elementwise
+    op sees the same numbers as `np.abs(fftshift(fft(x, axis=0)))**2` over
+    the whole cube, and the shift is a permutation, so `power` equals that
+    bit for bit without its two cube-sized complex intermediates.
+    """
     cfg = cube.config
     x = np.fft.fft(cube.data, axis=2)                      # range
     if clutter_clean:
         x = x - x.mean(axis=1, keepdims=True)              # static clutter removal
     x = np.fft.fftshift(np.fft.fft(x, axis=1), axes=1)     # Doppler, zero centered
-    x = np.fft.fftshift(np.fft.fft(x, n=angle_fft_size, axis=0), axes=0)
-    power = np.abs(x) ** 2
+    x = np.ascontiguousarray(x.transpose(1, 2, 0))         # angle axis last and contiguous
+    n_doppler, n_range = x.shape[:2]
+    power = np.empty((angle_fft_size, n_doppler, n_range))
+    shift = angle_fft_size // 2                            # fftshift along the angle axis
+    for d0 in range(0, n_doppler, DOPPLER_SLAB):
+        slab = np.abs(np.fft.fft(x[d0:d0 + DOPPLER_SLAB], n=angle_fft_size, axis=-1))
+        slab *= slab
+        slab = slab.transpose(2, 0, 1)
+        power[shift:, d0:d0 + DOPPLER_SLAB] = slab[:angle_fft_size - shift]
+        power[:shift, d0:d0 + DOPPLER_SLAB] = slab[angle_fft_size - shift:]
 
     range_axis = np.arange(cfg.n_samples) * cfg.range_bin_m
     doppler_hz = np.fft.fftshift(np.fft.fftfreq(cfg.n_chirps, d=cfg.chirp_interval_s))
@@ -104,24 +123,35 @@ def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool 
                      velocity_mps=velocity_axis, range_m=range_axis)
 
 
-def _sliding_training_mean(power: np.ndarray, train: int, guard: int) -> np.ndarray:
-    """Mean over leading+lagging training cells along the last axis.
+def _sliding_training_means(power: np.ndarray, train: int, guard: int):
+    """Yield, for each plane along the first axis, the mean over its leading
+    and lagging training cells along the last axis.
 
     Windows are [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train],
-    truncated at the edges (one-sided at the extremes).
+    truncated at the edges (one-sided at the extremes). The cumulative sum
+    is padded with `guard + train` zeros on the left and as many copies of
+    its total on the right, so each window edge is a shifted slice of it
+    and the truncation needs no index clipping. Every plane is written into
+    the same buffer: use each yielded array before asking for the next.
     """
     n = power.shape[-1]
-    cs = np.concatenate(
-        [np.zeros(power.shape[:-1] + (1,)), np.cumsum(power, axis=-1)], axis=-1
-    )
+    pad = guard + train
+    cs = np.zeros(power.shape[1:-1] + (n + 1 + 2 * pad,))
+    # cs[..., pad + k] holds the sum of the first k cells, k clamped to [0, n]
+    body, tail = cs[..., pad + 1:pad + 1 + n], cs[..., pad + 1 + n:]
+    lo_a, lo_b, hi_a, hi_b = (cs[..., k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
     idx = np.arange(n)
-    lo_a = np.clip(idx - guard - train, 0, n)
-    lo_b = np.clip(idx - guard, 0, n)
-    hi_a = np.clip(idx + guard + 1, 0, n)
-    hi_b = np.clip(idx + guard + train + 1, 0, n)
-    sums = (cs[..., lo_b] - cs[..., lo_a]) + (cs[..., hi_b] - cs[..., hi_a])
-    counts = (lo_b - lo_a) + (hi_b - hi_a)
-    return sums / counts
+    counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
+              + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
+    mean, upper = np.empty(power.shape[1:]), np.empty(power.shape[1:])
+    for plane in power:
+        np.cumsum(plane, axis=-1, out=body)
+        tail[...] = body[..., -1:]
+        np.subtract(lo_b, lo_a, out=mean)
+        np.subtract(hi_b, hi_a, out=upper)
+        mean += upper
+        mean /= counts
+        yield mean
 
 
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:
@@ -132,7 +162,8 @@ def cfar_threshold_factor(n_train: int, pfa: float) -> float:
 def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> np.ndarray:
     """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice.
 
-    Returns the flagged cells' (angle, Doppler, range) indices, shape (N, 3).
+    Returns the flagged cells' (angle, Doppler, range) indices, shape (N, 3),
+    in `np.argwhere` order. Works one angle plane at a time.
     """
     n_range = pc.power.shape[2]
     window = 2 * (cfg.cfar_train + cfg.cfar_guard) + 1
@@ -141,9 +172,16 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> np.ndarray:
             f"CFAR window of {window} cells exceeds range axis of {n_range} bins"
         )
     alpha = cfar_threshold_factor(2 * cfg.cfar_train, cfg.cfar_pfa)
-    noise = _sliding_training_mean(pc.power, cfg.cfar_train, cfg.cfar_guard)
     floor = cfg.cfar_floor_frac * pc.power.max()
-    return np.argwhere(pc.power > alpha * np.maximum(noise, floor))
+    flagged = np.empty(pc.power.shape[1:], dtype=bool)
+    hits = []
+    means = _sliding_training_means(pc.power, cfg.cfar_train, cfg.cfar_guard)
+    for a, (plane, threshold) in enumerate(zip(pc.power, means)):
+        np.maximum(threshold, floor, out=threshold)
+        threshold *= alpha
+        np.greater(plane, threshold, out=flagged)
+        hits.append(np.flatnonzero(flagged) + a * flagged.size)
+    return np.column_stack(np.unravel_index(np.concatenate(hits), pc.power.shape))
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:

@@ -114,12 +114,17 @@ def if_tone(obj: SceneObject, cfg: RadarConfig, antenna: int, chirp: int, sample
 
 
 def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
-    """Sum of per-object IF tones over the full cube plus circular Gaussian noise."""
+    """Sum of per-object IF tones over the full cube plus circular Gaussian noise.
+
+    The phase of `if_tone` is a sum of a fast-time, a chirp and an antenna
+    term, so each tone is the broadcast product of three small phasor
+    vectors, added antenna by antenna into the cube.
+    """
     if not scene:
         raise ValueError("scene must contain at least one object")
-    m = np.arange(cfg.n_rx)[:, None, None]
-    l = np.arange(cfg.n_chirps)[None, :, None]
-    i = np.arange(cfg.n_samples)[None, None, :]
+    m = np.arange(cfg.n_rx)
+    l = np.arange(cfg.n_chirps)
+    i = np.arange(cfg.n_samples)
     data = np.zeros((cfg.n_rx, cfg.n_chirps, cfg.n_samples), dtype=complex)
     for obj in scene:
         d = obj.range_m
@@ -127,19 +132,19 @@ def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
             raise ValueError("object range must be positive")
         tau = 2.0 * d / C0
         f_doppler = 2.0 * obj.radial_velocity * cfg.carrier_hz / C0
-        phase = (
-            2.0 * math.pi * (cfg.slope_hz_per_s * tau * (i / cfg.sample_rate_hz)
-                             + cfg.carrier_hz * tau
-                             - 0.5 * cfg.slope_hz_per_s * tau * tau)
-            + 2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s
-            + 2.0 * math.pi * cfg.rx_spacing * m * math.sin(math.radians(obj.azimuth_deg))
-        )
-        data = data + obj.reflectivity * np.exp(1j * phase)
+        fast = np.exp(1j * (2.0 * math.pi * (cfg.slope_hz_per_s * tau * (i / cfg.sample_rate_hz)
+                                             + cfg.carrier_hz * tau
+                                             - 0.5 * cfg.slope_hz_per_s * tau * tau)))
+        chirp = np.exp(1j * (2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s))
+        antenna = obj.reflectivity * np.exp(
+            1j * (2.0 * math.pi * cfg.rx_spacing * m * math.sin(math.radians(obj.azimuth_deg))))
+        for rx in range(cfg.n_rx):
+            data[rx] += np.multiply.outer(antenna[rx] * chirp, fast)
     if cfg.noise_floor > 0:
         rng = child_rng(seed, "frame-noise")
         scale = math.sqrt(cfg.noise_floor / 2.0)
-        data = data + scale * (rng.standard_normal(data.shape)
-                               + 1j * rng.standard_normal(data.shape))
+        data.real += scale * rng.standard_normal(data.shape)
+        data.imag += scale * rng.standard_normal(data.shape)
     return RadarCube(data=data, config=cfg)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from isac_ident.mlp import _forward_layers, init_weights, normalize_inputs
 from isac_ident.mlp import ModelWidths, NormBounds, loss_and_grad_arrays
+from isac_ident.radar_detect import cfar_threshold_factor
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -110,3 +111,32 @@ def finite_difference_grads(model, feats, beams, targets, h=1e-4):
         theta[i] = orig
         grads[i] = (lo_p - lo_m) / (2 * h)
     return grads
+
+
+def reference_power(data, angle_fft_size, clutter_clean=True):
+    """Whole-cube FFT chain: range, clutter removal, Doppler, zero-padded
+    angle FFT, each shifted, then the squared magnitude of the full result."""
+    x = np.fft.fft(data, axis=2)
+    if clutter_clean:
+        x = x - x.mean(axis=1, keepdims=True)
+    x = np.fft.fftshift(np.fft.fft(x, axis=1), axes=1)
+    x = np.fft.fftshift(np.fft.fft(x, n=angle_fft_size, axis=0), axes=0)
+    return np.abs(x) ** 2
+
+
+def reference_cfar(power, cfg):
+    """Whole-cube CA-CFAR: cumulative sums gathered at clipped window edges."""
+    n = power.shape[-1]
+    train, guard = cfg.cfar_train, cfg.cfar_guard
+    cs = np.concatenate([np.zeros(power.shape[:-1] + (1,)), np.cumsum(power, axis=-1)],
+                        axis=-1)
+    idx = np.arange(n)
+    lo_a = np.clip(idx - guard - train, 0, n)
+    lo_b = np.clip(idx - guard, 0, n)
+    hi_a = np.clip(idx + guard + 1, 0, n)
+    hi_b = np.clip(idx + guard + train + 1, 0, n)
+    sums = (cs[..., lo_b] - cs[..., lo_a]) + (cs[..., hi_b] - cs[..., hi_a])
+    noise = sums / ((lo_b - lo_a) + (hi_b - hi_a))
+    alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa)
+    floor = cfg.cfar_floor_frac * power.max()
+    return np.argwhere(power > alpha * np.maximum(noise, floor))

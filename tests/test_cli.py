@@ -90,6 +90,33 @@ def test_simulate_seed_override_changes_data(tmp_path, small_config):
     assert manifest["seed"] == 99
 
 
+SMALL_FULL_YAML = """
+seed: 4
+scenario:
+  sequences: 3
+  samples_per_sequence: [3, 4]
+  candidates: [1, 3]
+radar:
+  n_chirps: 64
+  n_samples: 256
+  noise_floor: 10.0
+"""
+
+
+def test_simulate_full_identical_for_any_thread_count(tmp_path, monkeypatch):
+    cfg = tmp_path / "full.yaml"
+    cfg.write_text(SMALL_FULL_YAML)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ISAC_IDENT_THREADS", threads)
+        outs.append(tmp_path / f"threads{threads}")
+        assert main(["simulate", "--mode", "full", "--config", str(cfg),
+                     "--out", str(outs[-1])]) == 0
+    assert len(load_samples(outs[0] / "test.csv")) > 0
+    for name in ("samples.csv", "train.csv", "test.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 # ---------------------------------------------------------------- detect
 
 def moving_obj(oid, d, theta_deg, v_closing):

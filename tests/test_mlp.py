@@ -229,6 +229,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
         "magic": b"XXXX" + b"\x00" * 32,
         "nan-weight": raw[:-8] + struct.pack("<d", math.nan),
         "trailing-bytes": raw + b"garbage",
+        "nan-range-max": raw[:8] + struct.pack("<d", math.nan) + raw[16:],
+        "zero-range-max": raw[:8] + struct.pack("<d", 0.0) + raw[16:],
     }
     for name, data in bad.items():
         path = tmp_path / f"{name}.ckpt"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isac_ident.radar_detect import (
+    DOPPLER_SLAB,
     Candidate,
     DetectConfig,
     DetectConfigError,
@@ -17,8 +18,10 @@ from isac_ident.radar_detect import (
     process_cube,
     summarize_clusters,
 )
-from isac_ident.radar_frontend import C0, RadarConfig, synthesize_frame
+from isac_ident.radar_frontend import C0, RadarConfig, RadarCube, synthesize_frame
 from isac_ident.scene import SceneObject
+
+from oracles import reference_cfar, reference_power
 
 
 def moving_obj(oid, d, theta_deg, v_closing, refl=1.0):
@@ -27,6 +30,18 @@ def moving_obj(oid, d, theta_deg, v_closing, refl=1.0):
     return SceneObject(id=oid, position=(x, y),
                        velocity=(-v_closing * x / d, -v_closing * y / d),
                        reflectivity=refl)
+
+
+def small_radar(n_chirps, n_samples, n_rx=4):
+    return RadarConfig(n_rx=n_rx, n_chirps=n_chirps, n_samples=n_samples,
+                       chirp_duration_s=n_samples / 16.666e6 + 1e-6)
+
+
+def random_cube(n_chirps, n_samples, seed, n_rx=4):
+    rng = np.random.default_rng(seed)
+    shape = (n_rx, n_chirps, n_samples)
+    return RadarCube(data=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                     config=small_radar(n_chirps, n_samples, n_rx))
 
 
 def flat_cube(power, n_range=64):
@@ -83,6 +98,30 @@ def test_all_zero_cube_gives_zero_power():
     assert np.all(pc.power == 0)
 
 
+# Doppler counts: not a multiple of the slab, below one slab, exactly two slabs
+SLAB_CHIRPS = [13, DOPPLER_SLAB - 1, 2 * DOPPLER_SLAB]
+
+
+@pytest.mark.parametrize("n_chirps", SLAB_CHIRPS)
+@pytest.mark.parametrize("angle_fft_size,clutter_clean", [(64, True), (7, True), (16, False)])
+def test_power_matches_whole_cube_reference(n_chirps, angle_fft_size, clutter_clean):
+    assert 13 % DOPPLER_SLAB != 0
+    cube = random_cube(n_chirps, 48, seed=n_chirps + angle_fft_size)
+    power = process_cube(cube, angle_fft_size, clutter_clean).power
+    assert np.array_equal(power, reference_power(cube.data, angle_fft_size, clutter_clean))
+
+
+def test_power_matches_reference_on_noise_free_object():
+    cfg = small_radar(n_chirps=21, n_samples=128)
+    cube = synthesize_frame([moving_obj(0, 40.0, 15.0, 6.0)], cfg, seed=0)
+    pc = process_cube(cube)
+    assert np.array_equal(pc.power, reference_power(cube.data, 64))
+    dcfg = DetectConfig()
+    hits = cfar_detect(pc, dcfg)
+    assert len(hits) > 0
+    assert np.array_equal(hits, reference_cfar(pc.power, dcfg))
+
+
 # ---------------------------------------------------------------- CFAR
 
 def test_cfar_single_impulse_flagged_exactly():
@@ -124,6 +163,27 @@ def test_cfar_false_alarm_rate_calibrated():
     rate = len(hits) / power.size
     assert power.size >= 10**6
     assert 0.5e-3 <= rate <= 2e-3
+
+
+@pytest.mark.parametrize("n_chirps", SLAB_CHIRPS)
+@pytest.mark.parametrize("n_range,train,guard", [(96, 8, 2), (21, 8, 2), (9, 3, 1)])
+def test_cfar_matches_whole_cube_reference(n_chirps, n_range, train, guard):
+    # (21, 8, 2) and (9, 3, 1): the window spans the whole range axis
+    pc = process_cube(random_cube(n_chirps, n_range, seed=n_range), angle_fft_size=8)
+    cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=1e-3)
+    hits = cfar_detect(pc, cfg)
+    ref = reference_cfar(pc.power, cfg)
+    assert len(ref) > 0
+    assert hits.dtype == ref.dtype and np.array_equal(hits, ref)
+
+
+@pytest.mark.parametrize("power", [0.0, 3.7])
+def test_cfar_flat_cube_gives_empty_index_array(power):
+    pc = PowerCube(power=np.full((3, 5, 64), power), angle_deg=np.zeros(3),
+                   velocity_mps=np.zeros(5), range_m=np.arange(64.0))
+    hits = cfar_detect(pc, DetectConfig())
+    assert hits.shape == (0, 3) and hits.dtype.kind == "i"
+    assert np.array_equal(hits, reference_cfar(pc.power, DetectConfig()))
 
 
 def test_cfar_threshold_factor_matches_closed_form():

@@ -15,6 +15,7 @@ from isac_ident.radar_frontend import (
     synthesize_frame,
 )
 from isac_ident.scene import SceneObject
+from isac_ident.seeding import child_rng
 
 SMALL = RadarConfig(n_chirps=16, n_samples=64, n_rx=2,
                     chirp_duration_s=64 / 16.666e6 + 1e-6)
@@ -93,6 +94,34 @@ def test_synthesize_frame_matches_per_element_tones():
     cube = synthesize_frame([obj], SMALL, seed=0)
     for m, l, i in [(0, 0, 0), (1, 3, 17), (0, 15, 63), (1, 9, 31)]:
         assert cube.data[m, l, i] == pytest.approx(if_tone(obj, SMALL, m, l, i), rel=1e-10)
+
+
+def test_synthesize_frame_matches_tone_sums_at_default_config():
+    # far objects carry ~7.7e5 rad of carrier phase, where one ulp is ~1e-10
+    cfg = RadarConfig()
+    scene = [moving_obj(240.0, -35.0, 12.0, refl=0.8), moving_obj(5.5, 60.0, -14.0, refl=1.3),
+             moving_obj(123.4, 8.0, 3.3), moving_obj(199.9, -70.0, -0.7, refl=0.7)]
+    cube = synthesize_frame(scene, cfg, seed=0)
+    scale = sum(obj.reflectivity for obj in scene)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        m, l, i = (int(rng.integers(n)) for n in (cfg.n_rx, cfg.n_chirps, cfg.n_samples))
+        want = sum(if_tone(obj, cfg, m, l, i) for obj in scene)
+        assert abs(cube.data[m, l, i] - want) <= 1e-9 * scale
+
+
+def test_frame_noise_is_the_seeded_draws():
+    quiet = RadarConfig(n_chirps=16, n_samples=64, n_rx=3,
+                        chirp_duration_s=64 / 16.666e6 + 1e-6)
+    noisy = RadarConfig(n_chirps=16, n_samples=64, n_rx=3, noise_floor=50.0,
+                        chirp_duration_s=64 / 16.666e6 + 1e-6)
+    scene = [moving_obj(30.0, 5.0, -3.0), static_obj(80.0, -20.0)]
+    noise = synthesize_frame(scene, noisy, seed=9).data - synthesize_frame(scene, quiet, seed=9).data
+    rng = child_rng(9, "frame-noise")
+    shape = (3, 16, 64)
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert np.allclose(noise.real, 5.0 * real, rtol=0, atol=1e-12)
+    assert np.allclose(noise.imag, 5.0 * imag, rtol=0, atol=1e-12)
 
 
 def test_superposition_of_objects():
