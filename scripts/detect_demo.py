@@ -50,8 +50,6 @@ def main():
 
     print(f"scene of {len(scene)} objects -> {len(candidates)} candidates "
           f"(cube saved to {out / 'frame000.rcub'})")
-    print("note: with a 4-element array, strong returns can spawn weaker\n"
-          "angle-sidelobe ghosts; compare states, not counts\n")
     print("ground truth:")
     for o in scene:
         print(f"  id={o.id} range={o.range_m:7.2f} m  azimuth={o.azimuth_deg:7.2f} deg"

@@ -34,7 +34,9 @@ def main():
         t0 = time.time()
         samples = generate_dataset(ScenarioConfig(seed=seed), mode=args.mode, comm=comm)
         split = split_by_sequence(samples, ratio=0.8, seed=seed)
-        line = [f"seed {seed} ({len(split.train)}/{len(split.test)} samples):"]
+        n_cands = sum(len(s.candidates) for s in samples)
+        line = [f"seed {seed} ({len(split.train)}/{len(split.test)} samples, "
+                f"{n_cands / len(samples):.2f} candidates per sample):"]
         for name in SOLVER_NAMES:
             solver = make_solver(name, angles,
                                  hyper=TrainConfig(seed=seed, epochs=args.epochs))

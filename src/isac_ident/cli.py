@@ -54,6 +54,7 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     started_utc: str = ""
     elapsed_s: float | None = None
+    stats: dict = field(default_factory=dict)  # counts a command reports about its run
 
     def write(self, out_dir: Path) -> None:
         tmp = out_dir / "manifest.json.tmp"
@@ -140,7 +141,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["samples.csv", "train.csv", "test.csv"])
     samples = generate_dataset(cfg.scenario, mode=args.mode, comm=cfg.comm,
-                               radar=cfg.radar, detect=cfg.detect)
+                               radar=cfg.radar, detect=cfg.detect, stats=manifest.stats)
     split = split_by_sequence(samples, ratio=0.8, seed=cfg.seed)
     save_samples(samples, out_dir / "samples.csv")
     save_samples(split.train, out_dir / "train.csv")

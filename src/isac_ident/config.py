@@ -7,12 +7,12 @@ trajectories for direct frame synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
-from isac_ident.dataset import ScenarioConfig
+from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR, ScenarioConfig
 from isac_ident.radar_detect import DetectConfig
 from isac_ident.radar_frontend import RadarConfig
 from isac_ident.scene import CommConfig, SceneObject
@@ -28,9 +28,8 @@ class RunConfig:
     seed: int = 0
     comm: CommConfig = field(default_factory=CommConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    radar: RadarConfig = field(default_factory=lambda: RadarConfig(noise_floor=1000.0))
-    detect: DetectConfig = field(default_factory=lambda: DetectConfig(
-        cfar_pfa=1e-6, dbscan_min_pts=5, cfar_floor_frac=5e-4))
+    radar: RadarConfig = FULL_MODE_RADAR
+    detect: DetectConfig = FULL_MODE_DETECT
     training: TrainConfig = field(default_factory=TrainConfig)
     objects: tuple[SceneObject, ...] = ()
 
@@ -109,17 +108,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     scenario_raw.setdefault("seed", seed)
     training_raw = dict(raw.get("training", {}))
     training_raw.setdefault("seed", seed)
-    defaults = RunConfig()
     return RunConfig(
         seed=seed,
         comm=_build(CommConfig, raw.get("comm", {}), _COMM_KEYS, "comm"),
         scenario=_build(ScenarioConfig, scenario_raw, _SCENARIO_KEYS, "scenario"),
-        radar=_build(RadarConfig, {"noise_floor": defaults.radar.noise_floor,
-                                   **raw.get("radar", {})}, None, "radar"),
-        detect=_build(DetectConfig, {"cfar_pfa": defaults.detect.cfar_pfa,
-                                     "dbscan_min_pts": defaults.detect.dbscan_min_pts,
-                                     "cfar_floor_frac": defaults.detect.cfar_floor_frac,
-                                     **raw.get("detect", {})}, None, "detect"),
+        radar=_build(RadarConfig, {**asdict(FULL_MODE_RADAR), **raw.get("radar", {})},
+                     None, "radar"),
+        detect=_build(DetectConfig, {**asdict(FULL_MODE_DETECT), **raw.get("detect", {})},
+                      None, "detect"),
         training=_build(TrainConfig, training_raw, None, "training"),
         objects=_build_objects(raw.get("objects", [])),
     )

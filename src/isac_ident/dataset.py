@@ -46,6 +46,14 @@ class SampleFormatError(ValueError):
 
 SAMPLE_HEADER = "sample_id,sequence_id,K_t,k,range_m,angle_deg,vel_mps,power,b_star,label_k"
 
+# Full-mode defaults: a noisy long-range radar frame and the detection
+# profile tuned for it. `DetectConfig()` itself keeps the noise-free profile.
+FULL_MODE_RADAR = RadarConfig(noise_floor=1000.0)
+FULL_MODE_DETECT = DetectConfig(cfar_pfa=1e-6, dbscan_min_pts=5, cfar_floor_frac=5e-4)
+
+# Why a full-mode frame yields no sample, as counted in generate_dataset's stats.
+DROP_REASONS = ("no_candidates", "user_not_matched")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -289,13 +297,14 @@ def _full_scene(gt, k_t, cfg, traffic, rng):
 
 
 def _full_sample(sample_id, sequence_id, gt, k_t, cfg, traffic, comm, codebook,
-                 radar, detect, rng, seed):
+                 radar, detect, rng, seed) -> Sample | str:
+    """A labeled sample from one rendered frame, or the DROP_REASONS entry saying why not."""
     b_star = _serving_beam(gt, comm, codebook, seed)
     scene = _full_scene(gt, k_t, cfg, traffic, rng)
     cube = synthesize_frame(scene, radar, seed=seed)
     candidates = detect_objects(cube, detect)
     if not candidates:
-        return None
+        return "no_candidates"
     truth = (gt.range_m, gt.theta_deg + cfg.misalignment_deg, gt.radial_vel)
     # local angle-bin width: the FFT grid is uniform in sin space
     angle_bin = math.degrees(2.0 / detect.angle_fft_size) / max(
@@ -312,7 +321,7 @@ def _full_sample(sample_id, sequence_id, gt, k_t, cfg, traffic, comm, codebook,
         if best_d is None or d < best_d:
             best, best_d = k, d
     if best is None:
-        return None  # user not cleanly detected; drop the sample
+        return "user_not_matched"  # user not cleanly detected; drop the sample
     return Sample(sample_id=sample_id, sequence_id=sequence_id,
                   candidates=tuple(candidates), b_star=b_star, label=best)
 
@@ -323,54 +332,68 @@ def generate_dataset(
     comm: CommConfig | None = None,
     radar: RadarConfig | None = None,
     detect: DetectConfig | None = None,
+    stats: dict | None = None,
 ) -> list[Sample]:
     """Labeled samples for all sequences; deterministic for a given seed.
 
     Full mode honours the ISAC_IDENT_THREADS environment variable for
     frame-level parallelism (results are ordered, so output is identical
-    regardless of the thread count).
+    regardless of the thread count). A `stats` dict, if given, is filled
+    with the frames rendered, the samples kept and the frames dropped per
+    DROP_REASONS entry (fast mode keeps every frame).
     """
     if mode not in ("fast", "full"):
         raise ValueError("mode must be 'fast' or 'full'")
     comm = comm or CommConfig()
     codebook = dft_codebook(comm.n_antennas, comm.n_beams, comm.element_spacing)
     if mode == "full":
-        radar = radar or RadarConfig(noise_floor=1000.0)
-        detect = detect or DetectConfig(cfar_pfa=1e-6, dbscan_min_pts=5,
-                                        cfar_floor_frac=5e-4)
+        radar = radar or FULL_MODE_RADAR
+        detect = detect or FULL_MODE_DETECT
 
     samples: list[Sample] = []
+    dropped = dict.fromkeys(DROP_REASONS, 0)
     sample_id = 0
-    for seq in range(cfg.n_sequences):
-        rng = child_rng(cfg.seed, "sequence", seq)
-        truths = _sequence_truths(cfg, DEFAULT_TRAFFIC, rng)
-        k_ts = [int(rng.integers(cfg.candidates_range[0], cfg.candidates_range[1] + 1))
-                for _ in truths]
-        seq_samples: list[Sample | None] = []
-        if mode == "fast":
-            for t, gt in enumerate(truths):
-                seq_samples.append(_fast_sample(
-                    sample_id + t, seq, gt, k_ts[t], cfg, DEFAULT_TRAFFIC, comm, codebook,
-                    rng, seed=int(child_rng(cfg.seed, "beam", seq, t).integers(2**31)),
-                ))
-        else:
-            jobs = []
-            for t, gt in enumerate(truths):
-                job_rng = child_rng(cfg.seed, "frame", seq, t)
-                frame_seed = int(child_rng(cfg.seed, "beam", seq, t).integers(2**31))
-                jobs.append((sample_id + t, seq, gt, k_ts[t], job_rng, frame_seed))
-            workers = max(1, int(os.environ.get("ISAC_IDENT_THREADS", "1")))
-            def run(job):
-                sid, sq, gt, kt, job_rng, fseed = job
-                return _full_sample(sid, sq, gt, kt, cfg, DEFAULT_TRAFFIC, comm, codebook,
-                                    radar, detect, job_rng, fseed)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+
+    def run(job):
+        sid, sq, gt, kt, job_rng, fseed = job
+        return _full_sample(sid, sq, gt, kt, cfg, DEFAULT_TRAFFIC, comm, codebook,
+                            radar, detect, job_rng, fseed)
+
+    # One pool per call (threads start with the first frame), so that frame
+    # threads are not started and stopped once per sequence.
+    workers = max(1, int(os.environ.get("ISAC_IDENT_THREADS", "1"))) if mode == "full" else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for seq in range(cfg.n_sequences):
+            rng = child_rng(cfg.seed, "sequence", seq)
+            truths = _sequence_truths(cfg, DEFAULT_TRAFFIC, rng)
+            k_ts = [int(rng.integers(cfg.candidates_range[0], cfg.candidates_range[1] + 1))
+                    for _ in truths]
+            seq_samples: list[Sample | str] = []
+            if mode == "fast":
+                for t, gt in enumerate(truths):
+                    seq_samples.append(_fast_sample(
+                        sample_id + t, seq, gt, k_ts[t], cfg, DEFAULT_TRAFFIC, comm, codebook,
+                        rng, seed=int(child_rng(cfg.seed, "beam", seq, t).integers(2**31)),
+                    ))
+            else:
+                jobs = []
+                for t, gt in enumerate(truths):
+                    job_rng = child_rng(cfg.seed, "frame", seq, t)
+                    frame_seed = int(child_rng(cfg.seed, "beam", seq, t).integers(2**31))
+                    jobs.append((sample_id + t, seq, gt, k_ts[t], job_rng, frame_seed))
                 seq_samples = list(pool.map(run, jobs))
-        kept = [s for s in seq_samples if s is not None]
-        if not kept:
-            raise GenerationError(f"sequence {seq} produced no usable samples")
-        samples.extend(kept)
-        sample_id += len(truths)
+            kept = []
+            for s in seq_samples:
+                if isinstance(s, str):
+                    dropped[s] += 1
+                else:
+                    kept.append(s)
+            if not kept:
+                raise GenerationError(f"sequence {seq} produced no usable samples")
+            samples.extend(kept)
+            sample_id += len(truths)
+    if stats is not None:
+        stats.update(frames=sample_id, kept=len(samples), dropped=dropped)
     return samples
 
 

@@ -1,10 +1,14 @@
-"""Classical detection chain: FFT power cube, CFAR, DBSCAN, cluster summaries.
+"""Classical detection chain: range-Doppler map, CFAR, angle FFT, DBSCAN.
 
 Processing order is range FFT, clutter cleaning (per-range-bin mean removal
-across chirps), Doppler FFT, zero-padded angle FFT, squared magnitude. Cell
-detections come from cell-averaging CFAR along the range axis; detected
-cells are clustered with DBSCAN in bin units and each cluster becomes one
-candidate object summarized by the mean of its members.
+across chirps) and Doppler FFT per antenna, then the squared magnitude
+summed over the antennas into one range-Doppler map. Cell-averaging CFAR
+runs along the range axis of that map, with its threshold calibrated for a
+sum of `n_rx` exponentials. The zero-padded angle FFT runs only at the
+flagged cells, over their `n_rx` antenna samples, and each cell keeps the
+angle bins of its main lobe. The resulting (angle, Doppler, range) cells are
+clustered with DBSCAN in bin units and each cluster becomes one candidate
+object summarized by the mean of its members.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isac_ident.radar_frontend import C0, RadarCube
+from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
 
 DOPPLER_SLAB = 4  # Doppler bins per angle-FFT pass in process_cube
+MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
 
 
 class DetectConfigError(ValueError):
@@ -27,11 +32,13 @@ class DetectConfigError(ValueError):
 class DetectConfig:
     """CFAR and clustering parameters.
 
-    cfar_floor_frac sets a minimum noise estimate as a fraction of the
-    cube's peak cell power. Without it, a noise-free cube factorizes per
-    slice and the scale-free CFAR ratio would flag the strongest range
-    bins in every (angle, Doppler) slice; the floor keeps detections local
-    while preserving invariance to scaling the whole cube.
+    cfar_pfa is the false-alarm rate per cell of the range-Doppler map, whose
+    noise cells are sums of `n_rx` exponentials (one per antenna); the CFAR
+    scale factor is calibrated for that sum. cfar_floor_frac sets a minimum
+    noise estimate as a fraction of the map's peak cell power. Without it, a
+    noise-free map factorizes and the scale-free CFAR ratio would flag the
+    strongest range bins in every Doppler row; the floor keeps detections
+    local while preserving invariance to scaling the whole cube.
     """
 
     cfar_train: int = 8
@@ -87,8 +94,59 @@ class PowerCube:
             raise ValueError("axis lengths do not match the power tensor")
 
 
+def _range_doppler(cube: RadarCube, clutter_clean: bool = True) -> np.ndarray:
+    """Per-antenna range-Doppler spectra, shape (n_rx, D, R), Doppler not shifted.
+
+    Range FFT, optional static clutter removal (per-range-bin mean across
+    chirps) and Doppler FFT, all in one complex buffer of the cube's size.
+    """
+    x = np.empty(cube.data.shape, dtype=complex)
+    for data, y in zip(cube.data, x):                      # one antenna at a time
+        np.fft.fft(data, axis=1, out=y)                    # range
+        if clutter_clean:
+            y -= y.mean(axis=0)                            # static clutter removal
+        np.fft.fft(y, axis=0, out=y)                       # Doppler
+    return x
+
+
+def _angle_axis(cfg: RadarConfig, angle_fft_size: int) -> np.ndarray:
+    """Azimuth in degrees of each shifted bin of the zero-padded angle FFT."""
+    u = np.fft.fftshift(np.fft.fftfreq(angle_fft_size)) / cfg.rx_spacing
+    return np.degrees(np.arcsin(np.clip(u, -1.0, 1.0)))
+
+
+def _velocity_axis(cfg: RadarConfig) -> np.ndarray:
+    """Radial velocity of each shifted Doppler bin."""
+    doppler_hz = np.fft.fftshift(np.fft.fftfreq(cfg.n_chirps, d=cfg.chirp_interval_s))
+    return doppler_hz * C0 / (2.0 * cfg.carrier_hz)
+
+
+def range_doppler_map(cube: RadarCube):
+    """Per-antenna spectra and the antenna-summed range-Doppler power map.
+
+    Returns `(spectra, rd_map)`. `spectra` holds each antenna's complex
+    range-Doppler spectrum, shape (n_rx, D, R), in FFT Doppler order.
+    `rd_map` is a one-plane `PowerCube` (its one angle is a placeholder 0):
+    the sum over antennas of |x|^2, Doppler centered. By Parseval it is
+    1/A times the A-point power cube of `process_cube` summed over angle.
+    """
+    spectra = _range_doppler(cube)
+    rd = np.zeros(spectra.shape[1:])
+    for x in spectra:                                      # antenna sum, one plane at a time
+        rd += x.real ** 2
+        rd += x.imag ** 2
+    cfg = cube.config
+    return spectra, PowerCube(power=np.fft.fftshift(rd, axes=0)[None], angle_deg=np.zeros(1),
+                              velocity_mps=_velocity_axis(cfg),
+                              range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
+
+
 def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool = True) -> PowerCube:
-    """FFT pipeline from ADC cube to (angle, Doppler, range) power.
+    """FFT pipeline from ADC cube to the whole (angle, Doppler, range) power cube.
+
+    Not in the detection path: `detect_objects` runs the angle FFT only at
+    the cells CFAR flags on the range-Doppler map. This cube serves for
+    inspecting the full angle spectrum.
 
     The zero-padded angle FFT runs over DOPPLER_SLAB Doppler bins at a time,
     on a copy with the antenna axis last so that each transform reads and
@@ -98,11 +156,7 @@ def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool 
     the whole cube, and the shift is a permutation, so `power` equals that
     bit for bit without its two cube-sized complex intermediates.
     """
-    cfg = cube.config
-    x = np.fft.fft(cube.data, axis=2)                      # range
-    if clutter_clean:
-        x = x - x.mean(axis=1, keepdims=True)              # static clutter removal
-    x = np.fft.fftshift(np.fft.fft(x, axis=1), axes=1)     # Doppler, zero centered
+    x = np.fft.fftshift(_range_doppler(cube, clutter_clean), axes=1)  # Doppler, zero centered
     x = np.ascontiguousarray(x.transpose(1, 2, 0))         # angle axis last and contiguous
     n_doppler, n_range = x.shape[:2]
     power = np.empty((angle_fft_size, n_doppler, n_range))
@@ -113,14 +167,10 @@ def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool 
         slab = slab.transpose(2, 0, 1)
         power[shift:, d0:d0 + DOPPLER_SLAB] = slab[:angle_fft_size - shift]
         power[:shift, d0:d0 + DOPPLER_SLAB] = slab[angle_fft_size - shift:]
-
-    range_axis = np.arange(cfg.n_samples) * cfg.range_bin_m
-    doppler_hz = np.fft.fftshift(np.fft.fftfreq(cfg.n_chirps, d=cfg.chirp_interval_s))
-    velocity_axis = doppler_hz * C0 / (2.0 * cfg.carrier_hz)
-    u = np.fft.fftshift(np.fft.fftfreq(angle_fft_size)) / cfg.rx_spacing
-    angle_axis = np.degrees(np.arcsin(np.clip(u, -1.0, 1.0)))
-    return PowerCube(power=power, angle_deg=angle_axis,
-                     velocity_mps=velocity_axis, range_m=range_axis)
+    cfg = cube.config
+    return PowerCube(power=power, angle_deg=_angle_axis(cfg, angle_fft_size),
+                     velocity_mps=_velocity_axis(cfg),
+                     range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
 
 
 def _sliding_training_means(power: np.ndarray, train: int, guard: int):
@@ -154,14 +204,44 @@ def _sliding_training_means(power: np.ndarray, train: int, guard: int):
         yield mean
 
 
-def cfar_threshold_factor(n_train: int, pfa: float) -> float:
-    """CA-CFAR scale factor alpha = N * (pfa^(-1/N) - 1)."""
-    return n_train * (pfa ** (-1.0 / n_train) - 1.0)
+def _n_look_pfa(r: float, m: int, n: int) -> float:
+    """P(X > r S) for independent X ~ Gamma(n, 1) and S ~ Gamma(m n, 1), r > 0.
+
+    X is a noise cell summed over n looks and S the sum of its m training
+    cells, so this is the false-alarm rate of CA-CFAR at alpha = m r.
+    """
+    mn = m * n
+    return sum(math.comb(mn + k - 1, k) * math.exp(k * math.log(r) - (mn + k) * math.log1p(r))
+               for k in range(n))
 
 
-def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> np.ndarray:
+def cfar_threshold_factor(n_train: int, pfa: float, n_looks: int = 1) -> float:
+    """CA-CFAR scale factor alpha for cells that are sums of `n_looks` exponentials.
+
+    One look has the closed form alpha = N * (pfa^(-1/N) - 1). More looks
+    solve pfa = sum_{k<n} C(Nn+k-1, k) r^k / (1+r)^(Nn+k), r = alpha/N, by
+    bisection on r; the right side falls monotonically from 1 at r = 0.
+    """
+    if n_looks == 1:
+        return n_train * (pfa ** (-1.0 / n_train) - 1.0)
+    lo, hi = 0.0, 1.0
+    while _n_look_pfa(hi, n_train, n_looks) > pfa:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return n_train * hi
+        if _n_look_pfa(mid, n_train, n_looks) > pfa:
+            lo = mid
+        else:
+            hi = mid
+
+
+def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
     """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice.
 
+    The scale factor holds `cfg.cfar_pfa` for noise cells that are sums of
+    `n_looks` exponentials (the antenna count for a range-Doppler map).
     Returns the flagged cells' (angle, Doppler, range) indices, shape (N, 3),
     in `np.argwhere` order. Works one angle plane at a time.
     """
@@ -171,7 +251,7 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig) -> np.ndarray:
         raise DetectConfigError(
             f"CFAR window of {window} cells exceeds range axis of {n_range} bins"
         )
-    alpha = cfar_threshold_factor(2 * cfg.cfar_train, cfg.cfar_pfa)
+    alpha = cfar_threshold_factor(2 * cfg.cfar_train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * pc.power.max()
     flagged = np.empty(pc.power.shape[1:], dtype=bool)
     hits = []
@@ -233,27 +313,31 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def summarize_clusters(cells, labels, pc: PowerCube) -> list[Candidate]:
+def summarize_clusters(cells, labels, power, angle_deg, velocity_mps,
+                       range_m) -> list[Candidate]:
     """One candidate per cluster: unweighted mean of member-cell coordinates.
 
-    `cells` holds (angle, Doppler, range) indices into `pc`, one row per
-    label; a cluster's power is the sum of `pc.power` over its cells. Noise
-    points are dropped; output is sorted by descending total power.
+    `cells` holds (angle, Doppler, range) indices into the three axis arrays
+    and `power` each cell's power, one row and one value per label; a
+    cluster's power is the sum of its cells' powers. Noise points are
+    dropped; output is sorted by descending total power.
     """
     cells = np.asarray(cells, dtype=int)
     labels = np.asarray(labels)
-    if len(labels) != len(cells):
-        raise ValueError("labels must align with cells")
+    power = np.asarray(power, dtype=float)
+    if not len(labels) == len(cells) == len(power):
+        raise ValueError("labels and powers must align with cells")
     out = []
     for cid in sorted(set(int(x) for x in labels) - {-1}):
-        a, d, r = cells[labels == cid].T
+        members = labels == cid
+        a, d, r = cells[members].T
         out.append(
             Candidate(
-                range_m=float(pc.range_m[r].mean()),
-                angle_deg=float(pc.angle_deg[a].mean()),
-                vel_mps=float(pc.velocity_mps[d].mean()),
+                range_m=float(range_m[r].mean()),
+                angle_deg=float(angle_deg[a].mean()),
+                vel_mps=float(velocity_mps[d].mean()),
                 n_points=len(a),
-                power=float(pc.power[a, d, r].sum()),
+                power=float(power[members].sum()),
             )
         )
     out.sort(key=lambda c: -c.power)
@@ -261,11 +345,27 @@ def summarize_clusters(cells, labels, pc: PowerCube) -> list[Candidate]:
 
 
 def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
-    """Full chain: power cube, CFAR cells, DBSCAN in bin units, summaries."""
-    pc = process_cube(cube, angle_fft_size=cfg.angle_fft_size)
-    cells = cfar_detect(pc, cfg)
-    labels = dbscan(cells, cfg.dbscan_eps, cfg.dbscan_min_pts)
-    return summarize_clusters(cells, labels, pc)
+    """Full chain: range-Doppler map, CFAR, angle FFT at flagged cells, DBSCAN.
+
+    CFAR runs on the antenna-summed map as a one-plane `PowerCube`. At each
+    flagged cell the zero-padded angle FFT of its antenna samples gives an
+    angle spectrum, and the bins within MAIN_LOBE_DB of its peak become
+    (angle, Doppler, range) points carrying that spectrum's power. Keeping
+    the main lobe keeps a cluster several points large; the angle sidelobes,
+    which would cluster into ghost objects, are never points.
+    """
+    spectra, rd_map = range_doppler_map(cube)
+    _, d, r = cfar_detect(rd_map, cfg, n_looks=len(spectra)).T
+    fft_bin = np.fft.fftshift(np.arange(spectra.shape[1]))  # shifted Doppler bin -> FFT bin
+    spec = np.abs(np.fft.fft(spectra[:, fft_bin[d], r].T, n=cfg.angle_fft_size, axis=1))
+    spec = np.fft.fftshift(spec * spec, axes=1)            # (cells, angle bins), angle centered
+    lobe = spec >= spec.max(axis=1, keepdims=True) * 10.0 ** (-MAIN_LOBE_DB / 10.0)
+    k, a = np.nonzero(lobe)
+    points = np.column_stack((a, d[k], r[k]))
+    labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
+    return summarize_clusters(points, labels, spec[k, a],
+                              _angle_axis(cube.config, cfg.angle_fft_size),
+                              rd_map.velocity_mps, rd_map.range_m)
 
 
 def write_candidates(rows, path) -> None:

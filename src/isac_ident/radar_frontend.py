@@ -182,6 +182,9 @@ def load_cube(path, cfg: RadarConfig) -> RadarCube:
     payload = np.frombuffer(raw, dtype="<f4", offset=20)
     if payload.size != n_values:
         raise CubeFormatError(f"{path}: expected {n_values} floats, found {payload.size}")
+    n_bad = payload.size - int(np.isfinite(payload).sum())
+    if n_bad:
+        raise CubeFormatError(f"{path}: {n_bad} non-finite sample values")
     pairs = payload.reshape(n_rx, n_chirps, n_samples, 2).astype(float)
     data = pairs[..., 0] + 1j * pairs[..., 1]
     return RadarCube(data=data, config=cfg)

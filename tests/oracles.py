@@ -5,6 +5,8 @@ plain-python loops and brute-force scans that the fast implementations
 are checked against.
 """
 
+import math
+
 import numpy as np
 
 from isac_ident.mlp import _forward_layers, init_weights, normalize_inputs
@@ -140,3 +142,16 @@ def reference_cfar(power, cfg):
     alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa)
     floor = cfg.cfar_floor_frac * power.max()
     return np.argwhere(power > alpha * np.maximum(noise, floor))
+
+
+def reference_n_look_pfa(alpha, n_train, n_looks):
+    """CA-CFAR false-alarm rate for cells that sum n_looks exponentials.
+
+    With X the cell (Gamma(n)) and S its N training cells (Gamma(N n)), the
+    ratio X / (X + S) is Beta(n, N n), and X > (alpha / N) S exactly when
+    that ratio exceeds x = alpha / (N + alpha). For integer shapes the Beta
+    tail is a binomial sum: P(Binomial(N n + n - 1, x) < n).
+    """
+    x = alpha / (n_train + alpha)
+    trials = n_train * n_looks + n_looks - 1
+    return sum(math.comb(trials, j) * x**j * (1.0 - x) ** (trials - j) for j in range(n_looks))

@@ -117,6 +117,18 @@ def test_simulate_full_identical_for_any_thread_count(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_simulate_full_manifest_records_kept_and_dropped_frames(tmp_path):
+    cfg = tmp_path / "full.yaml"
+    cfg.write_text(SMALL_FULL_YAML)
+    out = tmp_path / "full"
+    assert main(["simulate", "--mode", "full", "--config", str(cfg), "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats) == {"frames", "kept", "dropped"}
+    assert set(stats["dropped"]) == {"no_candidates", "user_not_matched"}
+    assert stats["kept"] == len(load_samples(out / "samples.csv"))
+    assert stats["frames"] == stats["kept"] + sum(stats["dropped"].values())
+
+
 # ---------------------------------------------------------------- detect
 
 def moving_obj(oid, d, theta_deg, v_closing):
@@ -178,6 +190,17 @@ def test_detect_corrupt_header_exits_3(tmp_path, capsys):
     (cube_dir / "bad.rcub").write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
     assert main(["detect", str(cube_dir), "--out", str(tmp_path / "o")]) == 3
     assert "bad.rcub" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_detect_non_finite_cube_exits_3(tmp_path, capsys, bad):
+    cube_dir = tmp_path / "cubes"
+    cube_dir.mkdir()
+    cube = synthesize_frame([moving_obj(0, 30.0, 0.0, 5.0)], RadarConfig(), seed=0)
+    cube.data[1, 2, 3] = complex(bad, 0.0)
+    save_cube(cube, cube_dir / "frame000.rcub")
+    assert main(["detect", str(cube_dir), "--out", str(tmp_path / "o")]) == 3
+    assert "frame000.rcub" in assert_one_line_error(capsys)
 
 
 # ---------------------------------------------------------------- train/eval

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isac_ident import dataset
 from isac_ident.dataset import (
     DEFAULT_TRAFFIC,
     GenerationError,
@@ -90,6 +91,39 @@ def test_full_mode_small_scene_and_thread_independence(monkeypatch):
     # the thread cap changes scheduling only, never the output
     monkeypatch.setenv("ISAC_IDENT_THREADS", "3")
     assert generate_dataset(cfg, mode="full", comm=COMM) == samples
+
+
+def test_full_mode_stats_count_each_drop_reason(monkeypatch):
+    # frames cycle through detecting nothing, detecting only a far-off
+    # object, and detecting the real scene
+    calls = []
+    real_detect = dataset.detect_objects
+
+    def detect(cube, cfg):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            return []
+        if len(calls) % 3 == 2:
+            return [Candidate(range_m=240.0, angle_deg=-80.0, vel_mps=-30.0)]
+        return real_detect(cube, cfg)
+
+    monkeypatch.setattr(dataset, "detect_objects", detect)
+    monkeypatch.delenv("ISAC_IDENT_THREADS", raising=False)  # frames in order
+    radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=10.0)
+    cfg = ScenarioConfig(n_sequences=2, samples_per_sequence=(3, 3),
+                         candidates_range=(1, 2), seed=4)
+    stats = {}
+    samples = generate_dataset(cfg, mode="full", comm=COMM, radar=radar, stats=stats)
+    assert stats == {"frames": 6, "kept": len(samples),
+                     "dropped": {"no_candidates": 2, "user_not_matched": 2}}
+    assert len(samples) == 2
+
+
+def test_fast_mode_stats_keep_every_frame():
+    stats = {}
+    samples = generate_dataset(small_cfg(), comm=COMM, stats=stats)
+    assert stats == {"frames": len(samples), "kept": len(samples),
+                     "dropped": {"no_candidates": 0, "user_not_matched": 0}}
 
 
 def test_full_mode_unusable_scene_raises():

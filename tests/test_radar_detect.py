@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR
 from isac_ident.radar_detect import (
     DOPPLER_SLAB,
     Candidate,
@@ -16,12 +17,13 @@ from isac_ident.radar_detect import (
     dbscan,
     detect_objects,
     process_cube,
+    range_doppler_map,
     summarize_clusters,
 )
 from isac_ident.radar_frontend import C0, RadarConfig, RadarCube, synthesize_frame
 from isac_ident.scene import SceneObject
 
-from oracles import reference_cfar, reference_power
+from oracles import reference_cfar, reference_n_look_pfa, reference_power
 
 
 def moving_obj(oid, d, theta_deg, v_closing, refl=1.0):
@@ -193,6 +195,47 @@ def test_cfar_threshold_factor_matches_closed_form():
         assert (1 + alpha / n) ** (-n) == pytest.approx(pfa, rel=1e-9)
 
 
+@pytest.mark.parametrize("n,pfa", [(16, 1e-6), (16, 1e-3), (8, 1e-2), (32, 1e-4), (1, 0.5)])
+def test_cfar_threshold_factor_one_look_is_the_closed_form(n, pfa):
+    closed_form = n * (pfa ** (-1.0 / n) - 1.0)
+    assert cfar_threshold_factor(n, pfa, n_looks=1) == closed_form
+    assert cfar_threshold_factor(n, pfa) == closed_form
+
+
+@pytest.mark.parametrize("n_looks", [2, 4, 8])
+@pytest.mark.parametrize("n,pfa", [(16, 1e-6), (16, 1e-3), (8, 1e-2), (32, 1e-4)])
+def test_cfar_threshold_factor_n_looks_meets_pfa(n, pfa, n_looks):
+    alpha = cfar_threshold_factor(n, pfa, n_looks)
+    assert reference_n_look_pfa(alpha, n, n_looks) == pytest.approx(pfa, rel=1e-9)
+    # a sum of looks fluctuates less than one look, so the factor is smaller
+    assert alpha < cfar_threshold_factor(n, pfa)
+
+
+def test_range_doppler_map_is_power_cube_summed_over_angle():
+    cube = random_cube(13, 48, seed=5)
+    spectra, rd = range_doppler_map(cube)
+    pc = process_cube(cube, angle_fft_size=64)
+    assert spectra.shape == cube.data.shape and rd.power.shape == (1, 13, 48)
+    assert np.allclose(rd.power[0], pc.power.sum(axis=0) / 64, rtol=1e-12, atol=0)
+    assert np.array_equal(rd.velocity_mps, pc.velocity_mps)
+    assert np.array_equal(rd.range_m, pc.range_m)
+
+
+def test_cfar_on_range_doppler_map_of_noise_is_calibrated():
+    pfa = 1e-3
+    cfg = DetectConfig(cfar_pfa=pfa)
+    hits = single_look_hits = cells = 0
+    for seed in (11, 12):
+        _, rd = range_doppler_map(random_cube(256, 1024, seed=seed))
+        hits += len(cfar_detect(rd, cfg, n_looks=4))
+        single_look_hits += len(cfar_detect(rd, cfg))
+        cells += rd.power.size
+    assert cells >= 5 * 10**5
+    assert 0.5 * pfa <= hits / cells <= 2.0 * pfa
+    # the single-look factor is far too strict on a four-antenna sum
+    assert single_look_hits < 0.01 * pfa * cells
+
+
 # ---------------------------------------------------------------- DBSCAN
 
 from oracles import canonical_labels as canonical
@@ -249,51 +292,45 @@ def test_dbscan_rejects_bad_eps():
 
 # ---------------------------------------------------------------- summaries
 
-def axis_cube():
-    return PowerCube(
-        power=np.ones((8, 16, 32)),
-        angle_deg=np.linspace(-70, 70, 8),
-        velocity_mps=np.linspace(-10, 10, 16),
-        range_m=np.linspace(0, 62, 32),
-    )
+AXES = (np.linspace(-70, 70, 8), np.linspace(-10, 10, 16), np.linspace(0, 62, 32))
 
 
-def with_powers(pc, cells, powers):
-    """Write each cell's power into the cube; return the cells."""
-    for cell, p in zip(cells, powers):
-        pc.power[cell] = p
-    return cells
+def with_powers(cells, labels, powers):
+    """Summarize cells with the given per-cell powers over the AXES grid."""
+    return summarize_clusters(cells, labels, powers, *AXES)
 
 
 def test_summarize_single_cluster_mean():
-    pc = axis_cube()
-    cells = with_powers(pc, [(2, 4, 10), (2, 4, 12)], [2.0, 4.0])
-    labels = [0, 0]
-    (cand,) = summarize_clusters(cells, labels, pc)
-    assert cand.range_m == pytest.approx((pc.range_m[10] + pc.range_m[12]) / 2)
-    assert cand.angle_deg == pytest.approx(pc.angle_deg[2])
-    assert cand.vel_mps == pytest.approx(pc.velocity_mps[4])
+    angle, velocity, range_m = AXES
+    cells, labels = [(2, 4, 10), (2, 4, 12)], [0, 0]
+    (cand,) = with_powers(cells, labels, [2.0, 4.0])
+    assert cand.range_m == pytest.approx((range_m[10] + range_m[12]) / 2)
+    assert cand.angle_deg == pytest.approx(angle[2])
+    assert cand.vel_mps == pytest.approx(velocity[4])
     assert cand.power == pytest.approx(6.0)
     assert cand.n_points == 2
 
 
 def test_summarize_drops_noise_and_sorts_by_power():
-    pc = axis_cube()
-    cells = with_powers(pc, [(0, 0, 5), (3, 3, 20), (5, 5, 25)], [1.0, 9.0, 4.0])
+    cells = [(0, 0, 5), (3, 3, 20), (5, 5, 25)]
     labels = [-1, 1, 0]
-    cands = summarize_clusters(cells, labels, pc)
+    cands = with_powers(cells, labels, [1.0, 9.0, 4.0])
     assert len(cands) == 2
     assert cands[0].power == 9.0 and cands[1].power == 4.0
 
 
 def test_summarize_count_equals_cluster_count():
-    pc = axis_cube()
     rng = np.random.default_rng(4)
-    cells = with_powers(pc, list(zip(rng.integers(0, 8, 30), rng.integers(0, 16, 30),
-                                     rng.integers(0, 32, 30))), rng.uniform(1, 5, 30))
+    cells = list(zip(rng.integers(0, 8, 30), rng.integers(0, 16, 30), rng.integers(0, 32, 30)))
+    powers = rng.uniform(1, 5, 30)
     labels = rng.integers(-1, 4, 30)
-    cands = summarize_clusters(cells, labels.tolist(), pc)
+    cands = with_powers(cells, labels.tolist(), powers)
     assert len(cands) == len(set(labels.tolist()) - {-1})
+
+
+def test_summarize_rejects_misaligned_powers():
+    with pytest.raises(ValueError):
+        with_powers([(0, 0, 0), (1, 1, 1)], [0, 0], [1.0])
 
 
 def test_candidate_validation():
@@ -324,6 +361,31 @@ def test_three_object_scene_recovered_within_one_bin():
         assert abs(best.range_m - obj.range_m) <= cfg.range_bin_m
         assert abs(best.vel_mps - obj.radial_velocity) <= cfg.doppler_bin_mps
         assert abs(best.angle_deg - obj.azimuth_deg) <= local_angle_bin
+
+
+def test_single_object_gives_one_candidate_without_sidelobe_ghosts():
+    # the angle sidelobes at the object's range and Doppler must not cluster
+    # into candidates of their own
+    cfg = FULL_MODE_RADAR
+    obj = moving_obj(0, 60.0, 10.0, -8.0)
+    (cand,) = detect_objects(synthesize_frame([obj], cfg, seed=0), FULL_MODE_DETECT)
+    local_angle_bin = math.degrees(2.0 / 64) / math.cos(math.radians(obj.azimuth_deg))
+    assert abs(cand.range_m - obj.range_m) <= cfg.range_bin_m
+    assert abs(cand.vel_mps - obj.radial_velocity) <= cfg.doppler_bin_mps
+    assert abs(cand.angle_deg - obj.azimuth_deg) <= local_angle_bin
+
+
+def test_detect_objects_on_noise_follows_the_calibrated_pfa():
+    # with a 4-point angle FFT every flagged cell of a noise-only map is one
+    # cluster, so the candidate count follows the map's false-alarm rate
+    pfa = 1e-3
+    cfg = DetectConfig(cfar_pfa=pfa, dbscan_min_pts=1, angle_fft_size=4)
+    found = cells = 0
+    for seed in range(4):
+        cube = random_cube(128, 512, seed=20 + seed)
+        found += len(detect_objects(cube, cfg))
+        cells += 128 * 512
+    assert 0.5 * pfa * cells <= found <= 2.0 * pfa * cells
 
 
 def test_detect_objects_empty_on_silent_cube():
