@@ -1,5 +1,14 @@
 """Radar-aided identification of the communication user among detected objects."""
 
+import os
+
+# One BLAS thread unless the user chose otherwise: a multi-threaded BLAS
+# splits the DNN's large matmuls differently and changes its checkpoints.
+# This must run before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from isac_ident.radar_detect import Candidate, DetectConfig, detect_objects
 from isac_ident.radar_frontend import RadarConfig, RadarCube, synthesize_frame
 from isac_ident.scene import CommConfig, Codebook, SceneObject, dft_codebook

@@ -64,10 +64,23 @@ class RunManifest:
 
 
 def _versions() -> dict:
+    """Library versions, numpy's BLAS and the BLAS thread variables.
+
+    The variables govern BLAS only as they stood when numpy loaded, which
+    importing `isac_ident` first (as the CLI does) ensures.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):                          # numpy without build info
+        blas = "unknown"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "isac_ident": isac_ident.__version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
+        "blas": blas,
+        "blas_threads": {var: os.environ.get(var) for var in threads},
     }
 
 

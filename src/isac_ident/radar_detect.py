@@ -20,7 +20,6 @@ import numpy as np
 
 from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
 
-DOPPLER_SLAB = 4  # Doppler bins per angle-FFT pass in process_cube
 MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
 
 
@@ -141,67 +140,35 @@ def range_doppler_map(cube: RadarCube):
                               range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
 
 
+def _angle_power(x: np.ndarray, angle_fft_size: int) -> np.ndarray:
+    """|zero-padded FFT|^2 along antenna axis 0, angle axis centered.
+
+    An FFT shorter than the antenna count would crop antennas, so it is
+    rejected.
+    """
+    if angle_fft_size < len(x):
+        raise DetectConfigError(
+            f"angle FFT of {angle_fft_size} points is shorter than the {len(x)} antennas"
+        )
+    power = np.abs(np.fft.fft(x, n=angle_fft_size, axis=0))
+    power *= power
+    return np.fft.fftshift(power, axes=0)
+
+
 def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool = True) -> PowerCube:
     """FFT pipeline from ADC cube to the whole (angle, Doppler, range) power cube.
 
     Not in the detection path: `detect_objects` runs the angle FFT only at
-    the cells CFAR flags on the range-Doppler map. This cube serves for
-    inspecting the full angle spectrum.
-
-    The zero-padded angle FFT runs over DOPPLER_SLAB Doppler bins at a time,
-    on a copy with the antenna axis last so that each transform reads and
-    writes contiguous memory, and each slab's squared magnitude is written,
-    angle-shifted, straight into `power`. Every transform and elementwise
-    op sees the same numbers as `np.abs(fftshift(fft(x, axis=0)))**2` over
-    the whole cube, and the shift is a permutation, so `power` equals that
-    bit for bit without its two cube-sized complex intermediates.
+    the cells CFAR flags on the range-Doppler map. This cube serves
+    inspection and tests only. It is built in one pass, so at the default
+    profile its working set peaks at about 200 MB.
     """
     x = np.fft.fftshift(_range_doppler(cube, clutter_clean), axes=1)  # Doppler, zero centered
-    x = np.ascontiguousarray(x.transpose(1, 2, 0))         # angle axis last and contiguous
-    n_doppler, n_range = x.shape[:2]
-    power = np.empty((angle_fft_size, n_doppler, n_range))
-    shift = angle_fft_size // 2                            # fftshift along the angle axis
-    for d0 in range(0, n_doppler, DOPPLER_SLAB):
-        slab = np.abs(np.fft.fft(x[d0:d0 + DOPPLER_SLAB], n=angle_fft_size, axis=-1))
-        slab *= slab
-        slab = slab.transpose(2, 0, 1)
-        power[shift:, d0:d0 + DOPPLER_SLAB] = slab[:angle_fft_size - shift]
-        power[:shift, d0:d0 + DOPPLER_SLAB] = slab[angle_fft_size - shift:]
     cfg = cube.config
-    return PowerCube(power=power, angle_deg=_angle_axis(cfg, angle_fft_size),
+    return PowerCube(power=_angle_power(x, angle_fft_size),
+                     angle_deg=_angle_axis(cfg, angle_fft_size),
                      velocity_mps=_velocity_axis(cfg),
                      range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
-
-
-def _sliding_training_means(power: np.ndarray, train: int, guard: int):
-    """Yield, for each plane along the first axis, the mean over its leading
-    and lagging training cells along the last axis.
-
-    Windows are [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train],
-    truncated at the edges (one-sided at the extremes). The cumulative sum
-    is padded with `guard + train` zeros on the left and as many copies of
-    its total on the right, so each window edge is a shifted slice of it
-    and the truncation needs no index clipping. Every plane is written into
-    the same buffer: use each yielded array before asking for the next.
-    """
-    n = power.shape[-1]
-    pad = guard + train
-    cs = np.zeros(power.shape[1:-1] + (n + 1 + 2 * pad,))
-    # cs[..., pad + k] holds the sum of the first k cells, k clamped to [0, n]
-    body, tail = cs[..., pad + 1:pad + 1 + n], cs[..., pad + 1 + n:]
-    lo_a, lo_b, hi_a, hi_b = (cs[..., k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
-    idx = np.arange(n)
-    counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
-              + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
-    mean, upper = np.empty(power.shape[1:]), np.empty(power.shape[1:])
-    for plane in power:
-        np.cumsum(plane, axis=-1, out=body)
-        tail[...] = body[..., -1:]
-        np.subtract(lo_b, lo_a, out=mean)
-        np.subtract(hi_b, hi_a, out=upper)
-        mean += upper
-        mean /= counts
-        yield mean
 
 
 def _n_look_pfa(r: float, m: int, n: int) -> float:
@@ -242,26 +209,32 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarra
 
     The scale factor holds `cfg.cfar_pfa` for noise cells that are sums of
     `n_looks` exponentials (the antenna count for a range-Doppler map).
-    Returns the flagged cells' (angle, Doppler, range) indices, shape (N, 3),
-    in `np.argwhere` order. Works one angle plane at a time.
+    Training windows are [i-guard-train, i-guard-1] and
+    [i+guard+1, i+guard+train], truncated at the edges (one-sided at the
+    extremes). Returns the flagged cells' (angle, Doppler, range) indices,
+    shape (N, 3), in `np.argwhere` order.
     """
-    n_range = pc.power.shape[2]
-    window = 2 * (cfg.cfar_train + cfg.cfar_guard) + 1
-    if window > n_range:
+    train, guard = cfg.cfar_train, cfg.cfar_guard
+    n = pc.power.shape[2]
+    pad = train + guard
+    if 2 * pad + 1 > n:
         raise DetectConfigError(
-            f"CFAR window of {window} cells exceeds range axis of {n_range} bins"
+            f"CFAR window of {2 * pad + 1} cells exceeds range axis of {n} bins"
         )
-    alpha = cfar_threshold_factor(2 * cfg.cfar_train, cfg.cfar_pfa, n_looks)
+    alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * pc.power.max()
-    flagged = np.empty(pc.power.shape[1:], dtype=bool)
-    hits = []
-    means = _sliding_training_means(pc.power, cfg.cfar_train, cfg.cfar_guard)
-    for a, (plane, threshold) in enumerate(zip(pc.power, means)):
-        np.maximum(threshold, floor, out=threshold)
-        threshold *= alpha
-        np.greater(plane, threshold, out=flagged)
-        hits.append(np.flatnonzero(flagged) + a * flagged.size)
-    return np.column_stack(np.unravel_index(np.concatenate(hits), pc.power.shape))
+    # cs[..., pad + k] holds the sum of the first k cells, k clamped to [0, n],
+    # so each window edge is a shifted slice and truncation needs no clipping
+    cs = np.zeros(pc.power.shape[:2] + (n + 1 + 2 * pad,))
+    np.cumsum(pc.power, axis=-1, out=cs[..., pad + 1:pad + 1 + n])
+    cs[..., pad + 1 + n:] = cs[..., pad + n:pad + n + 1]
+    lo_a, lo_b, hi_a, hi_b = (cs[..., k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
+    idx = np.arange(n)
+    counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
+              + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
+    threshold = np.maximum(((lo_b - lo_a) + (hi_b - hi_a)) / counts, floor)
+    threshold *= alpha
+    return np.argwhere(pc.power > threshold)
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -357,8 +330,7 @@ def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
     spectra, rd_map = range_doppler_map(cube)
     _, d, r = cfar_detect(rd_map, cfg, n_looks=len(spectra)).T
     fft_bin = np.fft.fftshift(np.arange(spectra.shape[1]))  # shifted Doppler bin -> FFT bin
-    spec = np.abs(np.fft.fft(spectra[:, fft_bin[d], r].T, n=cfg.angle_fft_size, axis=1))
-    spec = np.fft.fftshift(spec * spec, axes=1)            # (cells, angle bins), angle centered
+    spec = _angle_power(spectra[:, fft_bin[d], r], cfg.angle_fft_size).T  # (cells, angle bins)
     lobe = spec >= spec.max(axis=1, keepdims=True) * 10.0 ** (-MAIN_LOBE_DB / 10.0)
     k, a = np.nonzero(lobe)
     points = np.column_stack((a, d[k], r[k]))

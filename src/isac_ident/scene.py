@@ -167,15 +167,6 @@ def synthesize_channel(scene, cfg: CommConfig, seed: int = 0) -> np.ndarray:
     return channel_from_paths(alphas, thetas, cfg.n_antennas, cfg.element_spacing)
 
 
-def beam_gains(h: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Per-beam power |h^H f_b|^2."""
-    if h.shape[0] != codebook.vectors.shape[1]:
-        raise ValueError(
-            f"channel length {h.shape[0]} != codebook antenna count {codebook.vectors.shape[1]}"
-        )
-    return np.abs(codebook.vectors @ h.conj()) ** 2
-
-
 def sweep_beams(
     h: np.ndarray, codebook: Codebook, cfg: CommConfig, seed: int = 0
 ) -> np.ndarray:
@@ -183,7 +174,7 @@ def sweep_beams(
 
     Each beam's received symbol picks up independent complex Gaussian
     noise before the power measurement; with noise_var = 0 the sweep
-    reduces to tx_gain * beam_gains.
+    reduces to the beam gains tx_gain * |h^H f_b|^2.
     """
     y = math.sqrt(cfg.tx_gain) * (codebook.vectors @ h.conj())
     if cfg.noise_var > 0:

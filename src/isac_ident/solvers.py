@@ -11,7 +11,6 @@ feed-forward network and returns the argmax.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,19 +226,7 @@ def predict_dnn(candidates, b_star: int, model: MlpModel) -> int:
     return int(np.argmax(scores))
 
 
-class Solver(ABC):
-    """Common fit/predict interface over the identification approaches."""
-
-    name: str
-
-    @abstractmethod
-    def fit(self, train) -> None: ...
-
-    @abstractmethod
-    def predict(self, candidates, b_star: int) -> int: ...
-
-
-class TableSolver(Solver):
+class TableSolver:
     """Model-based baseline: a predicted (range, angle, velocity) per beam.
 
     `fit_rule(train, pointing_angles)` returns `params` (the fitted values
@@ -272,7 +259,7 @@ class TableSolver(Solver):
         return best
 
 
-class DnnSolver(Solver):
+class DnnSolver:
     name = "dnn"
 
     def __init__(self, pointing_angles, hyper: TrainConfig = TrainConfig(),
@@ -293,7 +280,8 @@ class DnnSolver(Solver):
         return predict_dnn(candidates, b_star, self.model)
 
 
-def make_solver(name: str, pointing_angles, hyper: TrainConfig | None = None) -> Solver:
+def make_solver(name: str, pointing_angles,
+                hyper: TrainConfig | None = None) -> TableSolver | DnnSolver:
     if name == "dnn":
         return DnnSolver(pointing_angles, hyper or TrainConfig())
     if name not in _FIT_RULES:
@@ -301,8 +289,11 @@ def make_solver(name: str, pointing_angles, hyper: TrainConfig | None = None) ->
     return TableSolver(name, _FIT_RULES[name], pointing_angles)
 
 
-def evaluate(solver: Solver, test) -> float:
-    """Fraction of samples whose predicted index matches the label."""
+def evaluate(solver, test) -> float:
+    """Fraction of samples whose predicted index matches the label.
+
+    `solver` is any object with `predict(candidates, b_star)`.
+    """
     _require_labeled(test, "test")
     hits = sum(
         1 for s in test if solver.predict(s.candidates, s.b_star) == s.label

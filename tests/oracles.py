@@ -126,7 +126,7 @@ def reference_power(data, angle_fft_size, clutter_clean=True):
     return np.abs(x) ** 2
 
 
-def reference_cfar(power, cfg):
+def reference_cfar(power, cfg, n_looks=1):
     """Whole-cube CA-CFAR: cumulative sums gathered at clipped window edges."""
     n = power.shape[-1]
     train, guard = cfg.cfar_train, cfg.cfar_guard
@@ -139,7 +139,7 @@ def reference_cfar(power, cfg):
     hi_b = np.clip(idx + guard + train + 1, 0, n)
     sums = (cs[..., lo_b] - cs[..., lo_a]) + (cs[..., hi_b] - cs[..., hi_a])
     noise = sums / ((lo_b - lo_a) + (hi_b - hi_a))
-    alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa)
+    alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * power.max()
     return np.argwhere(power > alpha * np.maximum(noise, floor))
 

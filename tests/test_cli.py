@@ -2,10 +2,15 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isac_ident
 from isac_ident.cli import main
 from isac_ident.config import config_from_dict
 from isac_ident.dataset import SAMPLE_HEADER, load_samples, save_samples
@@ -184,6 +189,23 @@ def test_cfar_window_wider_than_range_axis_exits_2(tmp_path, capsys, command):
     assert "CFAR window of 601 cells" in assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["detect", "simulate-full"])
+def test_angle_fft_shorter_than_antenna_count_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("scenario:\n  sequences: 1\n  samples_per_sequence: [1, 1]\n"
+                   "detect:\n  angle_fft_size: 2\n")
+    if command == "detect":
+        cube_dir = tmp_path / "cubes"
+        cube_dir.mkdir()
+        save_cube(synthesize_frame([moving_obj(0, 30.0, 30.0, 5.0)], RadarConfig(), seed=0),
+                  cube_dir / "frame000.rcub")
+        argv = ["detect", str(cube_dir)]
+    else:
+        argv = ["simulate", "--mode", "full"]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "angle FFT of 2 points" in assert_one_line_error(capsys)
+
+
 def test_detect_corrupt_header_exits_3(tmp_path, capsys):
     cube_dir = tmp_path / "cubes"
     cube_dir.mkdir()
@@ -286,6 +308,29 @@ def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch)
     assert main(["eval", str(dataset_dir), "--out", str(tmp_path / "eval")]) == 0
     n_test = len(load_samples(dataset_dir / "test.csv"))
     assert calls == {name: n_test for name in SOLVER_NAMES}
+
+
+def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):
+    # a batch of 512 makes the backward matmuls large enough for OpenBLAS to
+    # split them over threads, which it does by default on a multi-core host
+    data = tmp_path / "data"
+    assert main(["simulate", "--seed", "0", "--out", str(data)]) == 0
+    cfg = tmp_path / "big_batch.yaml"
+    cfg.write_text("training:\n  epochs: 3\n  batch: 512\n")
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(isac_ident.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    runs = {"unset": base, "one": {**base, **dict.fromkeys(blas_vars, "1")}}
+    for name, env in runs.items():
+        subprocess.run([sys.executable, "-m", "isac_ident", "train", str(data), "--solver", "dnn",
+                        "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / name)],
+                       env=env, check=True, capture_output=True, timeout=300)
+    ckpts = [(tmp_path / name / "model.ckpt").read_bytes() for name in runs]
+    assert ckpts[0] == ckpts[1]
+    versions = json.loads((tmp_path / "unset/manifest.json").read_text())["versions"]
+    assert versions["blas_threads"] == dict.fromkeys(blas_vars, "1")
+    assert versions["blas"]
 
 
 @pytest.mark.parametrize("argv", [["train", "--solver", "dnn"], ["eval"]],

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR
 from isac_ident.radar_detect import (
-    DOPPLER_SLAB,
     Candidate,
     DetectConfig,
     DetectConfigError,
@@ -100,14 +99,12 @@ def test_all_zero_cube_gives_zero_power():
     assert np.all(pc.power == 0)
 
 
-# Doppler counts: not a multiple of the slab, below one slab, exactly two slabs
-SLAB_CHIRPS = [13, DOPPLER_SLAB - 1, 2 * DOPPLER_SLAB]
+SLAB_CHIRPS = [13, 3, 8]
 
 
 @pytest.mark.parametrize("n_chirps", SLAB_CHIRPS)
 @pytest.mark.parametrize("angle_fft_size,clutter_clean", [(64, True), (7, True), (16, False)])
 def test_power_matches_whole_cube_reference(n_chirps, angle_fft_size, clutter_clean):
-    assert 13 % DOPPLER_SLAB != 0
     cube = random_cube(n_chirps, 48, seed=n_chirps + angle_fft_size)
     power = process_cube(cube, angle_fft_size, clutter_clean).power
     assert np.array_equal(power, reference_power(cube.data, angle_fft_size, clutter_clean))
@@ -176,6 +173,22 @@ def test_cfar_matches_whole_cube_reference(n_chirps, n_range, train, guard):
     hits = cfar_detect(pc, cfg)
     ref = reference_cfar(pc.power, cfg)
     assert len(ref) > 0
+    assert hits.dtype == ref.dtype and np.array_equal(hits, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), planes=st.integers(1, 4),
+       rows=st.integers(1, 40), train=st.integers(1, 8), guard=st.integers(0, 3),
+       floor=st.sampled_from([0.0, 1e-3, 0.05]), n_looks=st.sampled_from([1, 4]))
+def test_cfar_matches_reference_at_every_look_count(data, seed, planes, rows, train, guard,
+                                                     floor, n_looks):
+    n_range = data.draw(st.integers(2 * (train + guard) + 1, 300))
+    power = np.random.default_rng(seed).exponential(1.0, size=(planes, rows, n_range))
+    pc = PowerCube(power=power, angle_deg=np.zeros(planes), velocity_mps=np.zeros(rows),
+                   range_m=np.arange(n_range, dtype=float))
+    cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=floor)
+    hits = cfar_detect(pc, cfg, n_looks=n_looks)
+    ref = reference_cfar(power, cfg, n_looks=n_looks)
     assert hits.dtype == ref.dtype and np.array_equal(hits, ref)
 
 
@@ -386,6 +399,17 @@ def test_detect_objects_on_noise_follows_the_calibrated_pfa():
         found += len(detect_objects(cube, cfg))
         cells += 128 * 512
     assert 0.5 * pfa * cells <= found <= 2.0 * pfa * cells
+
+
+def test_angle_fft_shorter_than_the_antenna_count_is_rejected():
+    # a 2-point FFT of 4 antennas would crop two of them and misplace the object
+    cube = synthesize_frame([moving_obj(0, 40.0, 30.0, 6.0)], small_radar(32, 128), seed=0)
+    with pytest.raises(DetectConfigError, match="2 points is shorter than the 4 antennas"):
+        detect_objects(cube, DetectConfig(angle_fft_size=2))
+    with pytest.raises(DetectConfigError, match="2 points is shorter than the 4 antennas"):
+        process_cube(cube, angle_fft_size=2)
+    assert len(detect_objects(cube, DetectConfig(angle_fft_size=4))) == 1
+    assert process_cube(cube, angle_fft_size=4).power.shape == (4, 32, 128)
 
 
 def test_detect_objects_empty_on_silent_cube():

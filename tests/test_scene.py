@@ -11,7 +11,6 @@ from isac_ident.scene import (
     SceneObject,
     CommConfig,
     array_response,
-    beam_gains,
     channel_from_paths,
     comm_user,
     dft_codebook,
@@ -73,7 +72,7 @@ def test_codebook_matched_beam_attains_array_gain():
     cb = dft_codebook(n, b)
     for i in range(b):
         h = array_response(cb.pointing_angles[i], n)
-        assert np.isclose(beam_gains(h, cb)[i], n)
+        assert np.isclose(sweep_beams(h, cb, CommConfig())[i], n)
 
 
 def test_codebook_angle_grid():
@@ -145,13 +144,13 @@ def test_synthesize_channel_deterministic():
 
 def test_beam_gains_self_beam_wins_in_orthogonal_codebook():
     cb = dft_codebook(64, 64)
-    gains = beam_gains(cb.vectors[28], cb)
+    gains = sweep_beams(cb.vectors[28], cb, CommConfig())
     assert optimal_beam(gains) == 28
 
 
 def test_beam_gains_zero_channel():
     cb = dft_codebook(4, 8)
-    assert np.all(beam_gains(np.zeros(4, dtype=complex), cb) == 0)
+    assert np.all(sweep_beams(np.zeros(4, dtype=complex), cb, CommConfig()) == 0)
 
 
 def test_beam_gains_matches_exhaustive_loop():
@@ -159,7 +158,7 @@ def test_beam_gains_matches_exhaustive_loop():
     rng = np.random.default_rng(5)
     cb = dft_codebook(16, 64)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    gains = beam_gains(h, cb)
+    gains = sweep_beams(h, cb, CommConfig())
     for b in range(64):
         expected = abs(np.sum(np.conj(h) * cb.vectors[b])) ** 2
         assert np.isclose(gains[b], expected)
@@ -168,14 +167,15 @@ def test_beam_gains_matches_exhaustive_loop():
 def test_beam_gains_dimension_mismatch():
     cb = dft_codebook(8, 8)
     with pytest.raises(ValueError):
-        beam_gains(np.ones(4, dtype=complex), cb)
+        sweep_beams(np.ones(4, dtype=complex), cb, CommConfig())
 
 
 def test_sweep_is_exact_without_noise():
     cfg = CommConfig(n_antennas=8, n_beams=16, tx_gain=2.0, noise_var=0.0)
     cb = dft_codebook(8, 16)
     h = array_response(12.0, 8)
-    assert np.allclose(sweep_beams(h, cb, cfg, seed=1), 2.0 * beam_gains(h, cb))
+    expected = [2.0 * abs(np.sum(np.conj(h) * f)) ** 2 for f in cb.vectors]
+    assert np.allclose(sweep_beams(h, cb, cfg, seed=1), expected)
 
 
 # ---------------------------------------------------------------- optimal beam
@@ -214,7 +214,8 @@ def test_optimal_beam_invariant_to_channel_scaling(seed, scale_re, scale_im):
     rng = np.random.default_rng(seed)
     cb = dft_codebook(8, 32)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert optimal_beam(beam_gains(h, cb)) == optimal_beam(beam_gains(scale * h, cb))
+    gains = sweep_beams(h, cb, CommConfig())
+    assert optimal_beam(gains) == optimal_beam(sweep_beams(scale * h, cb, CommConfig()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,7 +224,7 @@ def test_single_path_at_pointing_angle_selects_that_beam(beam):
     # oversampled codebook: a lone path on the beam grid picks that beam
     cb = dft_codebook(16, 32)
     h = channel_from_paths([1.0 + 0.5j], [cb.pointing_angles[beam]], 16)
-    assert optimal_beam(beam_gains(h, cb)) == beam
+    assert optimal_beam(sweep_beams(h, cb, CommConfig())) == beam
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,4 +234,5 @@ def test_beam_gains_invariant_to_global_phase(seed, phase):
     cb = dft_codebook(8, 16)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     rotated = h * np.exp(1j * phase)
-    assert np.allclose(beam_gains(h, cb), beam_gains(rotated, cb), rtol=1e-9, atol=1e-12)
+    assert np.allclose(sweep_beams(h, cb, CommConfig()), sweep_beams(rotated, cb, CommConfig()),
+                       rtol=1e-9, atol=1e-12)

@@ -10,7 +10,6 @@ from isac_ident.radar_detect import Candidate
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import (
     Sample,
-    Solver,
     TrainConfig,
     estimate_offset,
     evaluate,
@@ -340,7 +339,7 @@ def test_predict_dnn_permutation_invariant(seed):
 
 # ---------------------------------------------------------------- evaluate
 
-class ConstantSolver(Solver):
+class ConstantSolver:
     name = "constant"
 
     def __init__(self, k):
@@ -357,7 +356,7 @@ def test_evaluate_perfect_predictor():
     rng = np.random.default_rng(18)
     samples = offset_samples(2.0, 50, rng)
 
-    class Oracle(Solver):
+    class Oracle:
         name = "oracle"
         lookup = {s.sample_id: s.label for s in samples}
         it = iter(samples)
