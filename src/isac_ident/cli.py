@@ -64,23 +64,18 @@ class RunManifest:
 
 
 def _versions() -> dict:
-    """Library versions, numpy's BLAS and the BLAS thread variables.
-
-    The variables govern BLAS only as they stood when numpy loaded, which
-    importing `isac_ident` first (as the CLI does) ensures.
-    """
+    """Library versions, numpy's BLAS and the BLAS thread variables as numpy loaded them."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):                          # numpy without build info
         blas = "unknown"
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "isac_ident": isac_ident.__version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "blas": blas,
-        "blas_threads": {var: os.environ.get(var) for var in threads},
+        "blas_threads": dict(isac_ident.BLAS_THREADS),
     }
 
 
@@ -185,13 +180,16 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _fit_solvers(names, cfg: RunConfig, train):
+def _fit_solvers(names, cfg: RunConfig, train, stats: dict):
+    """Fitted solvers; a DNN fit records its per-epoch train loss in `stats`."""
     codebook = dft_codebook(cfg.comm.n_antennas, cfg.comm.n_beams,
                             cfg.comm.element_spacing)
     solvers = []
     for name in names:
         solver = make_solver(name, codebook.pointing_angles, hyper=cfg.training)
         solver.fit(train)
+        if isinstance(solver, DnnSolver):
+            stats["dnn_epoch_losses"] = solver.epoch_losses
         solvers.append(solver)
     return solvers
 
@@ -231,7 +229,7 @@ def cmd_train(args) -> int:
     outputs = ["accuracy.csv", "predictions.csv"]
     outputs.append("model.ckpt" if args.solver == "dnn" else "params.json")
     manifest, t0 = _start_manifest(args, cfg, outputs)
-    (solver,) = _fit_solvers([args.solver], cfg, train)
+    (solver,) = _fit_solvers([args.solver], cfg, train, manifest.stats)
     _save_solver_params(solver, out_dir, cfg)
     ((_, acc),) = _score_test([solver], test, out_dir)
     _finish_manifest(manifest, t0, out_dir)
@@ -249,7 +247,7 @@ def cmd_eval(args) -> int:
     names = list(SOLVER_NAMES) if args.solver == "all" else [args.solver]
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["accuracy.csv", "predictions.csv"])
-    rows = _score_test(_fit_solvers(names, cfg, train), test, out_dir)
+    rows = _score_test(_fit_solvers(names, cfg, train, manifest.stats), test, out_dir)
     _finish_manifest(manifest, t0, out_dir)
     width = max(len(n) for n, _ in rows)
     for name, acc in rows:
@@ -264,7 +262,7 @@ def cmd_report(args) -> int:
     samples = train + test
     out_dir = Path(args.out)
     manifest, t0 = _start_manifest(args, cfg, ["report.csv"])
-    solvers = _fit_solvers(["offset", "linreg-angle", "lookup"], cfg, train)
+    solvers = _fit_solvers(["offset", "linreg-angle", "lookup"], cfg, train, manifest.stats)
     angles = solvers[0].pointing_angles
     with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
         fh.write("beam_angle_deg,target_angle_deg,offset_deg,linreg_deg,lookup_deg\n")

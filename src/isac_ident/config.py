@@ -55,8 +55,19 @@ _SCENARIO_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> int:
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _build(cls, raw: dict, key_map: dict | None, section: str):
     key_map = key_map or {f.name: f.name for f in fields(cls)}
+    int_fields = {f.name for f in fields(cls) if f.type in ("int", "tuple[int, int]")}
     kwargs = {}
     for key, value in raw.items():
         if key not in key_map:
@@ -69,6 +80,9 @@ def _build(cls, raw: dict, key_map: dict | None, section: str):
                 value = float(value)
             except ValueError:
                 raise ConfigError(f"{section}.{key} must be numeric, got {value!r}") from None
+        if key_map[key] in int_fields and not all(
+                map(_is_int, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         kwargs[key_map[key]] = value
     try:
         return cls(**kwargs)
@@ -101,9 +115,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = _check_seed(raw.get("seed", 0))
     scenario_raw = dict(raw.get("scenario", {}))
     scenario_raw.setdefault("seed", seed)
     training_raw = dict(raw.get("training", {}))
@@ -159,5 +171,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     """Copy of the config with the root seed (and derived seeds) replaced."""
+    _check_seed(seed)
     return replace(cfg, seed=seed, scenario=replace(cfg.scenario, seed=seed),
                    training=replace(cfg.training, seed=seed))

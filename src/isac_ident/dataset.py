@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from isac_ident.solvers import Sample
 
 
 class GenerationError(ValueError):
-    """Scenario produced no usable samples (e.g. user outside the field of view)."""
+    """No dataset can be generated: a scenario without usable samples or bad run settings."""
 
 
 class SampleFormatError(ValueError):
@@ -81,6 +82,8 @@ class ScenarioConfig:
             raise ValueError("noise and distortion amplitudes must be non-negative")
         if self.frame_rate_hz <= 0:
             raise ValueError("frame_rate_hz must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -129,39 +132,40 @@ class DatasetSplit:
     test: list
 
 
-def _angle_distortion(theta_deg: float, amplitude_deg: float) -> float:
-    """Smooth nonlinear warp of the azimuth map, one-and-a-half cycles across the FOV."""
-    return amplitude_deg * math.sin(math.radians(3.0 * theta_deg))
-
-
-def _radar_angle(theta_deg: float, radial_vel: float, cfg: ScenarioConfig,
-                 traffic: TrafficModel, rng) -> float:
-    psi = (
-        theta_deg
-        + cfg.misalignment_deg
-        + _angle_distortion(theta_deg, cfg.distortion_deg)
-    )
+def _radar_angle(theta_deg: float, radial_vel: float, cfg: ScenarioConfig, rng) -> float:
+    # smooth nonlinear warp of the azimuth map, one-and-a-half cycles across the FOV
+    psi = (theta_deg + cfg.misalignment_deg
+           + cfg.distortion_deg * math.sin(math.radians(3.0 * theta_deg)))
     if cfg.angle_noise_deg > 0:
-        rho = traffic.angle_noise_vel_coupling
+        rho = DEFAULT_TRAFFIC.angle_noise_vel_coupling
         psi += cfg.angle_noise_deg * (
             math.sqrt(1.0 - rho * rho) * rng.normal()
-            + rho * radial_vel / traffic.vel_coupling_ref_mps
+            + rho * radial_vel / DEFAULT_TRAFFIC.vel_coupling_ref_mps
         )
     return float(np.clip(psi, -90.0, 90.0))
 
 
-@dataclass(frozen=True)
-class _GroundTruth:
+class _GroundTruth(NamedTuple):
     """Per-sample user kinematics in the comm frame."""
 
     theta_deg: float      # comm-frame azimuth
     range_m: float
     radial_vel: float     # closing positive
-    speed: float
-    direction: int
 
 
-def _sequence_truths(cfg: ScenarioConfig, traffic: TrafficModel, rng) -> list[_GroundTruth]:
+class _Frame(NamedTuple):
+    """One frame of a sequence: what either mode needs to label it."""
+
+    sample_id: int
+    sequence_id: int
+    t: int
+    truth: _GroundTruth
+    k_t: int
+    seed: int             # the "beam" stream: channel, beam sweep and radar noise
+
+
+def _sequence_frames(cfg: ScenarioConfig, seq: int, first_id: int, rng) -> list[_Frame]:
+    traffic = DEFAULT_TRAFFIC
     n = int(rng.integers(cfg.samples_per_sequence[0], cfg.samples_per_sequence[1] + 1))
     direction = 1 if rng.random() < 0.5 else -1
     standoff = traffic.road_standoff_m + float(
@@ -173,43 +177,41 @@ def _sequence_truths(cfg: ScenarioConfig, traffic: TrafficModel, rng) -> list[_G
                 traffic.max_user_speed_mps)
     span = speed * (n - 1) / cfg.frame_rate_hz
     x0 = -direction * span / 2.0
-    truths = []
+    frames = []
     for t in range(n):
         x = x0 + direction * speed * t / cfg.frame_rate_hz
         r = math.hypot(x, standoff)
-        truths.append(_GroundTruth(
-            theta_deg=math.degrees(math.atan2(x, standoff)),
-            range_m=r,
-            radial_vel=-(x * direction * speed) / r,
-            speed=speed,
-            direction=direction,
+        truth = _GroundTruth(theta_deg=math.degrees(math.atan2(x, standoff)), range_m=r,
+                             radial_vel=-(x * direction * speed) / r)
+        frames.append(_Frame(
+            sample_id=first_id + t, sequence_id=seq, t=t, truth=truth,
+            k_t=int(rng.integers(cfg.candidates_range[0], cfg.candidates_range[1] + 1)),
+            seed=int(child_rng(cfg.seed, "beam", seq, t).integers(2**31)),
         ))
-    return truths
+    return frames
 
 
-def _decoy_state(gt: _GroundTruth, traffic: TrafficModel, rng):
+def _decoy_state(gt: _GroundTruth, rng):
     """Ground-truth comm-frame state (theta, range, radial velocity) of one decoy."""
+    traffic = DEFAULT_TRAFFIC
     side = 1 if rng.random() < 0.5 else -1
     kind = rng.random()
+    on_road = kind >= traffic.p_pedestrian + traffic.p_off_corridor
+    sep = traffic.vehicle_sep_deg if on_road else traffic.near_sep_deg
+    theta = float(np.clip(gt.theta_deg + side * rng.uniform(*sep), -88.0, 88.0))
     if kind < traffic.p_pedestrian:
         # sidewalk walker: close in angle, but off the road corridor and slow
-        theta = gt.theta_deg + side * rng.uniform(*traffic.near_sep_deg)
-        theta = float(np.clip(theta, -88.0, 88.0))
         standoff = traffic.road_standoff_m + rng.uniform(*traffic.sidewalk_offset_m) * (
             1 if rng.random() < 0.5 else -1)
         r = standoff / max(math.cos(math.radians(theta)), 0.05)
         v = rng.uniform(*traffic.pedestrian_speed_mps) * (1 if rng.random() < 0.5 else -1)
-    elif kind < traffic.p_pedestrian + traffic.p_off_corridor:
+    elif not on_road:
         # parked lot / cross-street object well off the user's range corridor
-        theta = gt.theta_deg + side * rng.uniform(*traffic.near_sep_deg)
-        theta = float(np.clip(theta, -88.0, 88.0))
         offset = rng.uniform(*traffic.off_corridor_offset_m)
         r = gt.range_m + (offset if rng.random() < 0.5 else -offset)
         v = rng.uniform(*traffic.vehicle_speed_mps) * (1 if rng.random() < 0.5 else -1)
     else:
         # another vehicle on the road, ahead/behind or oncoming
-        theta = gt.theta_deg + side * rng.uniform(*traffic.vehicle_sep_deg)
-        theta = float(np.clip(theta, -88.0, 88.0))
         standoff = traffic.road_standoff_m + rng.uniform(-traffic.lane_halfwidth_m,
                                                          traffic.lane_halfwidth_m)
         r = standoff / max(math.cos(math.radians(theta)), 0.05)
@@ -221,109 +223,82 @@ def _decoy_state(gt: _GroundTruth, traffic: TrafficModel, rng):
 
 
 def _serving_beam(gt: _GroundTruth, comm: CommConfig, codebook, seed: int) -> int:
-    scene = [SceneObject(
-        id=0,
-        position=(gt.range_m * math.sin(math.radians(gt.theta_deg)),
-                  gt.range_m * math.cos(math.radians(gt.theta_deg))),
-        velocity=(0.0, 0.0),
-        is_comm_user=True,
-    )]
-    h = synthesize_channel(scene, comm, seed=seed)
+    a = math.radians(gt.theta_deg)
+    user = SceneObject(id=0, position=(gt.range_m * math.sin(a), gt.range_m * math.cos(a)),
+                       velocity=(0.0, 0.0), is_comm_user=True)
+    h = synthesize_channel([user], comm, seed=seed)
     return optimal_beam(sweep_beams(h, codebook, comm, seed=seed))
 
 
-def _fast_sample(sample_id, sequence_id, gt, k_t, cfg, traffic, comm, codebook, rng, seed):
-    b_star = _serving_beam(gt, comm, codebook, seed)
+def _fast_sample(frame: _Frame, cfg, comm, codebook, rng) -> Sample:
+    """Candidate states drawn around the truth; entry 0 is the user."""
+    gt = frame.truth
+    b_star = _serving_beam(gt, comm, codebook, frame.seed)
     entries = []
-    user_angle = _radar_angle(gt.theta_deg, gt.radial_vel, cfg, traffic, rng)
-    entries.append((
-        user_angle,
-        gt.range_m + rng.normal(0.0, traffic.range_noise_m),
-        gt.radial_vel + rng.normal(0.0, traffic.vel_noise_mps),
-        True,
-    ))
-    for _ in range(k_t - 1):
-        theta_d, r_d, v_d = _decoy_state(gt, traffic, rng)
+    for k in range(frame.k_t):
+        theta, r, v = gt if k == 0 else _decoy_state(gt, rng)
         entries.append((
-            _radar_angle(theta_d, v_d, cfg, traffic, rng),
-            r_d + rng.normal(0.0, traffic.range_noise_m),
-            v_d + rng.normal(0.0, traffic.vel_noise_mps),
-            False,
+            _radar_angle(theta, v, cfg, rng),
+            r + rng.normal(0.0, DEFAULT_TRAFFIC.range_noise_m),
+            v + rng.normal(0.0, DEFAULT_TRAFFIC.vel_noise_mps),
         ))
     powers = rng.lognormal(0.0, 0.5, size=len(entries))
-    order = np.argsort(-powers, kind="stable")
-    candidates, label = [], None
-    for slot, idx in enumerate(order):
-        angle, r, v, is_user = entries[idx]
-        candidates.append(Candidate(
-            range_m=max(float(r), 0.0),
-            angle_deg=angle,
-            vel_mps=float(v),
-            n_points=1,
-            power=float(powers[idx]),
-        ))
-        if is_user:
-            label = slot
-    return Sample(sample_id=sample_id, sequence_id=sequence_id,
-                  candidates=tuple(candidates), b_star=b_star, label=label)
+    order = np.argsort(-powers, kind="stable").tolist()
+    candidates = tuple(
+        Candidate(range_m=max(float(entries[i][1]), 0.0), angle_deg=entries[i][0],
+                  vel_mps=float(entries[i][2]), n_points=1, power=float(powers[i]))
+        for i in order)
+    return Sample(sample_id=frame.sample_id, sequence_id=frame.sequence_id,
+                  candidates=candidates, b_star=b_star, label=order.index(0))
 
 
-def _full_scene(gt, k_t, cfg, traffic, rng):
-    """Physical objects in the radar frame (mount rotated by the misalignment)."""
-    def to_xy(theta_deg, r):
-        a = math.radians(theta_deg + cfg.misalignment_deg)
-        return (r * math.sin(a), r * math.cos(a))
-
-    def radial_to_vxy(pos, v_closing):
-        r = math.hypot(*pos)
-        return (-v_closing * pos[0] / r, -v_closing * pos[1] / r)
-
-    states = [(gt.theta_deg, gt.range_m, gt.radial_vel, True)]
+def _full_scene(gt, k_t, cfg, rng):
+    """Scene objects in the radar frame (mount rotated by the misalignment); 0 is the user."""
+    states = [gt]
     tries = 0
     while len(states) < k_t and tries < 50 * k_t:
         tries += 1
-        theta_d, r_d, v_d = _decoy_state(gt, traffic, rng)
+        theta_d, r_d, v_d = _decoy_state(gt, rng)
         # require range or Doppler separation so the detector can resolve the pair
-        if all(abs(r_d - r) >= 2.0 or abs(v_d - v) >= 1.0 for _, r, v, _ in states):
-            states.append((theta_d, r_d, v_d, False))
+        if all(abs(r_d - r) >= 2.0 or abs(v_d - v) >= 1.0 for _, r, v in states):
+            states.append((theta_d, r_d, v_d))
     objects = []
-    for oid, (theta, r, v, is_user) in enumerate(states):
-        pos = to_xy(theta, r)
+    for oid, (theta, r, v) in enumerate(states):
+        a = math.radians(theta + cfg.misalignment_deg)
+        pos = (r * math.sin(a), r * math.cos(a))
+        r = math.hypot(*pos)
         objects.append(SceneObject(
-            id=oid, position=pos, velocity=radial_to_vxy(pos, v),
-            reflectivity=float(rng.uniform(0.7, 1.4)), is_comm_user=is_user,
+            id=oid, position=pos, velocity=(-v * pos[0] / r, -v * pos[1] / r),
+            reflectivity=float(rng.uniform(0.7, 1.4)), is_comm_user=oid == 0,
         ))
     return objects
 
 
-def _full_sample(sample_id, sequence_id, gt, k_t, cfg, traffic, comm, codebook,
-                 radar, detect, rng, seed) -> Sample | str:
+def _full_sample(frame: _Frame, cfg, comm, codebook, radar, detect) -> Sample | str:
     """A labeled sample from one rendered frame, or the DROP_REASONS entry saying why not."""
-    b_star = _serving_beam(gt, comm, codebook, seed)
-    scene = _full_scene(gt, k_t, cfg, traffic, rng)
-    cube = synthesize_frame(scene, radar, seed=seed)
+    gt = frame.truth
+    b_star = _serving_beam(gt, comm, codebook, frame.seed)
+    rng = child_rng(cfg.seed, "frame", frame.sequence_id, frame.t)
+    scene = _full_scene(gt, frame.k_t, cfg, rng)
+    cube = synthesize_frame(scene, radar, seed=frame.seed)
     candidates = detect_objects(cube, detect)
     if not candidates:
         return "no_candidates"
     truth = (gt.range_m, gt.theta_deg + cfg.misalignment_deg, gt.radial_vel)
     # local angle-bin width: the FFT grid is uniform in sin space
-    angle_bin = math.degrees(2.0 / detect.angle_fft_size) / max(
+    angle_bin = math.degrees(1.0 / (detect.angle_fft_size * radar.rx_spacing)) / max(
         math.cos(math.radians(truth[1])), 0.2)
     bins = (radar.range_bin_m, angle_bin, radar.doppler_bin_mps)
-    best, best_d = None, None
+    matches = []
     for k, c in enumerate(candidates):
-        deltas = [abs(c.range_m - truth[0]) / bins[0],
-                  abs(c.angle_deg - truth[1]) / bins[1],
-                  abs(c.vel_mps - truth[2]) / bins[2]]
-        if max(deltas) > 2.0:
-            continue
-        d = sum(x * x for x in deltas)
-        if best_d is None or d < best_d:
-            best, best_d = k, d
-    if best is None:
+        state = (c.range_m, c.angle_deg, c.vel_mps)
+        deltas = [abs(x - y) / b for x, y, b in zip(state, truth, bins)]
+        if max(deltas) <= 2.0:
+            matches.append((sum(x * x for x in deltas), k))
+    if not matches:
         return "user_not_matched"  # user not cleanly detected; drop the sample
-    return Sample(sample_id=sample_id, sequence_id=sequence_id,
-                  candidates=tuple(candidates), b_star=b_star, label=best)
+    return Sample(sample_id=frame.sample_id, sequence_id=frame.sequence_id,
+                  candidates=tuple(candidates), b_star=b_star, label=min(matches)[1])
 
 
 def generate_dataset(
@@ -346,54 +321,39 @@ def generate_dataset(
         raise ValueError("mode must be 'fast' or 'full'")
     comm = comm or CommConfig()
     codebook = dft_codebook(comm.n_antennas, comm.n_beams, comm.element_spacing)
+    workers = 1
     if mode == "full":
         radar = radar or FULL_MODE_RADAR
         detect = detect or FULL_MODE_DETECT
+        raw = os.environ.get("ISAC_IDENT_THREADS", "1")
+        try:
+            workers = max(1, int(raw))
+        except ValueError:
+            raise GenerationError(f"ISAC_IDENT_THREADS must be an integer, got {raw!r}") from None
 
     samples: list[Sample] = []
     dropped = dict.fromkeys(DROP_REASONS, 0)
-    sample_id = 0
-
-    def run(job):
-        sid, sq, gt, kt, job_rng, fseed = job
-        return _full_sample(sid, sq, gt, kt, cfg, DEFAULT_TRAFFIC, comm, codebook,
-                            radar, detect, job_rng, fseed)
-
+    n_frames = 0
     # One pool per call (threads start with the first frame), so that frame
     # threads are not started and stopped once per sequence.
-    workers = max(1, int(os.environ.get("ISAC_IDENT_THREADS", "1"))) if mode == "full" else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for seq in range(cfg.n_sequences):
             rng = child_rng(cfg.seed, "sequence", seq)
-            truths = _sequence_truths(cfg, DEFAULT_TRAFFIC, rng)
-            k_ts = [int(rng.integers(cfg.candidates_range[0], cfg.candidates_range[1] + 1))
-                    for _ in truths]
-            seq_samples: list[Sample | str] = []
+            frames = _sequence_frames(cfg, seq, n_frames, rng)
             if mode == "fast":
-                for t, gt in enumerate(truths):
-                    seq_samples.append(_fast_sample(
-                        sample_id + t, seq, gt, k_ts[t], cfg, DEFAULT_TRAFFIC, comm, codebook,
-                        rng, seed=int(child_rng(cfg.seed, "beam", seq, t).integers(2**31)),
-                    ))
+                results = [_fast_sample(f, cfg, comm, codebook, rng) for f in frames]
             else:
-                jobs = []
-                for t, gt in enumerate(truths):
-                    job_rng = child_rng(cfg.seed, "frame", seq, t)
-                    frame_seed = int(child_rng(cfg.seed, "beam", seq, t).integers(2**31))
-                    jobs.append((sample_id + t, seq, gt, k_ts[t], job_rng, frame_seed))
-                seq_samples = list(pool.map(run, jobs))
-            kept = []
-            for s in seq_samples:
-                if isinstance(s, str):
-                    dropped[s] += 1
-                else:
-                    kept.append(s)
+                results = list(pool.map(
+                    lambda f: _full_sample(f, cfg, comm, codebook, radar, detect), frames))
+            kept = [s for s in results if not isinstance(s, str)]
+            for reason in DROP_REASONS:
+                dropped[reason] += results.count(reason)
             if not kept:
                 raise GenerationError(f"sequence {seq} produced no usable samples")
             samples.extend(kept)
-            sample_id += len(truths)
+            n_frames += len(frames)
     if stats is not None:
-        stats.update(frames=sample_id, kept=len(samples), dropped=dropped)
+        stats.update(frames=n_frames, kept=len(samples), dropped=dropped)
     return samples
 
 

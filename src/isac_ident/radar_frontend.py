@@ -57,20 +57,12 @@ class RadarConfig:
             raise ValueError("noise_floor must be non-negative")
 
     @property
-    def bandwidth_hz(self) -> float:
-        return self.slope_hz_per_s * self.chirp_duration_s
-
-    @property
     def chirp_interval_s(self) -> float:
         return self.chirp_duration_s + self.inter_chirp_wait_s
 
     @property
     def range_bin_m(self) -> float:
         return C0 * self.sample_rate_hz / (2.0 * self.slope_hz_per_s * self.n_samples)
-
-    @property
-    def max_range_m(self) -> float:
-        return C0 * self.sample_rate_hz / (2.0 * self.slope_hz_per_s)
 
     @property
     def doppler_bin_mps(self) -> float:

@@ -90,10 +90,6 @@ class Codebook:
         if np.any(np.diff(self.pointing_angles) <= 0):
             raise ValueError("pointing angles must be strictly increasing")
 
-    @property
-    def n_beams(self) -> int:
-        return self.vectors.shape[0]
-
 
 def array_response(theta_deg: float, n_antennas: int, spacing: float = 0.5) -> np.ndarray:
     """ULA response a(theta): element m carries phase 2*pi*spacing*m*sin(theta)."""

@@ -61,6 +61,14 @@ class TrainConfig:
     batch: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError("epochs and batch must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
 
 def _require_labeled(samples, what: str) -> None:
     if not samples:

@@ -285,6 +285,10 @@ def test_train_dnn_writes_checkpoint_and_is_deterministic(dataset_dir, tmp_path)
     assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
     sidecar = json.loads((out1 / "model.ckpt.json").read_text())
     assert sidecar["hyperparameters"]["epochs"] == 8
+    losses = [json.loads((out / "manifest.json").read_text())["stats"]["dnn_epoch_losses"]
+              for out in (out1, out2)]
+    assert len(losses[0]) == 8 and all(math.isfinite(x) for x in losses[0])
+    assert losses[0] == losses[1]
 
 
 def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
@@ -296,6 +300,8 @@ def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
     test = load_samples(dataset_dir / "test.csv")
     assert len(preds) == len(test) + 1
     assert preds[0] == "sample_id,label,offset,linreg-angle,linreg-3d,lookup,dnn"
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert len(stats["dnn_epoch_losses"]) == 8
 
 
 def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch):
@@ -321,16 +327,53 @@ def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):
     src = str(Path(isac_ident.__file__).parents[1])
     base = {k: v for k, v in os.environ.items() if k not in blas_vars}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    runs = {"unset": base, "one": {**base, **dict.fromkeys(blas_vars, "1")}}
-    for name, env in runs.items():
-        subprocess.run([sys.executable, "-m", "isac_ident", "train", str(data), "--solver", "dnn",
+    # a caller that loads numpy before isac_ident gets the BLAS default
+    numpy_first = "import sys, numpy; from isac_ident.cli import main; sys.exit(main())"
+    runs = {"unset": (["-m", "isac_ident"], base),
+            "one": (["-m", "isac_ident"], {**base, **dict.fromkeys(blas_vars, "1")}),
+            "numpy_first": (["-c", numpy_first], base)}
+    for name, (entry, env) in runs.items():
+        subprocess.run([sys.executable, *entry, "train", str(data), "--solver", "dnn",
                         "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / name)],
                        env=env, check=True, capture_output=True, timeout=300)
-    ckpts = [(tmp_path / name / "model.ckpt").read_bytes() for name in runs]
+    ckpts = [(tmp_path / name / "model.ckpt").read_bytes() for name in ("unset", "one")]
     assert ckpts[0] == ckpts[1]
-    versions = json.loads((tmp_path / "unset/manifest.json").read_text())["versions"]
-    assert versions["blas_threads"] == dict.fromkeys(blas_vars, "1")
-    assert versions["blas"]
+    versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
+                for name in runs}
+    assert versions["unset"]["blas_threads"] == dict.fromkeys(blas_vars, "1")
+    assert versions["numpy_first"]["blas_threads"] == dict.fromkeys(blas_vars)
+    assert versions["unset"]["blas"]
+
+
+# (command line, config file, environment) of settings that must be refused
+# before they crash the run or let it finish with wrong or unusable results
+BAD_SETTINGS = {
+    "batch-zero": (["train", "--solver", "dnn"], "training: {batch: 0}\n", {}),
+    "batch-fraction": (["train", "--solver", "dnn"], "training: {batch: 2.5}\n", {}),
+    "lr-nan": (["train", "--solver", "dnn"], "training: {lr: .nan}\n", {}),
+    "epochs-zero": (["train", "--solver", "dnn"], "training: {epochs: 0}\n", {}),
+    "sequences-fraction": (["simulate"], "scenario: {sequences: 2.5}\n", {}),
+    "frames-fraction": (["simulate"], "scenario: {samples_per_sequence: [2.5, 3]}\n", {}),
+    "beams-fraction": (["simulate"], "comm: {beams: 16.5}\n", {}),
+    "seed-flag-negative": (["simulate", "--seed", "-3"], "", {}),
+    "seed-key-negative": (["simulate"], "seed: -2\n", {}),
+    "threads-not-integer": (["simulate", "--mode", "full"], SMALL_FULL_YAML,
+                            {"ISAC_IDENT_THREADS": "two"}),
+}
+
+
+@pytest.mark.parametrize("argv,config,env", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_bad_setting_exits_2(request, tmp_path, capsys, monkeypatch, argv, config, env):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(config)
+    if argv[0] == "train":
+        argv = ["train", str(request.getfixturevalue("dataset_dir")), *argv[1:]]
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_line_error(capsys)
+    assert not (out / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv", [["train", "--solver", "dnn"], ["eval"]],

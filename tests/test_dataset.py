@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from isac_ident import dataset
 from isac_ident.dataset import (
-    DEFAULT_TRAFFIC,
     GenerationError,
     SampleFormatError,
     ScenarioConfig,
@@ -117,6 +118,34 @@ def test_full_mode_stats_count_each_drop_reason(monkeypatch):
     assert stats == {"frames": 6, "kept": len(samples),
                      "dropped": {"no_candidates": 2, "user_not_matched": 2}}
     assert len(samples) == 2
+
+
+def test_full_mode_matches_the_user_on_the_detection_angle_grid(monkeypatch):
+    # at rx_spacing 0.25 an angle bin is 4 / angle_fft_size wide in sin(theta),
+    # so a detection 1.5 bins off the user is within the 2-bin match gate
+    scenes = []
+    real_synthesize = dataset.synthesize_frame
+
+    def synthesize(scene, radar, seed=None):
+        scenes.append(scene)
+        return real_synthesize(scene, radar, seed=seed)
+
+    def detect(cube, cfg):
+        user = scenes[-1][0]
+        sin_off = 1.5 / (cfg.angle_fft_size * cube.config.rx_spacing)
+        angle = math.degrees(math.asin(math.sin(math.radians(user.azimuth_deg)) + sin_off))
+        return [Candidate(range_m=user.range_m, angle_deg=angle, vel_mps=user.radial_velocity)]
+
+    monkeypatch.setattr(dataset, "synthesize_frame", synthesize)
+    monkeypatch.setattr(dataset, "detect_objects", detect)
+    monkeypatch.delenv("ISAC_IDENT_THREADS", raising=False)
+    radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=10.0, rx_spacing=0.25)
+    cfg = ScenarioConfig(n_sequences=1, samples_per_sequence=(1, 1),
+                         candidates_range=(1, 1), seed=0)
+    stats = {}
+    samples = generate_dataset(cfg, mode="full", comm=COMM, radar=radar, stats=stats)
+    assert stats["kept"] == 1 and samples[0].label == 0
+    assert scenes[0][0].is_comm_user
 
 
 def test_fast_mode_stats_keep_every_frame():

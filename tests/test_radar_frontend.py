@@ -44,8 +44,8 @@ def range_bin(cfg, d):
 
 def test_config_defaults_give_249m_max_range():
     cfg = RadarConfig()
-    assert cfg.max_range_m == pytest.approx(249.8, abs=0.5)
-    assert cfg.bandwidth_hz == pytest.approx(310e6)
+    assert C0 * cfg.sample_rate_hz / (2 * cfg.slope_hz_per_s) == pytest.approx(249.8, abs=0.5)
+    assert cfg.slope_hz_per_s * cfg.chirp_duration_s == pytest.approx(310e6)
 
 
 def test_config_rejects_sampling_longer_than_chirp():
