@@ -1,9 +1,13 @@
 """Command-line pipeline: simulate, detect, train, eval, report.
 
-Every command writes a manifest (config snapshot, seed, command, library
-versions, planned outputs, wall clock) atomically before its results, so
-a run can be reproduced bit-exactly from the manifest alone. Exit codes:
-0 success, 2 usage or configuration error, 3 data error.
+Each command resolves its config, checks its inputs, does its work and
+writes its results; `main` then writes a manifest (config snapshot, seed,
+command, library versions, outputs, wall clock, stats) atomically, last,
+so a run can be reproduced bit-exactly from the manifest alone. A run that
+fails writes no manifest, and a command creates `--out` just before its
+first write, so one that fails before then leaves the directory as it
+was. Exit codes: 0 success, 2 usage or configuration error, 3 data error
+(an unreadable input or an unusable `--out`).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,23 +48,9 @@ class DataError(ValueError):
     """Input data is missing or unreadable."""
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    seed: int
-    config: dict
-    outputs: list[str]
-    versions: dict = field(default_factory=dict)
-    started_utc: str = ""
-    elapsed_s: float | None = None
-    stats: dict = field(default_factory=dict)  # counts a command reports about its run
-
-    def write(self, out_dir: Path) -> None:
-        tmp = out_dir / "manifest.json.tmp"
-        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, out_dir / "manifest.json")
+# every error a user can trigger: settings exit 2, inputs and outputs exit 3
+USAGE_ERRORS = (ConfigError, GenerationError, DetectConfigError)
+DATA_ERRORS = (DataError, SampleFormatError, CubeFormatError, SolverError, OSError)
 
 
 def _versions() -> dict:
@@ -79,55 +69,33 @@ def _versions() -> dict:
     }
 
 
-def _start_manifest(args, cfg: RunConfig, outputs: list[str]) -> tuple[RunManifest, float]:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=args.command,
-        argv=sys.argv[1:],
-        seed=cfg.seed,
-        config=config_to_dict(cfg),
-        outputs=outputs,
-        versions=_versions(),
-        started_utc=datetime.now(timezone.utc).isoformat(),
-    )
-    manifest.write(out_dir)
-    return manifest, time.monotonic()
-
-
-def _finish_manifest(manifest: RunManifest, t0: float, out_dir: Path) -> None:
-    manifest.elapsed_s = round(time.monotonic() - t0, 3)
-    manifest.write(out_dir)
-
-
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
-    return cfg
-
-
-def _dataset_config(data_dir: Path, args) -> RunConfig:
-    """Config for solver commands: --config wins, else the dataset's manifest."""
+def _config(args, data_dir: Path | None = None) -> RunConfig:
+    """--config, else the dataset's manifest.json, else the defaults; then --seed."""
+    manifest = data_dir / "manifest.json" if data_dir else None
     if args.config:
         cfg = load_config(args.config)
+    elif manifest and manifest.exists():
+        try:
+            cfg = config_from_dict(json.loads(manifest.read_text(encoding="utf-8"))["config"])
+        except (ValueError, TypeError, KeyError) as exc:   # ConfigError included
+            raise DataError(f"{manifest}: not a dataset manifest ({exc!r})") from None
     else:
-        manifest_path = data_dir / "manifest.json"
-        if manifest_path.exists():
-            try:
-                snapshot = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
-            except (ValueError, TypeError, KeyError) as exc:
-                raise DataError(f"{manifest_path}: not a dataset manifest ({exc!r})") from None
-            cfg = config_from_dict(snapshot)
-        else:
-            cfg = RunConfig()
+        cfg = RunConfig()
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     return cfg
 
 
-def _load_split(data_dir: Path, n_beams: int):
-    """Train and test samples; every one must be labeled and served by a codebook beam."""
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _load_split(args):
+    """Config, train and test samples; every one must be labeled and served by a codebook beam."""
+    data_dir = Path(args.dataset)
+    cfg = _config(args, data_dir)
     paths = (data_dir / "train.csv", data_dir / "test.csv")
     if not all(path.exists() for path in paths):
         raise DataError(f"{data_dir} does not contain train.csv and test.csv")
@@ -137,61 +105,56 @@ def _load_split(data_dir: Path, n_beams: int):
         for s in samples:
             if s.label is None:
                 raise DataError(f"{path}: sample {s.sample_id} is unlabeled")
-            if s.b_star >= n_beams:
+            if s.b_star >= cfg.comm.n_beams:
                 raise DataError(f"{path}: sample {s.sample_id} has beam {s.b_star}, "
-                                f"outside the {n_beams}-beam codebook")
+                                f"outside the {cfg.comm.n_beams}-beam codebook")
         split.append(samples)
-    return split
+    return cfg, *split
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    out_dir = Path(args.out)
-    manifest, t0 = _start_manifest(args, cfg, ["samples.csv", "train.csv", "test.csv"])
+def cmd_simulate(args):
+    cfg = _config(args)
+    stats = {}
     samples = generate_dataset(cfg.scenario, mode=args.mode, comm=cfg.comm,
-                               radar=cfg.radar, detect=cfg.detect, stats=manifest.stats)
+                               radar=cfg.radar, detect=cfg.detect, stats=stats)
     split = split_by_sequence(samples, ratio=0.8, seed=cfg.seed)
-    save_samples(samples, out_dir / "samples.csv")
-    save_samples(split.train, out_dir / "train.csv")
-    save_samples(split.test, out_dir / "test.csv")
-    _finish_manifest(manifest, t0, out_dir)
+    files = {"samples.csv": samples, "train.csv": split.train, "test.csv": split.test}
+    out_dir = _out_dir(args)
+    for name, rows in files.items():
+        save_samples(rows, out_dir / name)
     n_seq = len({s.sequence_id for s in samples})
     print(f"generated {len(samples)} samples across {n_seq} sequences "
           f"({len(split.train)} train / {len(split.test)} test) -> {out_dir}")
-    return EXIT_OK
+    return cfg, list(files), stats
 
 
-def cmd_detect(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_detect(args):
+    cfg = _config(args)
     cube_dir = Path(args.cube_dir)
     cube_paths = sorted(cube_dir.glob("*.rcub"))
     if not cube_paths:
         raise DataError(f"no .rcub cubes found in {cube_dir}")
-    out_dir = Path(args.out)
-    manifest, t0 = _start_manifest(args, cfg, ["candidates.csv"])
-    rows = []
-    for path in cube_paths:
-        cube = load_cube(path, cfg.radar)
-        rows.append((path.stem, detect_objects(cube, cfg.detect)))
+    rows = [(path.stem, detect_objects(load_cube(path, cfg.radar), cfg.detect))
+            for path in cube_paths]
+    out_dir = _out_dir(args)
     write_candidates(rows, out_dir / "candidates.csv")
-    _finish_manifest(manifest, t0, out_dir)
     total = sum(len(c) for _, c in rows)
     print(f"detected {total} candidates across {len(rows)} frames -> {out_dir}")
-    return EXIT_OK
+    return cfg, ["candidates.csv"], {}
 
 
-def _fit_solvers(names, cfg: RunConfig, train, stats: dict):
-    """Fitted solvers; a DNN fit records its per-epoch train loss in `stats`."""
+def _fit_solvers(names, cfg: RunConfig, train):
+    """Fitted solvers and their stats: a DNN fit records its per-epoch train loss."""
     codebook = dft_codebook(cfg.comm.n_antennas, cfg.comm.n_beams,
                             cfg.comm.element_spacing)
-    solvers = []
+    solvers, stats = [], {}
     for name in names:
         solver = make_solver(name, codebook.pointing_angles, hyper=cfg.training)
         solver.fit(train)
         if isinstance(solver, DnnSolver):
             stats["dnn_epoch_losses"] = solver.epoch_losses
         solvers.append(solver)
-    return solvers
+    return solvers, stats
 
 
 def _score_test(solvers, test, out_dir: Path) -> list[tuple[str, float]]:
@@ -210,69 +173,52 @@ def _score_test(solvers, test, out_dir: Path) -> list[tuple[str, float]]:
     return rows
 
 
-def _save_solver_params(solver, out_dir: Path, cfg: RunConfig) -> None:
-    if isinstance(solver, DnnSolver):
-        save_model(solver.model, out_dir / "model.ckpt", hyper=asdict(cfg.training))
-        return
-    params = {"solver": solver.name, **solver.params}
-    (out_dir / "params.json").write_text(
-        json.dumps(params, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def cmd_train(args) -> int:
-    data_dir = Path(args.dataset)
-    cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir, cfg.comm.n_beams)
+def _fit_and_score(args, names):
+    """Fit `names` on the train split and score them on the test split, which must be non-empty."""
+    cfg, train, test = _load_split(args)
     if not test:
-        raise DataError(f"{data_dir / 'test.csv'}: test set must be non-empty")
-    out_dir = Path(args.out)
-    outputs = ["accuracy.csv", "predictions.csv"]
-    outputs.append("model.ckpt" if args.solver == "dnn" else "params.json")
-    manifest, t0 = _start_manifest(args, cfg, outputs)
-    (solver,) = _fit_solvers([args.solver], cfg, train, manifest.stats)
-    _save_solver_params(solver, out_dir, cfg)
-    ((_, acc),) = _score_test([solver], test, out_dir)
-    _finish_manifest(manifest, t0, out_dir)
-    print(f"{solver.name}: test accuracy {acc:.4f} "
-          f"({len(train)} train / {len(test)} test samples)")
-    return EXIT_OK
+        raise DataError(f"{Path(args.dataset) / 'test.csv'}: test set must be non-empty")
+    solvers, stats = _fit_solvers(names, cfg, train)
+    return cfg, solvers, stats, _score_test(solvers, test, _out_dir(args))
 
 
-def cmd_eval(args) -> int:
-    data_dir = Path(args.dataset)
-    cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir, cfg.comm.n_beams)
-    if not test:
-        raise DataError(f"{data_dir / 'test.csv'}: test set must be non-empty")
+def cmd_eval(args):
     names = list(SOLVER_NAMES) if args.solver == "all" else [args.solver]
-    out_dir = Path(args.out)
-    manifest, t0 = _start_manifest(args, cfg, ["accuracy.csv", "predictions.csv"])
-    rows = _score_test(_fit_solvers(names, cfg, train, manifest.stats), test, out_dir)
-    _finish_manifest(manifest, t0, out_dir)
+    cfg, _, stats, rows = _fit_and_score(args, names)
     width = max(len(n) for n, _ in rows)
     for name, acc in rows:
         print(f"{name:<{width}}  {acc:.4f}")
-    return EXIT_OK
+    return cfg, ["accuracy.csv", "predictions.csv"], stats
 
 
-def cmd_report(args) -> int:
-    data_dir = Path(args.dataset)
-    cfg = _dataset_config(data_dir, args)
-    train, test = _load_split(data_dir, cfg.comm.n_beams)
-    samples = train + test
+def cmd_train(args):
+    cfg, (solver,), stats, ((name, acc),) = _fit_and_score(args, [args.solver])
     out_dir = Path(args.out)
-    manifest, t0 = _start_manifest(args, cfg, ["report.csv"])
-    solvers = _fit_solvers(["offset", "linreg-angle", "lookup"], cfg, train, manifest.stats)
+    if isinstance(solver, DnnSolver):
+        params_file = "model.ckpt"
+        save_model(solver.model, out_dir / params_file, hyper=asdict(cfg.training))
+    else:
+        params_file = "params.json"
+        (out_dir / params_file).write_text(json.dumps(
+            {"solver": name, **solver.params}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{name}: test accuracy {acc:.4f}")
+    return cfg, ["accuracy.csv", "predictions.csv", params_file], stats
+
+
+def cmd_report(args):
+    cfg, train, test = _load_split(args)
+    samples = train + test
+    solvers, stats = _fit_solvers(["offset", "linreg-angle", "lookup"], cfg, train)
     angles = solvers[0].pointing_angles
+    out_dir = _out_dir(args)
     with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
         fh.write("beam_angle_deg,target_angle_deg,offset_deg,linreg_deg,lookup_deg\n")
         for s in samples:
             curves = [float(sv.table[s.b_star, 1]) for sv in solvers]
             row = [float(angles[s.b_star]), s.candidates[s.label].angle_deg, *curves]
             fh.write(",".join(map(repr, row)) + "\n")
-    _finish_manifest(manifest, t0, out_dir)
     print(f"wrote scatter and fitted curves for {len(samples)} samples -> {out_dir}")
-    return EXIT_OK
+    return cfg, ["report.csv"], stats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,60 +229,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=False, solver=None):
+    def command(name, func, help, positional=None):
+        p = sub.add_parser(name, help=help)
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
         p.add_argument("--config", help="YAML run configuration")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
-        if mode:
-            p.add_argument("--mode", choices=("fast", "full"), default="fast",
-                           help="state-level (fast) or waveform-level (full) generation")
-        if solver is not None:
-            choices = SOLVER_NAMES + (("all",) if solver == "many" else ())
-            default = "all" if solver == "many" else None
-            p.add_argument("--solver", choices=choices, default=default,
-                           required=(solver == "one"),
-                           help="identification solver")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a labeled synthetic dataset")
-    common(p, mode=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("detect", help="run the detection chain over stored cubes")
-    p.add_argument("cube_dir", help="directory of .rcub files")
-    common(p)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("train", help="fit one solver and report its test accuracy")
-    p.add_argument("dataset", help="dataset directory from `simulate`")
-    common(p, solver="one")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="fit and score solvers on the test split")
-    p.add_argument("dataset", help="dataset directory from `simulate`")
-    common(p, solver="many")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="emit beam-vs-radar-angle scatter data")
-    p.add_argument("dataset", help="dataset directory from `simulate`")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    dataset = ("dataset", "dataset directory from `simulate`")
+    command("simulate", cmd_simulate, "generate a labeled synthetic dataset").add_argument(
+        "--mode", choices=("fast", "full"), default="fast",
+        help="state-level (fast) or waveform-level (full) generation")
+    command("detect", cmd_detect, "run the detection chain over stored cubes",
+            ("cube_dir", "directory of .rcub files"))
+    command("train", cmd_train, "fit one solver and report its test accuracy",
+            dataset).add_argument("--solver", choices=SOLVER_NAMES, required=True,
+                                  help="identification solver")
+    command("eval", cmd_eval, "fit and score solvers on the test split",
+            dataset).add_argument("--solver", choices=(*SOLVER_NAMES, "all"), default="all",
+                                  help="identification solver")
+    command("report", cmd_report, "emit beam-vs-radar-angle scatter data", dataset)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started_utc = datetime.now(timezone.utc).isoformat()
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except (ConfigError, GenerationError, DetectConfigError) as exc:
+        cfg, outputs, stats = args.func(args)
+        manifest = {"command": args.command, "argv": sys.argv[1:], "seed": cfg.seed,
+                    "config": config_to_dict(cfg), "outputs": outputs,
+                    "versions": _versions(), "started_utc": started_utc,
+                    "elapsed_s": round(time.monotonic() - t0, 3), "stats": stats}
+        tmp = Path(args.out) / "manifest.json.tmp"
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, Path(args.out) / "manifest.json")
+    except USAGE_ERRORS + DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, SampleFormatError, CubeFormatError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, USAGE_ERRORS) else EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -111,10 +111,15 @@ def _build_objects(raw) -> tuple[SceneObject, ...]:
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    known = {"seed", "comm", "scenario", "radar", "detect", "training", "objects"}
-    unknown = set(raw) - known
+    sections = ("comm", "scenario", "radar", "detect", "training", "objects")
+    unknown = set(raw) - {"seed", *sections}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
+    for key in sections:
+        kind = list if key == "objects" else dict
+        if not isinstance(raw.get(key, kind()), kind):
+            raise ConfigError(f"section {key} must be a {'list' if kind is list else 'mapping'}, "
+                              f"got {type(raw[key]).__name__}")
     seed = _check_seed(raw.get("seed", 0))
     scenario_raw = dict(raw.get("scenario", {}))
     scenario_raw.setdefault("seed", seed)

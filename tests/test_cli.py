@@ -88,8 +88,9 @@ def test_simulate_same_seed_identical_files(tmp_path, small_config):
 
 def test_simulate_seed_override_changes_data(tmp_path, small_config):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
-    main(["simulate", "--config", str(small_config), "--out", str(out1)])
-    main(["simulate", "--config", str(small_config), "--seed", "99", "--out", str(out2)])
+    assert main(["simulate", "--config", str(small_config), "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(small_config), "--seed", "99",
+                 "--out", str(out2)]) == 0
     assert (out1 / "samples.csv").read_bytes() != (out2 / "samples.csv").read_bytes()
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["seed"] == 99
@@ -120,6 +121,16 @@ def test_simulate_full_identical_for_any_thread_count(tmp_path, monkeypatch):
     assert len(load_samples(outs[0] / "test.csv")) > 0
     for name in ("samples.csv", "train.csv", "test.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_failed_simulate_leaves_the_output_directory_unchanged(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "data"
+    assert main(["simulate", "--seed", "3", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setenv("ISAC_IDENT_THREADS", "two")
+    assert main(["simulate", "--mode", "full", "--out", str(out)]) == 2
+    assert_one_line_error(capsys)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_simulate_full_manifest_records_kept_and_dropped_frames(tmp_path):
@@ -359,6 +370,12 @@ BAD_SETTINGS = {
     "seed-key-negative": (["simulate"], "seed: -2\n", {}),
     "threads-not-integer": (["simulate", "--mode", "full"], SMALL_FULL_YAML,
                             {"ISAC_IDENT_THREADS": "two"}),
+    "comm-list": (["simulate"], "comm: [1, 2]\n", {}),
+    "radar-number": (["simulate"], "radar: 5\n", {}),
+    "scenario-number": (["simulate"], "scenario: 5\n", {}),
+    "objects-number": (["simulate"], "objects: 5\n", {}),
+    "training-list": (["simulate"], "training: [1]\n", {}),
+    "detect-string": (["simulate"], "detect: abc\n", {}),
 }
 
 
@@ -405,8 +422,10 @@ def single_beam_dataset(path, beam=5, n=120):
                          ids=["train-linreg-angle", "train-linreg-3d", "eval", "report"])
 def test_degenerate_design_exits_3(tmp_path, capsys, argv):
     data = single_beam_dataset(tmp_path / "data")
-    assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main([argv[0], str(data), *argv[1:], "--out", str(out)]) == 3
     assert_one_line_error(capsys)
+    assert not out.exists()  # the fit fails before any output is written
 
 
 def dataset_with_bad_test_sample(path, **bad):
@@ -433,12 +452,38 @@ def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
     assert "test.csv: sample 3 " in assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("manifest", ["{oops", "[]", "{}"])
+@pytest.mark.parametrize("manifest", ["{oops", "[]", "{}", '{"config": 5}',
+                                      '{"config": {"comm": {"beams": "x"}}}'])
 def test_malformed_dataset_manifest_exits_3(dataset_dir, tmp_path, capsys, manifest):
     (dataset_dir / "manifest.json").write_text(manifest)
     assert main(["train", str(dataset_dir), "--solver", "offset",
                  "--out", str(tmp_path / "o")]) == 3
+    assert "manifest.json" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_out_at_a_regular_file_exits_3(dataset_dir, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = ["simulate"] if command == "simulate" else ["eval", str(dataset_dir), "--solver", "offset"]
+    assert main([*argv, "--out", str(out)]) == 3
     assert_one_line_error(capsys)
+    assert out.read_text() == "not a directory\n"
+
+
+# ---------------------------------------------------------------- parser
+
+@pytest.mark.parametrize("command", ["simulate", "detect", "train", "eval", "report"])
+def test_help_lists_the_options_of_each_command(command):
+    src = str(Path(isac_ident.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "isac_ident", command, "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    wanted = {"--config", "--seed", "--out"}
+    wanted |= {"simulate": {"--mode"}, "train": {"--solver"}, "eval": {"--solver"}}.get(command, set())
+    assert all(option in run.stdout for option in wanted), run.stdout
 
 
 # ---------------------------------------------------------------- report
@@ -469,11 +514,10 @@ def test_report_on_clean_linear_data_matches_regression(tmp_path):
         "  candidates: [1, 2]\n  angle_noise_deg: 0.0\n  distortion_deg: 0.0\n"
     )
     data = tmp_path / "data"
-    main(["simulate", "--config", str(cfg), "--out", str(data)])
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
     out = tmp_path / "rep"
-    main(["report", str(data), "--out", str(out)])
-    lines = (out / "rep.csv" if (out / "rep.csv").exists() else out / "report.csv"
-             ).read_text().strip().splitlines()
+    assert main(["report", str(data), "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text().strip().splitlines()
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     # scatter differs from the fitted line only through beam quantization
     assert np.abs(rows[:, 1] - rows[:, 3]).max() < 2.0
