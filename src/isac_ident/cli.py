@@ -261,8 +261,8 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         cfg, outputs, stats = args.func(args)
-        manifest = {"command": args.command, "argv": sys.argv[1:], "seed": cfg.seed,
-                    "config": config_to_dict(cfg), "outputs": outputs,
+        manifest = {"command": args.command, "argv": sys.argv[1:] if argv is None else argv,
+                    "seed": cfg.seed, "config": config_to_dict(cfg), "outputs": outputs,
                     "versions": _versions(), "started_utc": started_utc,
                     "elapsed_s": round(time.monotonic() - t0, 3), "stats": stats}
         tmp = Path(args.out) / "manifest.json.tmp"

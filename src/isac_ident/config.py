@@ -67,11 +67,15 @@ def _check_seed(seed) -> int:
 
 def _build(cls, raw: dict, key_map: dict | None, section: str):
     key_map = key_map or {f.name: f.name for f in fields(cls)}
-    int_fields = {f.name for f in fields(cls) if f.type in ("int", "tuple[int, int]")}
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in key_map:
             raise ConfigError(f"unknown key {section}.{key}")
+        kind = types[key_map[key]]
+        if isinstance(value, bool) != (kind == "bool"):
+            expected = "true or false" if kind == "bool" else "numeric"
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         if isinstance(value, str):
@@ -80,7 +84,7 @@ def _build(cls, raw: dict, key_map: dict | None, section: str):
                 value = float(value)
             except ValueError:
                 raise ConfigError(f"{section}.{key} must be numeric, got {value!r}") from None
-        if key_map[key] in int_fields and not all(
+        if kind in ("int", "tuple[int, int]") and not all(
                 map(_is_int, value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         kwargs[key_map[key]] = value
@@ -90,21 +94,16 @@ def _build(cls, raw: dict, key_map: dict | None, section: str):
         raise ConfigError(f"invalid {section} section: {exc}") from None
 
 
+_OBJECT_KEYS = {"id": "id", "position": "position", "velocity": "velocity",
+                "reflectivity": "reflectivity", "comm_user": "is_comm_user"}
+
+
 def _build_objects(raw) -> tuple[SceneObject, ...]:
     objects = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"objects[{i}] must be a mapping")
-        try:
-            objects.append(SceneObject(
-                id=int(entry.get("id", i)),
-                position=tuple(entry["position"]),
-                velocity=tuple(entry.get("velocity", (0.0, 0.0))),
-                reflectivity=float(entry.get("reflectivity", 1.0)),
-                is_comm_user=bool(entry.get("comm_user", False)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid objects[{i}]: {exc}") from None
+        objects.append(_build(SceneObject, {"id": i, **entry}, _OBJECT_KEYS, f"objects[{i}]"))
     return tuple(objects)
 
 

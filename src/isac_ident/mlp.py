@@ -2,9 +2,10 @@
 
 Two input branches (radar state and beam index) expand separately through
 three dense layers each, are concatenated, and a four-layer head reduces
-to a single sigmoid likelihood. Everything is plain numpy float64 with
-hand-written backpropagation and Adam, so training is bit-reproducible
-for a fixed seed on a given platform.
+to a single sigmoid likelihood (`ModelWidths.shapes()`). Everything is
+plain numpy float64 with hand-written backpropagation and Adam, so
+training (`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed
+on a given platform.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from isac_ident.seeding import child_rng
 
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
-_ACT_CODES = {"relu": 0, "sigmoid": 1, "identity": 2}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+_ACT_CODES = {"relu": 0, "sigmoid": 1}
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class CheckpointError(ValueError):
@@ -33,13 +34,7 @@ class CheckpointError(ValueError):
 class DenseLayer:
     weights: np.ndarray  # (out, in), a view into MlpModel.theta
     bias: np.ndarray     # (out,), a view into MlpModel.theta
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in _ACT_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("weight/bias shapes are inconsistent")
+    activation: str      # "relu" or "sigmoid"
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,11 @@ class NormBounds:
 
     def __post_init__(self):
         spans = (self.range_max, self.angle_span, self.vel_max)
-        if not all(0.0 < x < math.inf for x in spans) or self.n_beams < 1:
-            raise ValueError("normalization constants must be finite and positive")
+        if (not all(0.0 < x < math.inf for x in spans) or not 1 <= self.n_beams < math.inf
+                or self.n_beams != int(self.n_beams)):
+            raise ValueError("normalization constants must be finite and positive and "
+                             f"n_beams whole, got {self}")
+        object.__setattr__(self, "n_beams", int(self.n_beams))  # a checkpoint stores a float
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,19 @@ class ModelWidths:
     radar: tuple[int, ...] = (16, 32, 64)
     beam: tuple[int, ...] = (16, 32, 64)
     head: tuple[int, ...] = (64, 32, 16)
+
+    def shapes(self) -> list[tuple[int, int, str]]:
+        """(out, in, activation) per layer in theta's order: radar, beam, head;
+        all relu except the head's final single sigmoid unit."""
+        concat = self.radar[-1] + self.beam[-1]
+        branches = [(3, *self.radar), (1, *self.beam), (concat, *self.head, 1)]
+        shapes = [(fan_out, fan_in, "relu")
+                  for dims in branches for fan_in, fan_out in zip(dims, dims[1:])]
+        shapes[-1] = (1, shapes[-1][1], "sigmoid")
+        return shapes
+
+    def n_params(self) -> int:
+        return sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in self.shapes())
 
 
 @dataclass(frozen=True)
@@ -81,31 +92,25 @@ class MlpModel:
         return [*self.radar_branch, *self.beam_branch, *self.head]
 
 
-def _model_on(shapes, n_radar: int, n_beam: int, norm: NormBounds,
+def _model_on(widths: ModelWidths, norm: NormBounds,
               theta: np.ndarray | None = None) -> MlpModel:
-    """Lay (out, in, activation) layers over `theta` (zeros if None) as views."""
+    """Lay the layers of `widths` over `theta` (zeros if None) as views."""
     if theta is None:
-        theta = np.zeros(sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes))
+        theta = np.zeros(widths.n_params())
     layers, off = [], 0
-    for out_dim, in_dim, act in shapes:
+    for out_dim, in_dim, act in widths.shapes():
         end = off + out_dim * in_dim
         layers.append(DenseLayer(weights=theta[off:end].reshape(out_dim, in_dim),
                                  bias=theta[end:end + out_dim], activation=act))
         off = end + out_dim
-    return MlpModel(radar_branch=layers[:n_radar],
-                    beam_branch=layers[n_radar:n_radar + n_beam],
-                    head=layers[n_radar + n_beam:], norm=norm, theta=theta)
+    r, b = len(widths.radar), len(widths.radar) + len(widths.beam)
+    return MlpModel(layers[:r], layers[r:b], layers[b:], norm, theta)
 
 
 def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpModel:
     """He-style uniform initialization: weights ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)]."""
     rng = child_rng(seed, "init")
-    concat = widths.radar[-1] + widths.beam[-1]
-    branches = [(3, *widths.radar), (1, *widths.beam), (concat, *widths.head, 1)]
-    shapes = [(fan_out, fan_in, "relu")
-              for dims in branches for fan_in, fan_out in zip(dims, dims[1:])]
-    shapes[-1] = (1, shapes[-1][1], "sigmoid")
-    model = _model_on(shapes, len(widths.radar), len(widths.beam), norm)
+    model = _model_on(widths, norm)
     for layer in model.layers():
         bound = np.sqrt(6.0 / layer.weights.shape[1])
         layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
@@ -115,17 +120,13 @@ def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpMod
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-    return z
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (z > 0).astype(float)
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+    return a * (1.0 - a)
 
 
 def _forward_layers(layers, x):
@@ -211,9 +212,6 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | float = 0.0  # shaped like theta after the first step
     v: np.ndarray | float = 0.0
@@ -224,11 +222,11 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     if theta.shape != grad.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - _BETA1 ** state.step)
+    v_hat = state.v / (1.0 - _BETA2 ** state.step)
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
@@ -265,6 +263,8 @@ def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a `save_model` checkpoint; its layer table must be `shapes()` of
+    the widths its out-dims give, or it is a CheckpointError."""
     path = Path(path)
     raw = path.read_bytes()
     off = 0
@@ -283,26 +283,25 @@ def load_model(path) -> MlpModel:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    r_max, a_span, v_max, n_beams = take("<dddd")
-    if not all(0.0 < x < math.inf for x in (r_max, a_span, v_max)) or not 1 <= n_beams < math.inf:
-        raise CheckpointError(
-            f"{path}: normalization constants must be finite and positive, got "
-            f"range_max={r_max!r}, angle_span={a_span!r}, vel_max={v_max!r}, n_beams={n_beams!r}")
-    n_radar, n_beam, n_head = take("<III")
-    shapes = []
-    for _ in range(n_radar + n_beam + n_head):
-        out_dim, in_dim, act = take("<IIB")
-        if act not in _ACT_NAMES:
-            raise CheckpointError(f"{path}: unknown activation code {act}")
-        shapes.append((out_dim, in_dim, _ACT_NAMES[act]))
-    n = sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
-    if off + 8 * n > len(raw):
-        raise CheckpointError(f"{path}: truncated weight data")
-    if off + 8 * n < len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off - 8 * n} bytes after the weight data")
+    bounds = take("<dddd")
+    try:
+        norm = NormBounds(*bounds)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    counts = take("<III")
+    if 0 in counts:
+        raise CheckpointError(f"{path}: radar, beam and head need a layer each, got {counts}")
+    table = [take("<IIB") for _ in range(sum(counts))]
+    outs = tuple(out_dim for out_dim, _, _ in table)
+    n_radar, n_beam, _ = counts
+    widths = ModelWidths(radar=outs[:n_radar], beam=outs[n_radar:n_radar + n_beam],
+                         head=outs[n_radar + n_beam:-1])
+    if table != [(o, i, _ACT_CODES[act]) for o, i, act in widths.shapes()]:
+        raise CheckpointError(f"{path}: layer table {table} is not the scorer's for {widths}")
+    n = widths.n_params()
+    if len(raw) - off != 8 * n:
+        raise CheckpointError(f"{path}: {len(raw) - off} bytes of weight data, expected {8 * n}")
     theta = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
     if not np.isfinite(theta).all():
         raise CheckpointError(f"{path}: non-finite weights")
-    norm = NormBounds(range_max=r_max, angle_span=a_span, vel_max=v_max,
-                      n_beams=int(n_beams))
-    return _model_on(shapes, n_radar, n_beam, norm, theta)
+    return _model_on(widths, norm, theta)

@@ -28,12 +28,18 @@ class SceneObject:
     """One mobile object, positioned relative to the array origin."""
 
     id: int
-    position: tuple[float, float]  # meters (x, y)
-    velocity: tuple[float, float]  # m/s
-    reflectivity: float = 1.0      # linear amplitude gain of the radar return
+    position: tuple[float, float]               # meters (x, y)
+    velocity: tuple[float, float] = (0.0, 0.0)  # m/s
+    reflectivity: float = 1.0                   # linear amplitude gain of the radar return
     is_comm_user: bool = False
 
     def __post_init__(self):
+        for name in ("position", "velocity"):
+            xy = getattr(self, name)
+            if not (isinstance(xy, tuple) and len(xy) == 2 and all(
+                    isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+                    for c in xy)):
+                raise ValueError(f"{name} must be two finite numbers, got {xy!r}")
         if self.reflectivity <= 0:
             raise ValueError("reflectivity must be positive")
         if math.hypot(*self.position) <= 0:

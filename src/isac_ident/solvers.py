@@ -4,8 +4,9 @@ Every solver fits on labeled samples and predicts a candidate index from
 the candidate list plus the serving beam index. Model-based baselines map
 the beam pointing angle into the radar frame (constant offset, linear
 regression on angle, linear regression on the full state, per-beam lookup
-table); the learned solver scores each candidate independently with the
-feed-forward network and returns the argmax.
+table); the learned solver (`DnnSolver`, whose `fit` is the training
+loop) scores each candidate independently with the feed-forward network
+and returns the argmax.
 """
 
 from __future__ import annotations
@@ -182,49 +183,6 @@ def expand_to_rows(samples):
     return np.array(feats), np.array(beams, dtype=float), np.array(targets)
 
 
-def norm_bounds_from_rows(feats: np.ndarray, n_beams: int) -> NormBounds:
-    return NormBounds(
-        range_max=max(float(feats[:, 0].max()), 1.0),
-        angle_span=max(2.0 * float(np.abs(feats[:, 1]).max()), 10.0),
-        vel_max=max(float(np.abs(feats[:, 2]).max()), 1.0),
-        n_beams=n_beams,
-    )
-
-
-def train_dnn(
-    train,
-    n_beams: int,
-    hyper: TrainConfig = TrainConfig(),
-    widths: ModelWidths = ModelWidths(),
-    epoch_losses: list | None = None,
-) -> MlpModel:
-    """Train the per-candidate scorer with Adam on the expanded row set.
-
-    Rows are reshuffled every epoch with a seeded generator; the weights
-    after the final epoch are returned (no early stopping).
-    """
-    _require_labeled(train, "train")
-    feats, beams, targets = expand_to_rows(train)
-    if len(feats) == 0:
-        raise SolverError("training expansion produced no rows")
-    model = init_weights(widths, norm_bounds_from_rows(feats, n_beams),
-                         seed=hyper.seed)
-    state = AdamState(lr=hyper.lr)
-    rng = child_rng(hyper.seed, "shuffle")
-    n = len(feats)
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, hyper.batch):
-            idx = order[start:start + hyper.batch]
-            loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
-            adam_step(state, model.theta, grad)
-            total += loss * len(idx)
-        if epoch_losses is not None:
-            epoch_losses.append(total / n)
-    return model
-
-
 def predict_dnn(candidates, b_star: int, model: MlpModel) -> int:
     """Highest-scoring candidate; ties take the lowest index."""
     if not candidates:
@@ -268,6 +226,8 @@ class TableSolver:
 
 
 class DnnSolver:
+    """The learned solver: `fit` trains the per-candidate scorer, `predict` is its argmax."""
+
     name = "dnn"
 
     def __init__(self, pointing_angles, hyper: TrainConfig = TrainConfig(),
@@ -279,10 +239,29 @@ class DnnSolver:
         self.epoch_losses: list[float] = []
 
     def fit(self, train) -> None:
+        """Adam on the expanded rows, reshuffled every epoch by a seeded generator;
+        keeps the final weights (no early stopping) and each epoch's mean loss."""
+        _require_labeled(train, "train")
+        feats, beams, targets = expand_to_rows(train)
+        norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
+                          angle_span=max(2.0 * float(np.abs(feats[:, 1]).max()), 10.0),
+                          vel_max=max(float(np.abs(feats[:, 2]).max()), 1.0),
+                          n_beams=len(self.pointing_angles))
+        hyper, n = self.hyper, len(feats)
+        model = init_weights(self.widths, norm, seed=hyper.seed)
+        state = AdamState(lr=hyper.lr)
+        rng = child_rng(hyper.seed, "shuffle")
         self.epoch_losses = []
-        self.model = train_dnn(train, n_beams=len(self.pointing_angles),
-                               hyper=self.hyper, widths=self.widths,
-                               epoch_losses=self.epoch_losses)
+        for _ in range(hyper.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, hyper.batch):
+                idx = order[start:start + hyper.batch]
+                loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
+                adam_step(state, model.theta, grad)
+                total += loss * len(idx)
+            self.epoch_losses.append(total / n)
+        self.model = model
 
     def predict(self, candidates, b_star: int) -> int:
         return predict_dnn(candidates, b_star, self.model)

@@ -96,6 +96,13 @@ def test_simulate_seed_override_changes_data(tmp_path, small_config):
     assert manifest["seed"] == 99
 
 
+def test_manifest_argv_is_the_list_main_was_given(tmp_path, small_config, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-program", "extra-host-arg"])
+    argv = ["simulate", "--config", str(small_config), "--seed", "1", "--out", str(tmp_path / "d")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "d" / "manifest.json").read_text())["argv"] == argv
+
+
 SMALL_FULL_YAML = """
 seed: 4
 scenario:
@@ -376,6 +383,17 @@ BAD_SETTINGS = {
     "objects-number": (["simulate"], "objects: 5\n", {}),
     "training-list": (["simulate"], "training: [1]\n", {}),
     "detect-string": (["simulate"], "detect: abc\n", {}),
+    "objects-unknown-key": (["simulate"], "objects: [{position: [1, 30], comm_usr: true}]\n", {}),
+    "objects-fraction-id": (["simulate"], "objects: [{id: 2.7, position: [1, 30]}]\n", {}),
+    "objects-string-velocity": (["simulate"],
+                                "objects: [{position: [1, 30], velocity: [a, 1]}]\n", {}),
+    "objects-3d-position": (["simulate"], "objects: [{position: [1, 30, 5]}]\n", {}),
+    "objects-bool-position": (["simulate"], "objects: [{position: [true, 30]}]\n", {}),
+    "objects-bool-reflectivity": (["simulate"],
+                                  "objects: [{position: [1, 30], reflectivity: true}]\n", {}),
+    "objects-numeric-comm-user": (["simulate"], "objects: [{position: [1, 30], comm_user: 1}]\n",
+                                  {}),
+    "noise-bool": (["simulate"], "comm: {noise: true}\n", {}),
 }
 
 

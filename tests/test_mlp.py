@@ -4,11 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isac_ident.mlp import (
     AdamState,
+    CheckpointError,
     ModelWidths,
     NormBounds,
     adam_step,
@@ -220,17 +221,48 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert "normalization" in sidecar and "hyperparameters" in sidecar
 
 
+def pack_checkpoint(bounds, counts, table, theta):
+    """Checkpoint bytes in save_model's layout, built from their parts."""
+    return b"".join([struct.pack("<4sI", b"MLPC", 1), struct.pack("<dddd", *bounds),
+                     struct.pack("<III", *counts),
+                     *(struct.pack("<IIB", *entry) for entry in table),
+                     np.asarray(theta, dtype="<f8").tobytes()])
+
+
+def checkpoint_parts(model):
+    norm = model.norm
+    bounds = (norm.range_max, norm.angle_span, norm.vel_max, float(norm.n_beams))
+    counts = (len(model.radar_branch), len(model.beam_branch), len(model.head))
+    table = [(*l.weights.shape, {"relu": 0, "sigmoid": 1}[l.activation])
+             for l in model.layers()]
+    return bounds, counts, table, model.theta
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
-    from isac_ident.mlp import CheckpointError
+    model = init_weights(TINY, NORM, seed=3)
     good = tmp_path / "good.ckpt"
-    save_model(init_weights(TINY, NORM, seed=3), good)
+    save_model(model, good)
     raw = good.read_bytes()
+    bounds, counts, table, theta = checkpoint_parts(model)
+    assert pack_checkpoint(bounds, counts, table, theta) == raw
+
+    def with_layer(k, entry):
+        return pack_checkpoint(bounds, counts, [*table[:k], entry, *table[k + 1:]], theta)
+
+    n_radar_params = sum(l.weights.size + l.bias.size for l in model.radar_branch)
     bad = {
         "magic": b"XXXX" + b"\x00" * 32,
         "nan-weight": raw[:-8] + struct.pack("<d", math.nan),
         "trailing-bytes": raw + b"garbage",
         "nan-range-max": raw[:8] + struct.pack("<d", math.nan) + raw[16:],
         "zero-range-max": raw[:8] + struct.pack("<d", 0.0) + raw[16:],
+        # the second head layer (6, 8) declared (9, 5): same parameter count
+        "unchained-layers": with_layer(7, (9, 5, 0)),
+        "identity-final-layer": with_layer(9, (1, 4, 2)),
+        "sigmoid-hidden-layer": with_layer(0, (4, 3, 1)),
+        "zero-radar-layers": pack_checkpoint(bounds, (0, *counts[1:]), table[3:],
+                                             theta[n_radar_params:]),
+        "fractional-n-beams": pack_checkpoint((*bounds[:3], 3.5), counts, table, theta),
     }
     for name, data in bad.items():
         path = tmp_path / f"{name}.ckpt"
@@ -245,3 +277,29 @@ def test_score_candidates_batches_match_singles():
     batch = score_candidates(model, feats, [1, 2, 3])
     singles = [score_candidates(model, [f], [b])[0] for f, b in zip(feats, [1, 2, 3])]
     assert np.allclose(batch, singles)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.one_of(st.integers(0, 2**20), st.none()),
+       pos=st.integers(0, 2**20), value=st.integers(0, 255))
+def test_fuzzed_checkpoint_is_rejected_or_scores(tmp_path, cut, pos, value):
+    # truncate a good checkpoint at any length, or overwrite any byte with any value
+    raw = bytearray(pack_checkpoint(*checkpoint_parts(init_weights(TINY, NORM, seed=3))))
+    if cut is not None:
+        raw = raw[:cut % len(raw)]
+    else:
+        raw[pos % len(raw)] = value
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_model(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+        return
+    widths = ModelWidths(radar=tuple(l.weights.shape[0] for l in model.radar_branch),
+                         beam=tuple(l.weights.shape[0] for l in model.beam_branch),
+                         head=tuple(l.weights.shape[0] for l in model.head[:-1]))
+    assert [(*l.weights.shape, l.activation) for l in model.layers()] == widths.shapes()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overwritten weight may be huge
+        score_candidates(model, feat(), [3])

@@ -9,13 +9,13 @@ from isac_ident.mlp import ModelWidths, load_model, save_model
 from isac_ident.radar_detect import Candidate
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import (
+    DnnSolver,
     Sample,
     TrainConfig,
     estimate_offset,
     evaluate,
     make_solver,
     predict_dnn,
-    train_dnn,
 )
 
 ANGLES = dft_codebook(16, 32).pointing_angles
@@ -238,6 +238,13 @@ def test_predict_lookup_nearest():
 
 # ---------------------------------------------------------------- dnn
 
+def fit_dnn(train, **hyper):
+    """A DnnSolver of TINY widths fitted on `train` with TrainConfig(**hyper)."""
+    solver = DnnSolver(ANGLES, TrainConfig(**hyper), TINY)
+    solver.fit(train)
+    return solver
+
+
 def toy_train(rng, n=24):
     """Tiny separable task: the user is the candidate near the beam angle."""
     samples = []
@@ -255,10 +262,8 @@ def toy_train(rng, n=24):
 def test_dnn_memorizes_toy_set():
     rng = np.random.default_rng(12)
     train = toy_train(rng)
-    losses = []
-    model = train_dnn(train, n_beams=len(ANGLES), widths=TINY,
-                      hyper=TrainConfig(epochs=300, batch=8, seed=0),
-                      epoch_losses=losses)
+    solver = fit_dnn(train, epochs=300, batch=8, seed=0)
+    model, losses = solver.model, solver.epoch_losses
     assert losses[-1] < 1e-3
     for s in train:
         assert predict_dnn(s.candidates, s.b_star, model) == s.label
@@ -267,9 +272,7 @@ def test_dnn_memorizes_toy_set():
 def test_dnn_loss_decreases_early():
     rng = np.random.default_rng(13)
     train = toy_train(rng, n=60)
-    losses = []
-    train_dnn(train, n_beams=len(ANGLES), widths=TINY,
-              hyper=TrainConfig(epochs=5, batch=8, seed=1), epoch_losses=losses)
+    losses = fit_dnn(train, epochs=5, batch=8, seed=1).epoch_losses
     assert len(losses) == 5
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
@@ -278,16 +281,14 @@ def test_dnn_loss_decreases_early():
 def test_dnn_training_deterministic():
     rng = np.random.default_rng(14)
     train = toy_train(rng)
-    kw = dict(n_beams=len(ANGLES), widths=TINY, hyper=TrainConfig(epochs=20, batch=8, seed=3))
-    m1 = train_dnn(train, **kw)
-    m2 = train_dnn(train, **kw)
+    m1 = fit_dnn(train, epochs=20, batch=8, seed=3).model
+    m2 = fit_dnn(train, epochs=20, batch=8, seed=3).model
     assert np.array_equal(m1.theta, m2.theta)
 
 
 def test_dnn_layers_stay_views_into_theta(tmp_path):
     rng = np.random.default_rng(17)
-    model = train_dnn(toy_train(rng), n_beams=len(ANGLES), widths=TINY,
-                      hyper=TrainConfig(epochs=3, batch=8, seed=2))
+    model = fit_dnn(toy_train(rng), epochs=3, batch=8, seed=2).model
     save_model(model, tmp_path / "model.ckpt")
     loaded = load_model(tmp_path / "model.ckpt")
     assert np.array_equal(loaded.theta, model.theta)
@@ -301,15 +302,13 @@ def test_dnn_layers_stay_views_into_theta(tmp_path):
 
 def test_predict_dnn_single_candidate():
     rng = np.random.default_rng(15)
-    model = train_dnn(toy_train(rng), n_beams=len(ANGLES), widths=TINY,
-                      hyper=TrainConfig(epochs=5, batch=8, seed=0))
+    model = fit_dnn(toy_train(rng), epochs=5, batch=8, seed=0).model
     assert predict_dnn((cand(0.0),), 8, model) == 0
 
 
 def test_predict_dnn_duplicate_candidates_pick_lowest():
     rng = np.random.default_rng(16)
-    model = train_dnn(toy_train(rng), n_beams=len(ANGLES), widths=TINY,
-                      hyper=TrainConfig(epochs=5, batch=8, seed=0))
+    model = fit_dnn(toy_train(rng), epochs=5, batch=8, seed=0).model
     c = cand(10.0, r=45.0, v=4.0)
     assert predict_dnn((c, c, c), 10, model) == 0
 
@@ -318,8 +317,7 @@ def test_predict_dnn_duplicate_candidates_pick_lowest():
 @given(seed=st.integers(0, 2**31 - 1))
 def test_predict_dnn_permutation_invariant(seed):
     rng = np.random.default_rng(17)
-    model = train_dnn(toy_train(rng), n_beams=len(ANGLES), widths=TINY,
-                      hyper=TrainConfig(epochs=10, batch=8, seed=0))
+    model = fit_dnn(toy_train(rng), epochs=10, batch=8, seed=0).model
     draw = np.random.default_rng(seed)
     k = int(draw.integers(2, 7))
     cands = tuple(cand(a=draw.uniform(-60, 60), r=draw.uniform(10, 180),
