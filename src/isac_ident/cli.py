@@ -37,7 +37,7 @@ from isac_ident.mlp import save_model
 from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
 from isac_ident.radar_frontend import CubeFormatError, load_cube
 from isac_ident.scene import dft_codebook
-from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, make_solver
+from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, make_solver, predict_split
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,20 +157,31 @@ def _fit_solvers(names, cfg: RunConfig, train):
     return solvers, stats
 
 
-def _score_test(solvers, test, out_dir: Path) -> list[tuple[str, float]]:
-    """Predict each test sample once per solver; write accuracy.csv and predictions.csv."""
-    columns = [[sv.predict(s.candidates, s.b_star) for s in test] for sv in solvers]
-    rows = [(sv.name, sum(p == s.label for p, s in zip(col, test)) / len(test))
-            for sv, col in zip(solvers, columns)]
+def _score_test(solvers, test, out_dir: Path):
+    """Score the test split once per solver; write accuracy.csv and predictions.csv.
+
+    Returns the (name, accuracy) rows and, per candidate count K, the number
+    of samples and each solver's hits.
+    """
+    labels = np.array([s.label for s in test])
+    sizes = np.array([len(s.candidates) for s in test])
+    columns = [predict_split(sv, test) for sv in solvers]
+    correct = [col == labels for col in columns]
+    rows = [(sv.name, int(c.sum()) / len(test)) for sv, c in zip(solvers, correct)]
     with open(out_dir / "accuracy.csv", "w", encoding="utf-8") as fh:
         fh.write("solver,accuracy\n")
         for name, acc in rows:
             fh.write(f"{name},{acc:.6f}\n")
     with open(out_dir / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write("sample_id,label," + ",".join(sv.name for sv in solvers) + "\n")
-        for s, *preds in zip(test, *columns):
+        for s, *preds in zip(test, *(col.tolist() for col in columns)):
             fh.write(f"{s.sample_id},{s.label},{','.join(map(str, preds))}\n")
-    return rows
+    samples_per_k = np.bincount(sizes)
+    hits_per_k = [np.bincount(sizes[c], minlength=len(samples_per_k)) for c in correct]
+    by_candidates = [{"candidates": k, "samples": int(n),
+                      "hits": {sv.name: int(h[k]) for sv, h in zip(solvers, hits_per_k)}}
+                     for k, n in enumerate(samples_per_k) if n]
+    return rows, by_candidates
 
 
 def _fit_and_score(args, names):
@@ -179,7 +190,8 @@ def _fit_and_score(args, names):
     if not test:
         raise DataError(f"{Path(args.dataset) / 'test.csv'}: test set must be non-empty")
     solvers, stats = _fit_solvers(names, cfg, train)
-    return cfg, solvers, stats, _score_test(solvers, test, _out_dir(args))
+    rows, stats["accuracy_by_candidates"] = _score_test(solvers, test, _out_dir(args))
+    return cfg, solvers, stats, rows
 
 
 def cmd_eval(args):

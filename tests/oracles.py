@@ -155,3 +155,14 @@ def reference_n_look_pfa(alpha, n_train, n_looks):
     x = alpha / (n_train + alpha)
     trials = n_train * n_looks + n_looks - 1
     return sum(math.comb(trials, j) * x**j * (1.0 - x) ** (trials - j) for j in range(n_looks))
+
+
+def reference_expand_to_rows(samples):
+    """Per-candidate rows built by appending one candidate at a time."""
+    feats, beams, targets = [], [], []
+    for s in samples:
+        for k, c in enumerate(s.candidates):
+            feats.append((c.range_m, c.angle_deg, c.vel_mps))
+            beams.append(s.b_star)
+            targets.append(1.0 if k == s.label else 0.0)
+    return np.array(feats), np.array(beams, dtype=float), np.array(targets)

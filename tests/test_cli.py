@@ -323,15 +323,31 @@ def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
 
 
 def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch):
-    calls = collections.Counter()
+    rows = collections.Counter()
     for cls in (TableSolver, DnnSolver):
-        def counted(self, candidates, b_star, original=cls.predict):
-            calls[self.name] += 1
-            return original(self, candidates, b_star)
-        monkeypatch.setattr(cls, "predict", counted)
+        def counted(self, feats, beams, original=cls.score_rows):
+            rows[self.name] += len(feats)
+            return original(self, feats, beams)
+        monkeypatch.setattr(cls, "score_rows", counted)
+        monkeypatch.setattr(cls, "predict", None)
     assert main(["eval", str(dataset_dir), "--out", str(tmp_path / "eval")]) == 0
-    n_test = len(load_samples(dataset_dir / "test.csv"))
-    assert calls == {name: n_test for name in SOLVER_NAMES}
+    n_rows = sum(len(s.candidates) for s in load_samples(dataset_dir / "test.csv"))
+    assert rows == {name: n_rows for name in SOLVER_NAMES}
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["train", "--solver", "dnn"],
+                                  ["train", "--solver", "lookup"]], ids=["eval", "train-dnn", "train-lookup"])
+def test_accuracy_by_candidates_adds_up_to_the_accuracy_table(dataset_dir, tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([argv[0], str(dataset_dir), *argv[1:], "--out", str(out)]) == 0
+    test = load_samples(dataset_dir / "test.csv")
+    by_k = json.loads((out / "manifest.json").read_text())["stats"]["accuracy_by_candidates"]
+    sizes = collections.Counter(len(s.candidates) for s in test)
+    assert {row["candidates"]: row["samples"] for row in by_k} == sizes
+    for name, acc in read_accuracy(out / "accuracy.csv").items():
+        hits = [row["hits"][name] for row in by_k]
+        assert all(0 <= h <= row["samples"] for h, row in zip(hits, by_k))
+        assert sum(hits) == round(acc * len(test))
 
 
 def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):

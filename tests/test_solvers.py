@@ -1,24 +1,31 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_expand_to_rows
 
-from isac_ident.mlp import ModelWidths, load_model, save_model
+from isac_ident.dataset import ScenarioConfig, generate_dataset, split_by_sequence
+from isac_ident.mlp import ModelWidths, load_model, save_model, score_candidates
 from isac_ident.radar_detect import Candidate
-from isac_ident.scene import dft_codebook
+from isac_ident.scene import CommConfig, dft_codebook
 from isac_ident.solvers import (
+    SOLVER_NAMES,
     DnnSolver,
     Sample,
     TrainConfig,
     estimate_offset,
     evaluate,
+    expand_to_rows,
     make_solver,
     predict_dnn,
+    predict_split,
+    segment_argmax,
 )
 
 ANGLES = dft_codebook(16, 32).pointing_angles
+COMM = CommConfig()
 TINY = ModelWidths(radar=(8, 12, 16), beam=(8, 12, 16), head=(16, 8, 4))
 
 
@@ -338,16 +345,15 @@ def test_predict_dnn_permutation_invariant(seed):
 # ---------------------------------------------------------------- evaluate
 
 class ConstantSolver:
-    name = "constant"
+    """Scores every row alike, so it predicts the first candidate of every sample."""
 
-    def __init__(self, k):
-        self.k = k
+    name = "constant"
 
     def fit(self, train):
         pass
 
-    def predict(self, candidates, b_star):
-        return self.k
+    def score_rows(self, feats, beams):
+        return np.zeros(len(feats))
 
 
 def test_evaluate_perfect_predictor():
@@ -355,15 +361,17 @@ def test_evaluate_perfect_predictor():
     samples = offset_samples(2.0, 50, rng)
 
     class Oracle:
+        """Scores each row by its target, so the labeled candidate always wins."""
+
         name = "oracle"
-        lookup = {s.sample_id: s.label for s in samples}
-        it = iter(samples)
 
         def fit(self, train):
             pass
 
-        def predict(self, candidates, b_star):
-            return next(self.it).label
+        def score_rows(self, feats, beams):
+            rows, row_beams, targets = expand_to_rows(samples)
+            assert np.array_equal(feats, rows) and np.array_equal(beams, row_beams)
+            return targets
 
     assert evaluate(Oracle(), samples) == 1.0
 
@@ -372,7 +380,7 @@ def test_evaluate_constant_on_all_zero_labels():
     cands = (cand(0.0), cand(30.0))
     samples = [Sample(sample_id=t, sequence_id=0, candidates=cands, b_star=1, label=0)
                for t in range(20)]
-    assert evaluate(ConstantSolver(0), samples) == 1.0
+    assert evaluate(ConstantSolver(), samples) == 1.0
 
 
 def test_evaluate_order_invariant():
@@ -387,7 +395,74 @@ def test_evaluate_order_invariant():
 
 def test_evaluate_empty_errors():
     with pytest.raises(ValueError):
-        evaluate(ConstantSolver(0), [])
+        evaluate(ConstantSolver(), [])
+
+
+# ---------------------------------------------------------------- split scoring
+
+@pytest.mark.parametrize("scores, sizes, expected", [
+    ([0.3, -1.0, 7.0], [1, 1, 1], [0, 0, 0]),                  # single-candidate samples
+    ([0.5, 0.9, 0.9, 0.1, 2.0, 2.0, 2.0], [4, 3], [1, 0]),     # duplicates: lowest index
+    ([1.0, 2.0, 0.0, 0.0, 0.0, 5.0], [2, 4], [1, 3]),          # maximum in the last segment
+    ([1.0, 3.0, 3.0, 3.0, 1.0], [2, 3], [1, 0]),               # equal scores across a boundary
+    ([3.0, 3.0, 3.0, 3.0], [2, 2], [0, 0]),
+    ([-np.inf, -np.inf, 0.0, -0.0], [2, 2], [0, 0]),
+], ids=["singles", "duplicates", "last-segment", "across-boundary", "all-equal", "inf-and-signed-zero"])
+def test_segment_argmax_matches_per_sample_argmax(scores, sizes, expected):
+    got = segment_argmax(scores, sizes)
+    assert got.tolist() == expected
+    bounds = np.cumsum([0, *sizes])
+    assert expected == [int(np.argmax(scores[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize("scores, sizes", [
+    ([1.0, np.nan, 0.0], [2, 1]),
+    ([1.0, 2.0, 0.0], [2, 2]),
+    ([1.0, 2.0], [2, 0]),
+], ids=["nan", "sizes-too-long", "empty-segment"])
+def test_segment_argmax_rejects_bad_input(scores, sizes):
+    with pytest.raises(ValueError):
+        segment_argmax(scores, sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expand_to_rows_matches_reference(seed):
+    samples = generate_dataset(ScenarioConfig(seed=seed), comm=COMM)
+    samples[::7] = [replace(s, label=None) for s in samples[::7]]
+    for subset in (samples, samples[:1], []):
+        for got, want in zip(expand_to_rows(subset), reference_expand_to_rows(subset)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype and got.shape == want.shape
+
+
+def assert_split_matches_per_sample(train, samples):
+    """Split predictions equal per-sample `predict`; the DNN may differ only at a
+    near-tie, since its batched scores differ from per-sample ones in the last bits."""
+    angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
+    for name in SOLVER_NAMES:
+        solver = make_solver(name, angles, hyper=TrainConfig(epochs=2))
+        solver.fit(train)
+        split = predict_split(solver, samples).tolist()
+        single = [solver.predict(s.candidates, s.b_star) for s in samples]
+        if name != "dnn":
+            assert split == single, name
+            continue
+        for s, a, b in zip(samples, split, single):
+            if a != b:
+                feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in s.candidates]
+                scores = score_candidates(solver.model, feats, [s.b_star] * len(feats))
+                assert abs(scores[a] - scores[b]) <= 1e-12, (s.sample_id, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_predictions_match_per_sample_fast(seed):
+    samples = generate_dataset(ScenarioConfig(seed=seed), comm=COMM)
+    assert_split_matches_per_sample(split_by_sequence(samples, 0.8, seed=seed).train, samples)
+
+
+def test_split_predictions_match_per_sample_full():
+    samples = generate_dataset(ScenarioConfig(n_sequences=3, samples_per_sequence=(10, 12),
+                                              seed=0), mode="full", comm=COMM)
+    assert_split_matches_per_sample(samples, samples)
 
 
 # ---------------------------------------------------------------- interface
