@@ -158,14 +158,14 @@ def _fit_solvers(names, cfg: RunConfig, train):
 
 
 def _score_test(solvers, test, out_dir: Path):
-    """Score the test split once per solver; write accuracy.csv and predictions.csv.
+    """Score the test split with every solver; write accuracy.csv and predictions.csv.
 
     Returns the (name, accuracy) rows and, per candidate count K, the number
     of samples and each solver's hits.
     """
     labels = np.array([s.label for s in test])
     sizes = np.array([len(s.candidates) for s in test])
-    columns = [predict_split(sv, test) for sv in solvers]
+    columns = predict_split(solvers, test)
     correct = [col == labels for col in columns]
     rows = [(sv.name, int(c.sum()) / len(test)) for sv, c in zip(solvers, correct)]
     with open(out_dir / "accuracy.csv", "w", encoding="utf-8") as fh:

@@ -5,7 +5,10 @@ three dense layers each, are concatenated, and a four-layer head reduces
 to a single sigmoid likelihood (`ModelWidths.shapes()`). Everything is
 plain numpy float64 with hand-written backpropagation and Adam, so
 training (`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed
-on a given platform.
+on a given platform. The beam branch sees only the serving-beam index, so
+inference reads its output from a per-beam table (`beam_table`,
+`score_with_beam_table`) and runs only the radar branch and the head per
+row; `score_candidates` is the reference forward pass over both branches.
 """
 
 from __future__ import annotations
@@ -129,15 +132,17 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return a * (1.0 - a)
 
 
-def _forward_layers(layers, x):
-    caches = []
+def _forward_layers(layers, x, caches: list | None = None):
+    """Run `x` through `layers`. Training passes `caches`, which gets each
+    layer's (input, pre-activation, output) for backprop; inference keeps none."""
     a = x
     for layer in layers:
         z = a @ layer.weights.T + layer.bias
         out = _apply_activation(z, layer.activation)
-        caches.append((a, z, out))
+        if caches is not None:
+            caches.append((a, z, out))
         a = out
-    return a, caches
+    return a
 
 
 def _backward_layers(layers, caches, d_out):
@@ -153,37 +158,63 @@ def _backward_layers(layers, caches, d_out):
     return grads, d
 
 
+def _normalize_radar(norm: NormBounds, feats) -> np.ndarray:
+    shift = np.array([0.0, norm.angle_span / 2.0, norm.vel_max])
+    scale = np.array([norm.range_max, norm.angle_span, 2.0 * norm.vel_max])
+    return (np.asarray(feats, dtype=float) + shift) / scale
+
+
+def _normalize_beams(norm: NormBounds, beams) -> np.ndarray:
+    return (np.asarray(beams, dtype=float) / max(norm.n_beams - 1, 1))[:, None]
+
+
 def normalize_inputs(norm: NormBounds, feats: np.ndarray, beams: np.ndarray):
     """Map raw (range, angle, velocity) rows and beam indices into [0, 1]."""
-    feats = np.asarray(feats, dtype=float)
-    beams = np.asarray(beams, dtype=float)
-    x_radar = np.column_stack([
-        feats[:, 0] / norm.range_max,
-        (feats[:, 1] + norm.angle_span / 2.0) / norm.angle_span,
-        (feats[:, 2] + norm.vel_max) / (2.0 * norm.vel_max),
-    ])
-    denom = max(norm.n_beams - 1, 1)
-    x_beam = (beams / denom)[:, None]
-    return x_radar, x_beam
+    return _normalize_radar(norm, feats), _normalize_beams(norm, beams)
 
 
-def _score_batch(model: MlpModel, feats: np.ndarray, beams: np.ndarray):
-    x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
-    a_radar, c_radar = _forward_layers(model.radar_branch, x_radar)
-    a_beam, c_beam = _forward_layers(model.beam_branch, x_beam)
-    h = np.concatenate([a_radar, a_beam], axis=1)
-    s, c_head = _forward_layers(model.head, h)
-    return s[:, 0], (c_radar, c_beam, c_head, a_radar.shape[1])
+def _score_batch(model: MlpModel, x_radar: np.ndarray, a_beam: np.ndarray, caches=(None, None)):
+    """Scores of normalized radar rows beside their beam-branch activations;
+    `caches` is (radar, head) lists when training."""
+    c_radar, c_head = caches
+    h = np.concatenate([_forward_layers(model.radar_branch, x_radar, c_radar), a_beam], axis=1)
+    return _forward_layers(model.head, h, c_head)[:, 0]
+
+
+def _require_finite(feats: np.ndarray, beams=()) -> None:
+    if not (np.isfinite(feats).all() and np.isfinite(beams).all()):
+        raise ValueError("model inputs must be finite")
 
 
 def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
-    """Likelihood scores for raw (range, angle, velocity) rows and beam indices."""
+    """Likelihood scores for raw (range, angle, velocity) rows and beam indices.
+
+    The reference forward pass: both branches run on every row.
+    """
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     beams = np.atleast_1d(np.asarray(beams, dtype=float))
-    if not (np.isfinite(feats).all() and np.isfinite(beams).all()):
-        raise ValueError("model inputs must be finite")
-    scores, _ = _score_batch(model, feats, beams)
-    return scores
+    _require_finite(feats, beams)
+    x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
+    return _score_batch(model, x_radar, _forward_layers(model.beam_branch, x_beam))
+
+
+def beam_table(model: MlpModel) -> np.ndarray:
+    """Beam-branch activations of every codebook beam, row b for beam index b.
+
+    The branch sees only the beam index, so inference reads these rows
+    (`score_with_beam_table`) instead of running the branch per candidate.
+    The table is valid until `model.theta` changes.
+    """
+    x_beam = _normalize_beams(model.norm, np.arange(model.norm.n_beams))
+    return _forward_layers(model.beam_branch, x_beam)
+
+
+def score_with_beam_table(model: MlpModel, table: np.ndarray, feats, beam_rows) -> np.ndarray:
+    """`score_candidates` for raw rows whose beam-branch activations are
+    `table[beam_rows]`, `table` being `beam_table(model)`."""
+    feats = np.asarray(feats, dtype=float)
+    _require_finite(feats)
+    return _score_batch(model, _normalize_radar(model.norm, feats), table[beam_rows])
 
 
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
@@ -198,12 +229,16 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
         raise ValueError("batch must be non-empty")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("targets must be 0 or 1")
-    scores, (c_radar, c_beam, c_head, radar_width) = _score_batch(model, feats, beams)
+    c_radar, c_beam, c_head = [], [], []
+    x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
+    a_beam = _forward_layers(model.beam_branch, x_beam, c_beam)
+    scores = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
     err = scores - y
     loss = float(np.mean(err ** 2))
 
     d_scores = (2.0 / len(y)) * err[:, None]
     g_head, d_h = _backward_layers(model.head, c_head, d_scores)
+    radar_width = len(model.radar_branch[-1].bias)
     g_radar, _ = _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width])
     g_beam, _ = _backward_layers(model.beam_branch, c_beam, d_h[:, radar_width:])
     return loss, np.concatenate([*g_radar, *g_beam, *g_head])

@@ -4,12 +4,13 @@ Every solver fits on labeled samples and rates candidates one row at a
 time: `score_rows(feats, beams)` scores the rows of `expand_to_rows`, and
 the prediction is the highest-scoring candidate of a sample, ties to the
 lowest index. `predict_split` applies that rule to a whole split at once
-(one `segment_argmax` over every row); `predict(candidates, b_star)`
-applies it to one sample. Model-based baselines map the beam pointing
-angle into the radar frame (constant offset, linear regression on angle,
-linear regression on the full state, per-beam lookup table); the learned
-solver (`DnnSolver`, whose `fit` is the training loop) scores each
-candidate with the feed-forward network.
+(the split expanded once for every solver, one `segment_argmax` over every
+row); `predict(candidates, b_star)` applies it to one sample. A serving
+beam outside the codebook is a `SolverError`. Model-based baselines map
+the beam pointing angle into the radar frame (constant offset, linear
+regression on angle, linear regression on the full state, per-beam lookup
+table); the learned solver (`DnnSolver`, whose `fit` is the training loop)
+scores each candidate with the feed-forward network.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from isac_ident.mlp import (
     ModelWidths,
     NormBounds,
     adam_step,
+    beam_table,
     init_weights,
     loss_and_grad_arrays,
     score_candidates,
+    score_with_beam_table,
 )
 from isac_ident.radar_detect import Candidate
 from isac_ident.seeding import child_rng
@@ -181,8 +184,10 @@ def expand_to_rows(samples):
     velocity), the sample's beam index, and a 0/1 target marking the
     communication user.
     """
-    feats = np.array([(c.range_m, c.angle_deg, c.vel_mps)
-                      for s in samples for c in s.candidates])
+    feats = np.fromiter((x for s in samples for c in s.candidates
+                         for x in (c.range_m, c.angle_deg, c.vel_mps)), dtype=float)
+    if len(feats):  # no rows keep np.array([])'s shape (0,)
+        feats = feats.reshape(-1, 3)
     sizes = _sizes(samples)
     beams = np.repeat(np.array([s.b_star for s in samples], dtype=float), sizes)
     labels = np.array([-1 if s.label is None else s.label for s in samples], dtype=int)
@@ -212,14 +217,26 @@ def segment_argmax(scores, sizes) -> np.ndarray:
     return hits[np.searchsorted(hits, starts)] - starts
 
 
-def predict_split(solver, samples) -> np.ndarray:
-    """Predicted candidate index of every sample, from one `score_rows` call.
+def predict_split(solvers, samples) -> list[np.ndarray]:
+    """Predicted candidate index of every sample, one array per solver.
 
-    `solver` is any object with `score_rows(feats, beams)`; each sample's
-    prediction is its highest-scoring row, ties to the lowest index.
+    The split is expanded once; each of `solvers` (objects with
+    `score_rows(feats, beams)`) scores all its rows in one call, and each
+    sample's prediction is its highest-scoring row, ties to the lowest index.
     """
     feats, beams, _ = expand_to_rows(samples)
-    return segment_argmax(solver.score_rows(feats, beams), _sizes(samples))
+    sizes = _sizes(samples)
+    return [segment_argmax(solver.score_rows(feats, beams), sizes) for solver in solvers]
+
+
+def _require_in_codebook(beams, n_beams: int) -> None:
+    """Raise SolverError unless every beam index in `beams` (an int or an
+    array) names one of the `n_beams` codebook beams."""
+    lo, hi = ((beams.min(initial=0), beams.max(initial=0)) if isinstance(beams, np.ndarray)
+              else (beams, beams))
+    if not 0 <= lo <= hi < n_beams:
+        raise SolverError(f"beam {int(lo if lo < 0 else hi)} is outside "
+                          f"the {n_beams}-beam codebook")
 
 
 def predict_dnn(candidates, b_star: int, model: MlpModel) -> int:
@@ -251,6 +268,7 @@ class TableSolver:
 
     def score_rows(self, feats, beams) -> np.ndarray:
         """Minus `predict`'s distance of every row, by the same IEEE operations."""
+        _require_in_codebook(beams, len(self.table))
         expected = self.table[beams.astype(int)]
         # float_power calls C pow, as Python's `** 2` does; an array's `** 2`
         # is x * x, which differs from pow in the last bit on about 0.1 % of
@@ -262,6 +280,7 @@ class TableSolver:
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:
             raise ValueError("candidate list must be non-empty")
+        _require_in_codebook(b_star, len(self.table))
         # Python floats: numpy arithmetic per candidate is several times slower.
         pr, pa, pv = self.table[b_star].tolist()
         sr, sa, sv = self.sigma
@@ -275,7 +294,13 @@ class TableSolver:
 
 
 class DnnSolver:
-    """The learned solver: `fit` trains the per-candidate scorer, `predict` is its argmax."""
+    """The learned solver: `fit` trains the per-candidate scorer, `predict` is its argmax.
+
+    Inference reads the beam branch from a per-beam table (`mlp.beam_table`)
+    built whenever `model` is fitted or assigned, and runs only the radar
+    branch and the head per row; `mlp.score_candidates` is the reference
+    forward pass it matches.
+    """
 
     name = "dnn"
 
@@ -284,8 +309,17 @@ class DnnSolver:
         self.pointing_angles = np.asarray(pointing_angles, dtype=float)
         self.hyper = hyper
         self.widths = widths
-        self.model: MlpModel | None = None
+        self.model = None
         self.epoch_losses: list[float] = []
+
+    @property
+    def model(self) -> MlpModel | None:
+        return self._model
+
+    @model.setter
+    def model(self, model: MlpModel | None) -> None:
+        self._model = model
+        self._beam_table = None if model is None else beam_table(model)
 
     def fit(self, train) -> None:
         """Adam on the expanded rows, reshuffled every epoch by a seeded generator;
@@ -314,12 +348,20 @@ class DnnSolver:
 
     def score_rows(self, feats, beams) -> np.ndarray:
         """The scorer's likelihood of every row, `SCORE_CHUNK` rows per call."""
+        _require_in_codebook(beams, len(self._beam_table))
+        rows = beams.astype(int)
         return np.concatenate([
-            score_candidates(self.model, feats[i:i + SCORE_CHUNK], beams[i:i + SCORE_CHUNK])
+            score_with_beam_table(self.model, self._beam_table, feats[i:i + SCORE_CHUNK],
+                                  rows[i:i + SCORE_CHUNK])
             for i in range(0, len(feats), SCORE_CHUNK)])
 
     def predict(self, candidates, b_star: int) -> int:
-        return predict_dnn(candidates, b_star, self.model)
+        if not candidates:
+            raise ValueError("candidate list must be non-empty")
+        _require_in_codebook(b_star, len(self._beam_table))
+        feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in candidates]
+        return int(np.argmax(score_with_beam_table(self.model, self._beam_table, feats,
+                                                   [b_star] * len(feats))))
 
 
 def make_solver(name: str, pointing_angles,
@@ -338,5 +380,6 @@ def evaluate(solver, test) -> float:
     scored in one pass by `predict_split`.
     """
     _require_labeled(test, "test")
-    hits = predict_split(solver, test) == [s.label for s in test]
+    (predictions,) = predict_split([solver], test)
+    hits = predictions == [s.label for s in test]
     return int(np.count_nonzero(hits)) / len(test)

@@ -88,10 +88,10 @@ def min_relu_preactivation(model, feats, beams):
     only trustworthy when no relu sits within the probe step of its kink."""
     xr, xb = normalize_inputs(model.norm, feats, beams)
     lo = np.inf
-    ar, cr = _forward_layers(model.radar_branch, xr)
-    ab, cb = _forward_layers(model.beam_branch, xb)
-    h = np.concatenate([ar, ab], axis=1)
-    _, ch = _forward_layers(model.head, h)
+    cr, cb, ch = [], [], []
+    h = np.concatenate([_forward_layers(model.radar_branch, xr, cr),
+                        _forward_layers(model.beam_branch, xb, cb)], axis=1)
+    _forward_layers(model.head, h, ch)
     for caches, layers in ((cr, model.radar_branch), (cb, model.beam_branch),
                            (ch, model.head)):
         for (_, z, _), layer in zip(caches, layers):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import isac_ident
+from isac_ident import solvers
 from isac_ident.cli import main
 from isac_ident.config import config_from_dict
 from isac_ident.dataset import SAMPLE_HEADER, load_samples, save_samples
@@ -323,6 +324,12 @@ def test_eval_all_solvers_writes_five_rows(dataset_dir, tmp_path):
 
 
 def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch):
+    expanded = []
+
+    def counted_expand(samples, original=solvers.expand_to_rows):
+        expanded.append([s.sample_id for s in samples])
+        return original(samples)
+    monkeypatch.setattr(solvers, "expand_to_rows", counted_expand)
     rows = collections.Counter()
     for cls in (TableSolver, DnnSolver):
         def counted(self, feats, beams, original=cls.score_rows):
@@ -331,8 +338,9 @@ def test_eval_predicts_each_test_sample_once(dataset_dir, tmp_path, monkeypatch)
         monkeypatch.setattr(cls, "score_rows", counted)
         monkeypatch.setattr(cls, "predict", None)
     assert main(["eval", str(dataset_dir), "--out", str(tmp_path / "eval")]) == 0
-    n_rows = sum(len(s.candidates) for s in load_samples(dataset_dir / "test.csv"))
-    assert rows == {name: n_rows for name in SOLVER_NAMES}
+    test = load_samples(dataset_dir / "test.csv")
+    assert rows == {name: sum(len(s.candidates) for s in test) for name in SOLVER_NAMES}
+    assert expanded.count([s.sample_id for s in test]) == 1  # one expansion for all five
 
 
 @pytest.mark.parametrize("argv", [["eval"], ["train", "--solver", "dnn"],

@@ -14,6 +14,7 @@ from isac_ident.solvers import (
     SOLVER_NAMES,
     DnnSolver,
     Sample,
+    SolverError,
     TrainConfig,
     estimate_offset,
     evaluate,
@@ -441,7 +442,8 @@ def assert_split_matches_per_sample(train, samples):
     for name in SOLVER_NAMES:
         solver = make_solver(name, angles, hyper=TrainConfig(epochs=2))
         solver.fit(train)
-        split = predict_split(solver, samples).tolist()
+        (split,) = predict_split([solver], samples)
+        split = split.tolist()
         single = [solver.predict(s.candidates, s.b_star) for s in samples]
         if name != "dnn":
             assert split == single, name
@@ -463,6 +465,58 @@ def test_split_predictions_match_per_sample_full():
     samples = generate_dataset(ScenarioConfig(n_sequences=3, samples_per_sequence=(10, 12),
                                               seed=0), mode="full", comm=COMM)
     assert_split_matches_per_sample(samples, samples)
+
+
+@pytest.fixture(scope="module")
+def fast_split():
+    return split_by_sequence(generate_dataset(ScenarioConfig(seed=0), comm=COMM), 0.8, seed=0)
+
+
+def fast_dnn(train, seed):
+    angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
+    solver = DnnSolver(angles, TrainConfig(epochs=2, seed=seed))
+    solver.fit(train)
+    return solver
+
+
+def test_dnn_scores_match_the_reference_forward(fast_split):
+    solver = fast_dnn(fast_split.train, seed=0)
+    feats, beams, _ = expand_to_rows(fast_split.test)
+    np.testing.assert_allclose(solver.score_rows(feats, beams),
+                               score_candidates(solver.model, feats, beams), rtol=0, atol=1e-12)
+    for s in fast_split.test:  # the row counts of per-sample `predict`
+        feats, beams, _ = expand_to_rows([s])
+        np.testing.assert_allclose(solver.score_rows(feats, beams),
+                                   score_candidates(solver.model, feats, beams), rtol=0, atol=1e-12)
+
+
+def test_reassigned_dnn_model_is_the_one_scored(fast_split, tmp_path):
+    solver = fast_dnn(fast_split.train, seed=0)
+    save_model(fast_dnn(fast_split.train, seed=1).model, tmp_path / "other.ckpt")
+    other = load_model(tmp_path / "other.ckpt")
+    test = fast_split.test
+    expected = [predict_dnn(s.candidates, s.b_star, other) for s in test]
+    assert [solver.predict(s.candidates, s.b_star) for s in test] != expected  # models differ
+    solver.model = other
+    assert [solver.predict(s.candidates, s.b_star) for s in test] == expected
+    feats, beams, _ = expand_to_rows(test)
+    np.testing.assert_allclose(solver.score_rows(feats, beams),
+                               score_candidates(other, feats, beams), rtol=0, atol=1e-12)
+    assert predict_split([solver], test)[0].tolist() == expected
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_out_of_codebook_beam_raises_solver_error(name):
+    solver = make_solver(name, ANGLES, hyper=TrainConfig(epochs=2))
+    solver.fit(offset_samples(2.0, 40, np.random.default_rng(23)))
+    cands = (cand(0.0), cand(10.0))
+    assert solver.predict(cands, len(ANGLES) - 1) in (0, 1)
+    beyond = Sample(sample_id=99, sequence_id=0, candidates=cands, b_star=len(ANGLES) + 3, label=0)
+    message = f"beam {len(ANGLES) + 3} is outside the {len(ANGLES)}-beam codebook"
+    with pytest.raises(SolverError, match=message):
+        solver.predict(cands, beyond.b_star)
+    with pytest.raises(SolverError, match=message):
+        evaluate(solver, [*at_beam(3, 0.0, 5.0), beyond])
 
 
 # ---------------------------------------------------------------- interface
