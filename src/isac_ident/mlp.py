@@ -5,10 +5,14 @@ three dense layers each, are concatenated, and a four-layer head reduces
 to a single sigmoid likelihood (`ModelWidths.shapes()`). Everything is
 plain numpy float64 with hand-written backpropagation and Adam, so
 training (`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed
-on a given platform. The beam branch sees only the serving-beam index, so
-inference reads its output from a per-beam table (`beam_table`,
-`score_with_beam_table`) and runs only the radar branch and the head per
-row; `score_candidates` is the reference forward pass over both branches.
+on a given platform. Training normalizes its inputs once per fit, writes
+each batch's gradient in place into a vector laid out like `theta`
+(`_loss_and_grad`) and updates Adam's moments in place (`adam_step`);
+`loss_and_grad_arrays` is the same loss on raw rows. The beam branch
+sees only the serving-beam index, so inference reads its output from a
+per-beam table (`beam_table`, `score_with_beam_table`) and runs only the
+radar branch and the head per row; `score_candidates` is the reference
+forward pass over both branches.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +94,7 @@ class MlpModel:
     head: list[DenseLayer]
     norm: NormBounds
     theta: np.ndarray
+    widths: ModelWidths
 
     def layers(self) -> list[DenseLayer]:
         return [*self.radar_branch, *self.beam_branch, *self.head]
@@ -107,7 +112,7 @@ def _model_on(widths: ModelWidths, norm: NormBounds,
                                  bias=theta[end:end + out_dim], activation=act))
         off = end + out_dim
     r, b = len(widths.radar), len(widths.radar) + len(widths.beam)
-    return MlpModel(layers[:r], layers[r:b], layers[b:], norm, theta)
+    return MlpModel(layers[:r], layers[r:b], layers[b:], norm, theta, widths)
 
 
 def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpModel:
@@ -145,17 +150,18 @@ def _forward_layers(layers, x, caches: list | None = None):
     return a
 
 
-def _backward_layers(layers, caches, d_out):
-    """Per-layer gradients in theta's order, plus the gradient of the input."""
-    grads: list[np.ndarray] = []
+def _backward_layers(layers, caches, d_out, grads, input_grad=True):
+    """Write each layer's gradient into its view in `grads` (layers laid out
+    like `layers`) and return the gradient of the input, or None when
+    `input_grad` is False: a branch's first layer needs none."""
     d = d_out
-    for layer, (a_in, z, a_out) in zip(reversed(layers), reversed(caches)):
+    for k in reversed(range(len(layers))):
+        layer, g, (a_in, z, a_out) = layers[k], grads[k], caches[k]
         dz = d * _activation_grad(z, a_out, layer.activation)
-        grads.append(dz.sum(axis=0))        # bias
-        grads.append((dz.T @ a_in).ravel())  # weights
-        d = dz @ layer.weights
-    grads.reverse()  # now (dW, db) per layer in forward order
-    return grads, d
+        dz.sum(axis=0, out=g.bias)
+        np.matmul(dz.T, a_in, out=g.weights)
+        d = dz @ layer.weights if k or input_grad else None
+    return d
 
 
 def _normalize_radar(norm: NormBounds, feats) -> np.ndarray:
@@ -217,8 +223,27 @@ def score_with_beam_table(model: MlpModel, table: np.ndarray, feats, beam_rows) 
     return _score_batch(model, _normalize_radar(model.norm, feats), table[beam_rows])
 
 
+def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> float:
+    """Mean squared error of normalized rows; their gradient is written into
+    `grads`, a model laid over the gradient vector (`_model_on`)."""
+    c_radar, c_beam, c_head = [], [], []
+    a_beam = _forward_layers(model.beam_branch, x_beam, c_beam)
+    scores = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
+    err = scores - y
+    loss = float(np.mean(err ** 2))
+
+    d_scores = (2.0 / len(y)) * err[:, None]
+    d_h = _backward_layers(model.head, c_head, d_scores, grads.head)
+    radar_width = len(model.radar_branch[-1].bias)
+    _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width], grads.radar_branch,
+                     input_grad=False)
+    _backward_layers(model.beam_branch, c_beam, d_h[:, radar_width:], grads.beam_branch,
+                     input_grad=False)
+    return loss
+
+
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
-    """Mean squared error over a batch plus backprop gradients.
+    """Mean squared error over a batch of raw rows plus backprop gradients.
 
     The gradient comes back as one vector aligned with model.theta.
     """
@@ -229,39 +254,58 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
         raise ValueError("batch must be non-empty")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("targets must be 0 or 1")
-    c_radar, c_beam, c_head = [], [], []
     x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
-    a_beam = _forward_layers(model.beam_branch, x_beam, c_beam)
-    scores = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
-    err = scores - y
-    loss = float(np.mean(err ** 2))
-
-    d_scores = (2.0 / len(y)) * err[:, None]
-    g_head, d_h = _backward_layers(model.head, c_head, d_scores)
-    radar_width = len(model.radar_branch[-1].bias)
-    g_radar, _ = _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width])
-    g_beam, _ = _backward_layers(model.beam_branch, c_beam, d_h[:, radar_width:])
-    return loss, np.concatenate([*g_radar, *g_beam, *g_head])
+    grads = _model_on(model.widths, model.norm)
+    return _loss_and_grad(model, x_radar, x_beam, y, grads), grads.theta
 
 
 @dataclass
 class AdamState:
+    """Adam's step count and moment estimates. The first `adam_step`
+    allocates `m`, `v` and two work buffers shaped like its theta; later
+    steps update them in place and reject a theta of any other shape."""
+
     lr: float = 1e-3
     step: int = 0
-    m: np.ndarray | float = 0.0  # shaped like theta after the first step
-    v: np.ndarray | float = 0.0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
-    """One bias-corrected Adam update of `theta`, in place."""
+    """One bias-corrected Adam update of `theta`, in place (Kingma & Ba,
+    arXiv:1412.6980).
+
+    Each elementwise operation of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
+    and theta -= lr*(m/c1) / (sqrt(v/c2) + eps) runs in that order into the
+    state's buffers, so the update has the bits of the allocating formula.
+    """
     if theta.shape != grad.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros(theta.shape), np.zeros(theta.shape)
+        state.work = np.empty(theta.shape), np.empty(theta.shape)
+    elif state.m.shape != theta.shape:
+        raise ValueError(f"parameter shape {theta.shape} != shape {state.m.shape} "
+                         "this Adam state was built on")
     state.step += 1
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * (grad * grad)
-    m_hat = state.m / (1.0 - _BETA1 ** state.step)
-    v_hat = state.v / (1.0 - _BETA2 ** state.step)
-    theta -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    m, v, (t, u) = state.m, state.v, state.work
+    m *= _BETA1
+    np.multiply(grad, 1.0 - _BETA1, out=t)
+    m += t
+    v *= _BETA2
+    np.multiply(grad, grad, out=t)
+    t *= 1.0 - _BETA2
+    v += t
+    c1 = 1.0 - _BETA1 ** state.step
+    # c1 rounds to 1.0 from step 356 on, and m / 1.0 is m bit for bit.
+    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=t)
+    np.multiply(m_hat, state.lr, out=t)
+    np.divide(v, 1.0 - _BETA2 ** state.step, out=u)
+    np.sqrt(u, out=u)
+    u += _EPS
+    t /= u
+    theta -= t
 
 
 def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:

@@ -25,10 +25,12 @@ from isac_ident.mlp import (
     MlpModel,
     ModelWidths,
     NormBounds,
+    _loss_and_grad,
+    _model_on,
     adam_step,
     beam_table,
     init_weights,
-    loss_and_grad_arrays,
+    normalize_inputs,
     score_candidates,
     score_with_beam_table,
 )
@@ -224,6 +226,8 @@ def predict_split(solvers, samples) -> list[np.ndarray]:
     `score_rows(feats, beams)`) scores all its rows in one call, and each
     sample's prediction is its highest-scoring row, ties to the lowest index.
     """
+    if not samples:
+        return [np.zeros(0, dtype=int) for _ in solvers]
     feats, beams, _ = expand_to_rows(samples)
     sizes = _sizes(samples)
     return [segment_argmax(solver.score_rows(feats, beams), sizes) for solver in solvers]
@@ -323,7 +327,14 @@ class DnnSolver:
 
     def fit(self, train) -> None:
         """Adam on the expanded rows, reshuffled every epoch by a seeded generator;
-        keeps the final weights (no early stopping) and each epoch's mean loss."""
+        keeps the final weights (no early stopping) and each epoch's mean loss.
+
+        The rows are normalized once per fit, and each batch's gradient is
+        written into one preallocated vector that `adam_step` reads in place,
+        so a step pays only for the batch's forward, backward and Adam
+        arithmetic. The weights are those of `mlp.loss_and_grad_arrays` per
+        batch followed by the allocating Adam formula, bit for bit.
+        """
         _require_labeled(train, "train")
         feats, beams, targets = expand_to_rows(train)
         norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
@@ -332,6 +343,8 @@ class DnnSolver:
                           n_beams=len(self.pointing_angles))
         hyper, n = self.hyper, len(feats)
         model = init_weights(self.widths, norm, seed=hyper.seed)
+        grads = _model_on(self.widths, norm)
+        x_radar, x_beam = normalize_inputs(norm, feats, beams)
         state = AdamState(lr=hyper.lr)
         rng = child_rng(hyper.seed, "shuffle")
         self.epoch_losses = []
@@ -340,8 +353,8 @@ class DnnSolver:
             total = 0.0
             for start in range(0, n, hyper.batch):
                 idx = order[start:start + hyper.batch]
-                loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
-                adam_step(state, model.theta, grad)
+                loss = _loss_and_grad(model, x_radar[idx], x_beam[idx], targets[idx], grads)
+                adam_step(state, model.theta, grads.theta)
                 total += loss * len(idx)
             self.epoch_losses.append(total / n)
         self.model = model

@@ -12,6 +12,7 @@ import numpy as np
 from isac_ident.mlp import _forward_layers, init_weights, normalize_inputs
 from isac_ident.mlp import ModelWidths, NormBounds, loss_and_grad_arrays
 from isac_ident.radar_detect import cfar_threshold_factor
+from isac_ident.seeding import child_rng
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -113,6 +114,38 @@ def finite_difference_grads(model, feats, beams, targets, h=1e-4):
         theta[i] = orig
         grads[i] = (lo_p - lo_m) / (2 * h)
     return grads
+
+
+def reference_dnn_fit(train, pointing_angles, hyper, widths):
+    """`DnnSolver.fit` as a plain loop: public `loss_and_grad_arrays` on each
+    batch of raw rows, then Adam written as allocating array expressions.
+    Returns the final theta and the mean loss of every epoch."""
+    feats, beams, targets = reference_expand_to_rows(train)
+    norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
+                      angle_span=max(2.0 * float(np.abs(feats[:, 1]).max()), 10.0),
+                      vel_max=max(float(np.abs(feats[:, 2]).max()), 1.0),
+                      n_beams=len(pointing_angles))
+    model = init_weights(widths, norm, seed=hyper.seed)
+    rng = child_rng(hyper.seed, "shuffle")
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = v = 0.0
+    step = 0
+    epoch_losses = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(feats))
+        total = 0.0
+        for start in range(0, len(feats), hyper.batch):
+            idx = order[start:start + hyper.batch]
+            loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
+            step += 1
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * (grad * grad)
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            model.theta[:] = model.theta - hyper.lr * m_hat / (np.sqrt(v_hat) + eps)
+            total += loss * len(idx)
+        epoch_losses.append(total / len(feats))
+    return model.theta, epoch_losses
 
 
 def reference_power(data, angle_fft_size, clutter_clean=True):

@@ -158,26 +158,35 @@ def test_adam_shape_mismatch():
 
 
 def test_adam_trajectory_matches_scratch_implementation():
-    # oracle: plain-float Adam on f(w) = w^2, written independently
-    lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    w, m, v = 1.0, 0.0, 0.0
-    expected = []
-    for t in range(1, 11):
-        g = 2.0 * w
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
-        expected.append(w)
-
-    theta = np.array([1.0])
+    # oracle: plain-float Adam on f(w) = sum((w - c)^2), written independently
+    # in the code's operation order and compared exactly over 400 steps; from
+    # step 356 on the first moment's bias correction is exactly 1.0
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    assert 1.0 - b1 ** 355 != 1.0 and 1.0 - b1 ** 356 == 1.0
+    centers = [0.3, -2.0, 7.5, 0.0]
+    w = [1.0, 1.0, -4.0, 0.25]
+    m, v = [0.0] * 4, [0.0] * 4
+    theta = np.array(w)
     state = AdamState(lr=lr)
-    got = []
-    for _ in range(10):
-        adam_step(state, theta, 2.0 * theta)
-        got.append(float(theta[0]))
-    assert np.allclose(got, expected, atol=1e-12)
+    for t in range(1, 401):
+        for i, c in enumerate(centers):
+            g = 2.0 * (w[i] - c)
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            w[i] -= lr * (m[i] / (1.0 - b1 ** t)) / (math.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+        adam_step(state, theta, 2.0 * (theta - np.array(centers)))
+        assert theta.tolist() == w, t
+
+
+@pytest.mark.parametrize("built_on, used_on", [(1, 2), (2, 3)])
+def test_adam_state_rejects_theta_of_another_shape(built_on, used_on):
+    state = AdamState()
+    adam_step(state, np.ones(built_on), np.ones(built_on))
+    theta = np.ones(used_on)
+    message = f"parameter shape ({used_on},) != shape ({built_on},) this Adam state was built on"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adam_step(state, theta, np.ones(used_on))
+    assert theta.tolist() == [1.0] * used_on and state.step == 1
 
 
 # ---------------------------------------------------------------- init

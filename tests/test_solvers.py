@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_expand_to_rows
+from oracles import reference_dnn_fit, reference_expand_to_rows
 
 from isac_ident.dataset import ScenarioConfig, generate_dataset, split_by_sequence
 from isac_ident.mlp import ModelWidths, load_model, save_model, score_candidates
@@ -294,6 +294,21 @@ def test_dnn_training_deterministic():
     assert np.array_equal(m1.theta, m2.theta)
 
 
+def test_dnn_fit_matches_the_reference_loop():
+    # 30 samples of 3 candidates: 6 batches of 16 rows per epoch, the last one
+    # 10 rows; 70 epochs make 420 Adam steps, past step 356, from which the
+    # first moment's bias correction 1 - 0.9**t rounds to 1.0
+    train = offset_samples(2.0, 30, np.random.default_rng(31), noise=1.0)
+    hyper = TrainConfig(epochs=70, batch=16, seed=4)
+    solver = DnnSolver(ANGLES, hyper, TINY)
+    solver.fit(train)
+    theta, epoch_losses = reference_dnn_fit(train, ANGLES, hyper, TINY)
+    rows = sum(len(s.candidates) for s in train)
+    assert rows % 16 == 10 and 70 * -(-rows // 16) == 420
+    assert solver.model.theta.tobytes() == theta.tobytes()
+    assert solver.epoch_losses == epoch_losses
+
+
 def test_dnn_layers_stay_views_into_theta(tmp_path):
     rng = np.random.default_rng(17)
     model = fit_dnn(toy_train(rng), epochs=3, batch=8, seed=2).model
@@ -424,6 +439,17 @@ def test_segment_argmax_matches_per_sample_argmax(scores, sizes, expected):
 def test_segment_argmax_rejects_bad_input(scores, sizes):
     with pytest.raises(ValueError):
         segment_argmax(scores, sizes)
+
+
+def test_split_of_no_samples_is_no_predictions():
+    train = offset_samples(2.0, 40, np.random.default_rng(29))
+    solvers = [make_solver(name, ANGLES, hyper=TrainConfig(epochs=2)) for name in SOLVER_NAMES]
+    for solver in solvers:
+        solver.fit(train)
+    predictions = predict_split(solvers, [])
+    assert len(predictions) == len(SOLVER_NAMES)
+    for name, got in zip(SOLVER_NAMES, predictions):
+        assert got.shape == (0,) and got.dtype.kind == "i", name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
