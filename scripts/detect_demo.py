@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Waveform-level detection demo: synthesize frames, detect, compare to truth.
 
-Builds the scene from the `objects` list of a config file (or a built-in
-three-object scene), writes the ADC cubes to disk, runs the detection
-chain, and prints detected candidates next to the ground truth. The cube
-directory it leaves behind is valid input for `isac-ident detect`.
+Synthesizes one frame of a built-in three-object scene (the user 30 m
+out, two decoys at 60 m and 90 m), writes the ADC cube to disk, runs the
+detection chain, and prints detected candidates next to the ground truth.
+A config file picks the radar and detect profiles. The cube directory it
+leaves behind is valid input for `isac-ident detect`.
 
 Usage:
     python scripts/detect_demo.py --out /tmp/cubes [--config configs/example.yaml]
@@ -14,7 +15,7 @@ import argparse
 import math
 from pathlib import Path
 
-from isac_ident.config import RunConfig, load_config
+from isac_ident.config import ConfigError, RunConfig, load_config
 from isac_ident.radar_detect import detect_objects
 from isac_ident.radar_frontend import save_cube, synthesize_frame
 from isac_ident.scene import SceneObject
@@ -34,13 +35,16 @@ def default_scene():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--config", help="YAML config with an objects list")
+    ap.add_argument("--config", help="YAML run config whose radar and detect profiles to use")
     ap.add_argument("--out", required=True, help="directory for .rcub frames")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg = load_config(args.config) if args.config else RunConfig()
-    scene = list(cfg.objects) or default_scene()
+    try:
+        cfg = load_config(args.config) if args.config else RunConfig()
+    except ConfigError as exc:
+        ap.error(str(exc))
+    scene = default_scene()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

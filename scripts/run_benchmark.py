@@ -1,22 +1,44 @@
 #!/usr/bin/env python3
 """Accuracy table over several seeds of the default synthetic scene.
 
-Fits all five solvers on each seed's train split and reports per-seed and
-mean test accuracies, mirroring the solver comparison the CLI `eval`
-command produces for a single dataset.
+For each seed, runs the CLI's `simulate` and `eval --solver all` into a
+temporary directory and reads back the split and its `accuracy.csv`;
+prints per-seed accuracies with the train/test sample counts and mean
+candidates per sample, then the mean accuracy of every solver.
 
 Usage:
-    python scripts/run_benchmark.py [--seeds 0 1 2] [--epochs 100]
+    python scripts/run_benchmark.py [--seeds 0 1 2] [--epochs 100] [--mode fast|full]
 """
 
 import argparse
+import contextlib
+import io
+import sys
+import tempfile
 import time
+from pathlib import Path
 
-import numpy as np
+from isac_ident import cli
+from isac_ident.dataset import load_samples
 
-from isac_ident.dataset import ScenarioConfig, generate_dataset, split_by_sequence
-from isac_ident.scene import CommConfig, dft_codebook
-from isac_ident.solvers import SOLVER_NAMES, TrainConfig, evaluate, make_solver
+
+def run_seed(seed: int, mode: str, epochs: int, work: Path):
+    """Sample counts, candidates per sample and (solver, accuracy) rows of one seed."""
+    config = work / "run.yaml"
+    config.write_text(f"training: {{epochs: {epochs}}}\n", encoding="utf-8")
+    common = ["--config", str(config), "--seed", str(seed)]
+    data, scores = work / "data", work / "eval"
+    for argv in (["simulate", "--mode", mode, *common, "--out", str(data)],
+                 ["eval", str(data), "--solver", "all", *common, "--out", str(scores)]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            sys.exit(code)
+    train, test = (load_samples(data / name) for name in ("train.csv", "test.csv"))
+    per_sample = sum(len(s.candidates) for s in train + test) / (len(train) + len(test))
+    lines = (scores / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]
+    rows = [(name, float(acc)) for name, acc in (line.split(",") for line in lines)]
+    return (len(train), len(test)), per_sample, rows
 
 
 def main():
@@ -26,30 +48,22 @@ def main():
     ap.add_argument("--mode", choices=("fast", "full"), default="fast")
     args = ap.parse_args()
 
-    comm = CommConfig()
-    angles = dft_codebook(comm.n_antennas, comm.n_beams).pointing_angles
-    results = {name: [] for name in SOLVER_NAMES}
-
+    results = {}
     for seed in args.seeds:
         t0 = time.time()
-        samples = generate_dataset(ScenarioConfig(seed=seed), mode=args.mode, comm=comm)
-        split = split_by_sequence(samples, ratio=0.8, seed=seed)
-        n_cands = sum(len(s.candidates) for s in samples)
-        line = [f"seed {seed} ({len(split.train)}/{len(split.test)} samples, "
-                f"{n_cands / len(samples):.2f} candidates per sample):"]
-        for name in SOLVER_NAMES:
-            solver = make_solver(name, angles,
-                                 hyper=TrainConfig(seed=seed, epochs=args.epochs))
-            solver.fit(split.train)
-            acc = evaluate(solver, split.test)
-            results[name].append(acc)
+        with tempfile.TemporaryDirectory() as work:
+            (n_train, n_test), per_sample, rows = run_seed(seed, args.mode, args.epochs, Path(work))
+        line = [f"seed {seed} ({n_train}/{n_test} samples, "
+                f"{per_sample:.2f} candidates per sample):"]
+        for name, acc in rows:
+            results.setdefault(name, []).append(acc)
             line.append(f"{name}={acc:.4f}")
         line.append(f"[{time.time() - t0:.0f}s]")
         print(" ".join(line))
 
     print("\nsolver          mean accuracy")
-    for name in SOLVER_NAMES:
-        print(f"{name:<15} {np.mean(results[name]):.4f}")
+    for name, accs in results.items():
+        print(f"{name:<15} {sum(accs) / len(accs):.4f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Run configuration: one YAML file drives every pipeline stage.
 
 Top-level keys: seed, comm (antennas, beams, noise, ...), scenario,
-radar, detect, training, and an optional objects list giving explicit
-trajectories for direct frame synthesis.
+radar, detect and training; any other key is an error. Scenes come only
+from the scenario generator: there is no section of explicit
+trajectories, and a dataset manifest that carries one is read with
+`--config` instead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import yaml
 from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR, ScenarioConfig
 from isac_ident.radar_detect import DetectConfig
 from isac_ident.radar_frontend import RadarConfig
-from isac_ident.scene import CommConfig, SceneObject
+from isac_ident.scene import CommConfig
 from isac_ident.solvers import TrainConfig
 
 
@@ -31,7 +33,6 @@ class RunConfig:
     radar: RadarConfig = FULL_MODE_RADAR
     detect: DetectConfig = FULL_MODE_DETECT
     training: TrainConfig = field(default_factory=TrainConfig)
-    objects: tuple[SceneObject, ...] = ()
 
 
 _COMM_KEYS = {
@@ -73,9 +74,8 @@ def _build(cls, raw: dict, key_map: dict | None, section: str):
         if key not in key_map:
             raise ConfigError(f"unknown key {section}.{key}")
         kind = types[key_map[key]]
-        if isinstance(value, bool) != (kind == "bool"):
-            expected = "true or false" if kind == "bool" else "numeric"
-            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+        if isinstance(value, bool):
+            raise ConfigError(f"{section}.{key} must be numeric, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         if isinstance(value, str):
@@ -94,31 +94,16 @@ def _build(cls, raw: dict, key_map: dict | None, section: str):
         raise ConfigError(f"invalid {section} section: {exc}") from None
 
 
-_OBJECT_KEYS = {"id": "id", "position": "position", "velocity": "velocity",
-                "reflectivity": "reflectivity", "comm_user": "is_comm_user"}
-
-
-def _build_objects(raw) -> tuple[SceneObject, ...]:
-    objects = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"objects[{i}] must be a mapping")
-        objects.append(_build(SceneObject, {"id": i, **entry}, _OBJECT_KEYS, f"objects[{i}]"))
-    return tuple(objects)
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    sections = ("comm", "scenario", "radar", "detect", "training", "objects")
+    sections = ("comm", "scenario", "radar", "detect", "training")
     unknown = set(raw) - {"seed", *sections}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
     for key in sections:
-        kind = list if key == "objects" else dict
-        if not isinstance(raw.get(key, kind()), kind):
-            raise ConfigError(f"section {key} must be a {'list' if kind is list else 'mapping'}, "
-                              f"got {type(raw[key]).__name__}")
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"section {key} must be a mapping, got {type(raw[key]).__name__}")
     seed = _check_seed(raw.get("seed", 0))
     scenario_raw = dict(raw.get("scenario", {}))
     scenario_raw.setdefault("seed", seed)
@@ -133,7 +118,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         detect=_build(DetectConfig, {**asdict(FULL_MODE_DETECT), **raw.get("detect", {})},
                       None, "detect"),
         training=_build(TrainConfig, training_raw, None, "training"),
-        objects=_build_objects(raw.get("objects", [])),
     )
 
 
@@ -165,11 +149,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "radar": section(cfg.radar),
         "detect": section(cfg.detect),
         "training": section(cfg.training),
-        "objects": [
-            {"id": o.id, "position": list(o.position), "velocity": list(o.velocity),
-             "reflectivity": o.reflectivity, "comm_user": o.is_comm_user}
-            for o in cfg.objects
-        ],
     }
 
 

@@ -254,6 +254,7 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
         raise ValueError("batch must be non-empty")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("targets must be 0 or 1")
+    _require_finite(feats, beams)
     x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
     grads = _model_on(model.widths, model.norm)
     return _loss_and_grad(model, x_radar, x_beam, y, grads), grads.theta

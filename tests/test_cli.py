@@ -404,19 +404,9 @@ BAD_SETTINGS = {
     "comm-list": (["simulate"], "comm: [1, 2]\n", {}),
     "radar-number": (["simulate"], "radar: 5\n", {}),
     "scenario-number": (["simulate"], "scenario: 5\n", {}),
-    "objects-number": (["simulate"], "objects: 5\n", {}),
+    "objects-section": (["simulate"], "objects: []\n", {}),
     "training-list": (["simulate"], "training: [1]\n", {}),
     "detect-string": (["simulate"], "detect: abc\n", {}),
-    "objects-unknown-key": (["simulate"], "objects: [{position: [1, 30], comm_usr: true}]\n", {}),
-    "objects-fraction-id": (["simulate"], "objects: [{id: 2.7, position: [1, 30]}]\n", {}),
-    "objects-string-velocity": (["simulate"],
-                                "objects: [{position: [1, 30], velocity: [a, 1]}]\n", {}),
-    "objects-3d-position": (["simulate"], "objects: [{position: [1, 30, 5]}]\n", {}),
-    "objects-bool-position": (["simulate"], "objects: [{position: [true, 30]}]\n", {}),
-    "objects-bool-reflectivity": (["simulate"],
-                                  "objects: [{position: [1, 30], reflectivity: true}]\n", {}),
-    "objects-numeric-comm-user": (["simulate"], "objects: [{position: [1, 30], comm_user: 1}]\n",
-                                  {}),
     "noise-bool": (["simulate"], "comm: {noise: true}\n", {}),
 }
 
@@ -495,7 +485,8 @@ def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
 
 
 @pytest.mark.parametrize("manifest", ["{oops", "[]", "{}", '{"config": 5}',
-                                      '{"config": {"comm": {"beams": "x"}}}'])
+                                      '{"config": {"comm": {"beams": "x"}}}',
+                                      '{"config": {"objects": []}}'])
 def test_malformed_dataset_manifest_exits_3(dataset_dir, tmp_path, capsys, manifest):
     (dataset_dir / "manifest.json").write_text(manifest)
     assert main(["train", str(dataset_dir), "--solver", "offset",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from isac_ident.config import (
@@ -25,8 +27,6 @@ def test_load_yaml(tmp_path):
         "scenario:\n  sequences: 4\n  samples_per_sequence: [10, 20]\n"
         "  candidates: [1, 3]\n  misalignment_deg: 2.5\n"
         "training:\n  epochs: 7\n"
-        "objects:\n  - position: [5.0, 30.0]\n    velocity: [1.0, 0.0]\n"
-        "    comm_user: true\n"
     )
     cfg = load_config(path)
     assert cfg.seed == 9
@@ -35,7 +35,12 @@ def test_load_yaml(tmp_path):
     assert cfg.scenario.samples_per_sequence == (10, 20)
     assert cfg.scenario.seed == 9  # inherits the run seed
     assert cfg.training.epochs == 7 and cfg.training.seed == 9
-    assert len(cfg.objects) == 1 and cfg.objects[0].is_comm_user
+
+
+def test_example_config_is_the_defaults():
+    # a default changed without configs/example.yaml (or the reverse) fails here
+    example = Path(__file__).parents[1] / "configs" / "example.yaml"
+    assert load_config(example) == RunConfig()
 
 
 def test_missing_file_is_config_error(tmp_path):

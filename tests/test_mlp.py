@@ -79,6 +79,11 @@ def test_forward_rejects_non_finite():
     model = init_weights(TINY, NORM, seed=0)
     with pytest.raises(ValueError):
         score_candidates(model, feat(r=float("nan")), [0])
+    # training refuses the same inputs instead of returning a NaN loss and gradient
+    for feats, beams in ((feat(r=float("nan")), [0]), (feat(v=float("inf")), [0]),
+                         (feat(), [float("inf")])):
+        with pytest.raises(ValueError, match="finite"):
+            loss_and_grad_arrays(model, feats, beams, [1.0])
 
 
 @settings(max_examples=30, deadline=None)
