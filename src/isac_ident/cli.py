@@ -28,10 +28,11 @@ from isac_ident.config import ConfigError, RunConfig, config_from_dict, config_t
 from isac_ident.dataset import (
     GenerationError,
     SampleFormatError,
+    format_sample,
     generate_dataset,
     load_samples,
-    save_samples,
     split_by_sequence,
+    write_sample_file,
 )
 from isac_ident.mlp import save_model
 from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
@@ -118,10 +119,12 @@ def cmd_simulate(args):
     samples = generate_dataset(cfg.scenario, mode=args.mode, comm=cfg.comm,
                                radar=cfg.radar, detect=cfg.detect, stats=stats)
     split = split_by_sequence(samples, ratio=0.8, seed=cfg.seed)
+    # each sample is formatted once; the split files reuse its rows
+    rows = {id(s): format_sample(s) for s in samples}
     files = {"samples.csv": samples, "train.csv": split.train, "test.csv": split.test}
     out_dir = _out_dir(args)
-    for name, rows in files.items():
-        save_samples(rows, out_dir / name)
+    for name, part in files.items():
+        write_sample_file((rows[id(s)] for s in part), out_dir / name)
     n_seq = len({s.sequence_id for s in samples})
     print(f"generated {len(samples)} samples across {n_seq} sequences "
           f"({len(split.train)} train / {len(split.test)} test) -> {out_dir}")

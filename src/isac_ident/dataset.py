@@ -132,6 +132,21 @@ class DatasetSplit:
     test: list
 
 
+def _uniform(rng, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` for scalar bounds, without numpy's per-call overhead.
+
+    numpy draws one double u and returns lo + (hi - lo) * u; this is that
+    formula on the same draw, so the value and the stream position match
+    bit for bit.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """`float(np.clip(x, lo, hi))` for a Python float, -0.0 and NaN included."""
+    return min(max(x, lo), hi)
+
+
 def _radar_angle(theta_deg: float, radial_vel: float, cfg: ScenarioConfig, rng) -> float:
     # smooth nonlinear warp of the azimuth map, one-and-a-half cycles across the FOV
     psi = (theta_deg + cfg.misalignment_deg
@@ -142,7 +157,7 @@ def _radar_angle(theta_deg: float, radial_vel: float, cfg: ScenarioConfig, rng) 
             math.sqrt(1.0 - rho * rho) * rng.normal()
             + rho * radial_vel / DEFAULT_TRAFFIC.vel_coupling_ref_mps
         )
-    return float(np.clip(psi, -90.0, 90.0))
+    return _clip(psi, -90.0, 90.0)
 
 
 class _GroundTruth(NamedTuple):
@@ -168,8 +183,8 @@ def _sequence_frames(cfg: ScenarioConfig, seq: int, first_id: int, rng) -> list[
     traffic = DEFAULT_TRAFFIC
     n = int(rng.integers(cfg.samples_per_sequence[0], cfg.samples_per_sequence[1] + 1))
     direction = 1 if rng.random() < 0.5 else -1
-    standoff = traffic.road_standoff_m + float(
-        rng.uniform(-traffic.lane_halfwidth_m, traffic.lane_halfwidth_m))
+    standoff = traffic.road_standoff_m + _uniform(
+        rng, -traffic.lane_halfwidth_m, traffic.lane_halfwidth_m)
     # one pass crosses the field of view in n frames; short sequences cover a
     # partial pass centered on boresight instead of driving absurdly fast
     full_span = 2.0 * standoff * math.tan(math.radians(traffic.max_user_azimuth_deg))
@@ -198,26 +213,26 @@ def _decoy_state(gt: _GroundTruth, rng):
     kind = rng.random()
     on_road = kind >= traffic.p_pedestrian + traffic.p_off_corridor
     sep = traffic.vehicle_sep_deg if on_road else traffic.near_sep_deg
-    theta = float(np.clip(gt.theta_deg + side * rng.uniform(*sep), -88.0, 88.0))
+    theta = _clip(gt.theta_deg + side * _uniform(rng, *sep), -88.0, 88.0)
     if kind < traffic.p_pedestrian:
         # sidewalk walker: close in angle, but off the road corridor and slow
-        standoff = traffic.road_standoff_m + rng.uniform(*traffic.sidewalk_offset_m) * (
+        standoff = traffic.road_standoff_m + _uniform(rng, *traffic.sidewalk_offset_m) * (
             1 if rng.random() < 0.5 else -1)
         r = standoff / max(math.cos(math.radians(theta)), 0.05)
-        v = rng.uniform(*traffic.pedestrian_speed_mps) * (1 if rng.random() < 0.5 else -1)
+        v = _uniform(rng, *traffic.pedestrian_speed_mps) * (1 if rng.random() < 0.5 else -1)
     elif not on_road:
         # parked lot / cross-street object well off the user's range corridor
-        offset = rng.uniform(*traffic.off_corridor_offset_m)
+        offset = _uniform(rng, *traffic.off_corridor_offset_m)
         r = gt.range_m + (offset if rng.random() < 0.5 else -offset)
-        v = rng.uniform(*traffic.vehicle_speed_mps) * (1 if rng.random() < 0.5 else -1)
+        v = _uniform(rng, *traffic.vehicle_speed_mps) * (1 if rng.random() < 0.5 else -1)
     else:
         # another vehicle on the road, ahead/behind or oncoming
-        standoff = traffic.road_standoff_m + rng.uniform(-traffic.lane_halfwidth_m,
-                                                         traffic.lane_halfwidth_m)
+        standoff = traffic.road_standoff_m + _uniform(rng, -traffic.lane_halfwidth_m,
+                                                      traffic.lane_halfwidth_m)
         r = standoff / max(math.cos(math.radians(theta)), 0.05)
         x = standoff * math.tan(math.radians(theta))
         direction = 1 if rng.random() < 0.5 else -1
-        speed = rng.uniform(*traffic.vehicle_speed_mps)
+        speed = _uniform(rng, *traffic.vehicle_speed_mps)
         v = -(x * direction * speed) / math.hypot(x, standoff)
     return theta, float(max(r, 5.0)), float(v)
 
@@ -269,7 +284,7 @@ def _full_scene(gt, k_t, cfg, rng):
         r = math.hypot(*pos)
         objects.append(SceneObject(
             id=oid, position=pos, velocity=(-v * pos[0] / r, -v * pos[1] / r),
-            reflectivity=float(rng.uniform(0.7, 1.4)), is_comm_user=oid == 0,
+            reflectivity=_uniform(rng, 0.7, 1.4), is_comm_user=oid == 0,
         ))
     return objects
 
@@ -379,29 +394,47 @@ def split_by_sequence(samples, ratio: float = 0.8, seed: int = 0) -> DatasetSpli
     return DatasetSplit(train=train, test=test)
 
 
-def save_samples(samples, path) -> None:
-    """Delimited text: header plus one row per candidate."""
+def format_sample(s: Sample) -> str:
+    """The rows of one sample in a sample file, each ending in a newline."""
+    head = f"{s.sample_id},{s.sequence_id},{len(s.candidates)},"
+    tail = f",{s.b_star},{-1 if s.label is None else s.label}\n"
+    return "".join(f"{head}{k},{c.range_m!r},{c.angle_deg!r},{c.vel_mps!r},{c.power!r}{tail}"
+                   for k, c in enumerate(s.candidates))
+
+
+def write_sample_file(rows, path) -> None:
+    """The header, then `rows` (strings from format_sample) in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SAMPLE_HEADER + "\n")
-        for s in samples:
-            label = -1 if s.label is None else s.label
-            for k, c in enumerate(s.candidates):
-                fh.write(
-                    f"{s.sample_id},{s.sequence_id},{len(s.candidates)},{k},"
-                    f"{c.range_m!r},{c.angle_deg!r},{c.vel_mps!r},{c.power!r},"
-                    f"{s.b_star},{label}\n"
-                )
+        fh.write("".join(rows))
+
+
+def save_samples(samples, path) -> None:
+    """Delimited text: header plus one row per candidate."""
+    write_sample_file(map(format_sample, samples), path)
 
 
 def load_samples(path) -> list[Sample]:
-    """Parse a sample file written by save_samples; errors carry line numbers."""
+    """Parse a sample file written by save_samples, in one pass; errors carry line numbers.
+
+    A sample's first row opens it and gives its id, sequence, K_t, beam and
+    label; the sample closes when its K_t rows are in. The first faulty line
+    in file order is the one reported.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise SampleFormatError(f"{path}:1: empty file")
     if lines[0] != SAMPLE_HEADER:
         raise SampleFormatError(f"{path}:1: bad header {lines[0]!r}")
-    rows = []
+    samples: list[Sample] = []
+    cands: list[Candidate] = []  # candidates of the open sample
+    head = None  # the open sample's first row: (lineno, sample_id, sequence_id, K_t, b_star, label)
+
+    def short_block():
+        return SampleFormatError(
+            f"{path}:{head[0]}: sample {head[1]} has fewer rows than K_t={head[3]}")
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -409,36 +442,32 @@ def load_samples(path) -> list[Sample]:
         if len(parts) != 10:
             raise SampleFormatError(f"{path}:{lineno}: expected 10 columns, got {len(parts)}")
         try:
-            rows.append((
-                int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]),
-                float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]),
-                int(parts[8]), int(parts[9]), lineno,
-            ))
+            sid, seq, k_t, k = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+            range_m, angle_deg, vel_mps, power = (float(parts[4]), float(parts[5]),
+                                                  float(parts[6]), float(parts[7]))
+            b_star, label = int(parts[8]), int(parts[9])
         except ValueError as exc:
             raise SampleFormatError(f"{path}:{lineno}: {exc}") from None
-
-    samples: list[Sample] = []
-    i = 0
-    while i < len(rows):
-        sid, seq, k_t, _, _, _, _, _, b_star, label, lineno = rows[i]
-        block = rows[i:i + k_t]
-        if len(block) < k_t or any(r[0] != sid for r in block):
-            raise SampleFormatError(f"{path}:{lineno}: sample {sid} has fewer rows than K_t={k_t}")
-        cands = []
-        for j, row in enumerate(block):
-            if row[3] != j:
-                raise SampleFormatError(f"{path}:{row[10]}: candidate index {row[3]} out of order")
-            try:
-                cands.append(Candidate(range_m=row[4], angle_deg=row[5],
-                                       vel_mps=row[6], n_points=1, power=row[7]))
-            except ValueError as exc:
-                raise SampleFormatError(f"{path}:{row[10]}: {exc}") from None
+        if head is None:
+            if k_t < 1:
+                raise SampleFormatError(f"{path}:{lineno}: K_t must be >= 1, got {k_t}")
+            head = (lineno, sid, seq, k_t, b_star, label)
+        elif sid != head[1]:
+            raise short_block()
+        if k != len(cands):
+            raise SampleFormatError(f"{path}:{lineno}: candidate index {k} out of order")
         try:
-            samples.append(Sample(
-                sample_id=sid, sequence_id=seq, candidates=tuple(cands),
-                b_star=b_star, label=None if label < 0 else label,
-            ))
+            cands.append(Candidate(range_m, angle_deg, vel_mps, 1, power))
         except ValueError as exc:
             raise SampleFormatError(f"{path}:{lineno}: {exc}") from None
-        i += k_t
+        if len(cands) == head[3]:
+            first, sid, seq, _, b_star, label = head
+            try:
+                samples.append(Sample(sample_id=sid, sequence_id=seq, candidates=tuple(cands),
+                                      b_star=b_star, label=None if label < 0 else label))
+            except ValueError as exc:
+                raise SampleFormatError(f"{path}:{first}: {exc}") from None
+            cands, head = [], None
+    if head is not None:
+        raise short_block()
     return samples

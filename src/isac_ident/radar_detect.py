@@ -59,7 +59,7 @@ class DetectConfig:
             raise ValueError("angle_fft_size must be >= 1 and cfar_floor_frac >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """Detected-object summary: range, azimuth and Doppler velocity."""
 

@@ -42,7 +42,7 @@ class SolverError(ValueError):
     """Training or test data from which a solver cannot be fitted or scored."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One dataset row: candidate list, serving beam, and the user's index."""
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -280,6 +281,74 @@ def test_truncated_sample_block_rejected(tmp_path):
     )
     with pytest.raises(SampleFormatError):
         load_samples(path)
+
+
+ROW = "0,0,1,0,50.0,10.0,3.0,2.0,12,0"
+
+# single-fault files: (body after the header, the faulty line, a message fragment)
+SINGLE_FAULTS = {
+    "blank-line-keeps-numbering": (
+        [ROW, "", "1,0,1,0,oops,10.0,3.0,2.0,12,0"], 4, "could not convert"),
+    "k-out-of-order": (
+        ["0,0,2,0,50.0,10.0,3.0,2.0,12,0", "0,0,2,0,60.0,12.0,3.0,1.0,12,0"], 3,
+        "candidate index 0 out of order"),
+    "short-block-then-next-sample": (
+        ["0,0,3,0,50.0,10.0,3.0,2.0,12,0", "0,0,3,1,60.0,12.0,3.0,1.0,12,0",
+         "1,0,1,0,50.0,10.0,3.0,2.0,12,0"], 2, "sample 0 has fewer rows than K_t=3"),
+    "trailing-short-block": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,0"], 3, "sample 1 has fewer rows than K_t=2"),
+    "nine-columns": ([ROW, "1,0,1,0,50.0,10.0,3.0,2.0,12"], 3, "expected 10 columns, got 9"),
+    "label-out-of-range": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,2", "1,0,2,1,60.0,12.0,3.0,1.0,12,2"], 3,
+        "label must index into the candidate list"),
+    "negative-beam": (
+        [ROW, "1,0,1,0,50.0,10.0,3.0,2.0,-1,0"], 3, "beam index must be non-negative"),
+    "k-t-zero": ([ROW, "1,0,0,0,50.0,10.0,3.0,2.0,12,0"], 3, "K_t must be >= 1, got 0"),
+    "k-t-negative": (
+        ["0,0,-1,0,50.0,10.0,3.0,2.0,12,0", "1,0,1,0,50.0,10.0,3.0,2.0,12,0"], 2,
+        "K_t must be >= 1, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_FAULTS, ids=list(SINGLE_FAULTS))
+def test_single_fault_reports_its_line_and_message(tmp_path, case):
+    body, lineno, fragment = SINGLE_FAULTS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([dataset.SAMPLE_HEADER, *body]) + "\n")
+    with pytest.raises(SampleFormatError) as err:
+        load_samples(path)
+    assert f"{path}:{lineno}: " in str(err.value)
+    assert fragment in str(err.value)
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       bounds=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True))
+def test_uniform_helper_matches_numpy_bit_for_bit(seed, bounds):
+    lo, hi = sorted(bounds)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert float_bits(dataset._uniform(ours, lo, hi)) == float_bits(theirs.uniform(lo, hi))
+    assert ours.random() == theirs.random()
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True),
+       lo=st.sampled_from([-90.0, -88.0, -1.0]) | st.floats(-1e300, -1e-300),
+       hi=st.sampled_from([88.0, 90.0, 1.0]) | st.floats(1e-300, 1e300))
+def test_clip_helper_matches_numpy(x, lo, hi):
+    ours, theirs = dataset._clip(x, lo, hi), float(np.clip(x, lo, hi))
+    if math.isnan(theirs):
+        assert math.isnan(ours)
+    else:
+        assert float_bits(ours) == float_bits(theirs)
 
 
 def test_every_generated_label_valid_property():

@@ -323,6 +323,22 @@ def test_dnn_layers_stay_views_into_theta(tmp_path):
             m.head[0].weights = np.zeros_like(m.head[0].weights)
 
 
+def test_candidates_and_samples_are_slotted_frozen_values():
+    c = Candidate(range_m=50.0, angle_deg=10.0, vel_mps=3.0, power=2.0)
+    s = Sample(sample_id=1, sequence_id=0, candidates=(c,), b_star=4, label=0)
+    for record, field in ((c, "range_m"), (s, "label")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, 0)
+    twin = Sample(sample_id=1, sequence_id=0, b_star=4, label=0,
+                  candidates=(Candidate(range_m=50.0, angle_deg=10.0, vel_mps=3.0, power=2.0),))
+    assert twin == s and hash(twin) == hash(s)
+    assert replace(s, b_star=5) != s
+    assert replace(c, power=1.0) != c
+    with pytest.raises(ValueError):
+        replace(c, angle_deg=95.0)
+
+
 def test_predict_dnn_single_candidate():
     rng = np.random.default_rng(15)
     model = fit_dnn(toy_train(rng), epochs=5, batch=8, seed=0).model
