@@ -94,7 +94,10 @@ def _out_dir(args) -> Path:
 
 
 def _load_split(args):
-    """Config, train and test samples; every one must be labeled and served by a codebook beam."""
+    """Config, train and test samples; every one labeled and served by a codebook beam.
+
+    No sequence may be in both splits.
+    """
     data_dir = Path(args.dataset)
     cfg = _config(args, data_dir)
     paths = (data_dir / "train.csv", data_dir / "test.csv")
@@ -110,6 +113,9 @@ def _load_split(args):
                 raise DataError(f"{path}: sample {s.sample_id} has beam {s.b_star}, "
                                 f"outside the {cfg.comm.n_beams}-beam codebook")
         split.append(samples)
+    shared = {s.sequence_id for s in split[0]} & {s.sequence_id for s in split[1]}
+    if shared:
+        raise DataError(f"{data_dir}: sequence {min(shared)} is in both train.csv and test.csv")
     return cfg, *split
 
 

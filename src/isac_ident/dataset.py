@@ -46,6 +46,8 @@ class SampleFormatError(ValueError):
 
 
 SAMPLE_HEADER = "sample_id,sequence_id,K_t,k,range_m,angle_deg,vel_mps,power,b_star,label_k"
+# the columns every row of a sample repeats from its first row
+_SAMPLE_KEY_COLUMNS = ("sample_id", "sequence_id", "K_t", "b_star", "label_k")
 
 # Full-mode defaults: a noisy long-range radar frame and the detection
 # profile tuned for it. `DetectConfig()` itself keeps the noise-free profile.
@@ -418,11 +420,16 @@ def load_samples(path) -> list[Sample]:
     """Parse a sample file written by save_samples, in one pass; errors carry line numbers.
 
     A sample's first row opens it and gives its id, sequence, K_t, beam and
-    label; the sample closes when its K_t rows are in. The first faulty line
-    in file order is the one reported.
+    label; every later row of the sample must repeat them, and the sample
+    closes when its K_t rows are in. Sample ids must be unique. The first
+    faulty line in file order is the one reported.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SampleFormatError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines:
         raise SampleFormatError(f"{path}:1: empty file")
     if lines[0] != SAMPLE_HEADER:
@@ -430,10 +437,17 @@ def load_samples(path) -> list[Sample]:
     samples: list[Sample] = []
     cands: list[Candidate] = []  # candidates of the open sample
     head = None  # the open sample's first row: (lineno, sample_id, sequence_id, K_t, b_star, label)
+    seen: set[int] = set()  # ids of the samples opened so far
 
     def short_block():
         return SampleFormatError(
             f"{path}:{head[0]}: sample {head[1]} has fewer rows than K_t={head[3]}")
+
+    def disagreement(lineno, row):
+        name, value, first = next(
+            (name, v, f) for name, v, f in zip(_SAMPLE_KEY_COLUMNS, row, head[1:]) if v != f)
+        return SampleFormatError(f"{path}:{lineno}: sample {head[1]} has {name} {value}, "
+                                 f"but its first row (line {head[0]}) has {first}")
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -451,9 +465,15 @@ def load_samples(path) -> list[Sample]:
         if head is None:
             if k_t < 1:
                 raise SampleFormatError(f"{path}:{lineno}: K_t must be >= 1, got {k_t}")
+            if sid in seen:
+                raise SampleFormatError(f"{path}:{lineno}: sample_id {sid} is repeated")
+            seen.add(sid)
             head = (lineno, sid, seq, k_t, b_star, label)
-        elif sid != head[1]:
-            raise short_block()
+            key = head[1:]
+        elif (sid, seq, k_t, b_star, label) != key:
+            if sid != head[1]:
+                raise short_block()
+            raise disagreement(lineno, (sid, seq, k_t, b_star, label))
         if k != len(cands):
             raise SampleFormatError(f"{path}:{lineno}: candidate index {k} out of order")
         try:

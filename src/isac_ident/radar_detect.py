@@ -13,6 +13,7 @@ object summarized by the mean of its members.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,12 +183,14 @@ def _n_look_pfa(r: float, m: int, n: int) -> float:
                for k in range(n))
 
 
+@functools.lru_cache(maxsize=64)
 def cfar_threshold_factor(n_train: int, pfa: float, n_looks: int = 1) -> float:
     """CA-CFAR scale factor alpha for cells that are sums of `n_looks` exponentials.
 
     One look has the closed form alpha = N * (pfa^(-1/N) - 1). More looks
     solve pfa = sum_{k<n} C(Nn+k-1, k) r^k / (1+r)^(Nn+k), r = alpha/N, by
     bisection on r; the right side falls monotonically from 1 at r = 0.
+    Results are cached, since every frame asks for the same factor.
     """
     if n_looks == 1:
         return n_train * (pfa ** (-1.0 / n_train) - 1.0)
@@ -240,9 +243,14 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarra
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     """Density clustering under Euclidean distance; returns a label per point.
 
-    Noise is -1. Cluster ids are assigned in first-touch order: points are
-    seeded in index order and clusters grow breadth-first, so the labeling
-    is deterministic.
+    Noise is -1. The labels are those of seeding clusters in index order and
+    growing them breadth-first, first touch winning:
+    - a point is core when it has at least `min_pts` neighbours within
+      `eps`, itself included;
+    - clusters are the connected components of the core points under the
+      `eps` relation, numbered in the order of their lowest core index;
+    - a border point, one that is not core but lies within `eps` of a core
+      point, takes the lowest cluster id among its core neighbours.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -252,37 +260,45 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     if n == 0:
         return labels
 
-    # Neighbor lists in index order, chunked to bound memory.
-    neighbors: list[np.ndarray] = []
+    # Neighbour pairs (i, j), both directions, chunked to bound memory. The
+    # squared differences are summed coordinate by coordinate, in order.
+    cols = np.ascontiguousarray(pts.T)
+    src, dst = [], []
     chunk = 1024
     for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        for row in d2:
-            neighbors.append(np.flatnonzero(row <= eps * eps))
+        d2 = cols[:, start:start + chunk, None] - cols[:, None, :]
+        d2 *= d2
+        i, j = np.nonzero(d2.sum(axis=0) <= eps * eps)
+        src.append(i + start)
+        dst.append(j)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    core = np.bincount(src, minlength=n) >= min_pts
 
-    visited = np.zeros(n, dtype=bool)
-    cluster = 0
-    for p in range(n):
-        if visited[p]:
-            continue
-        visited[p] = True
-        if len(neighbors[p]) < min_pts:
-            continue  # noise unless later reached from a core point
-        labels[p] = cluster
-        queue = [int(q) for q in neighbors[p]]
-        qi = 0
-        while qi < len(queue):
-            q = queue[qi]
-            qi += 1
-            if labels[q] == -1:
-                labels[q] = cluster  # border or core, first touch wins
-            if visited[q]:
-                continue
-            visited[q] = True
-            if len(neighbors[q]) >= min_pts:
-                queue.extend(int(x) for x in neighbors[q])
-        cluster += 1
+    # Components of the core-core pairs: hook each root onto the lowest root
+    # it is paired with, then jump pointers until every point points at a
+    # root. comp[p] <= p throughout, so each root is its component's lowest
+    # index.
+    both = core[src] & core[dst]
+    a, b = src[both], dst[both]
+    comp = np.arange(n)
+    while True:
+        np.minimum.at(comp, comp[a], comp[b])
+        while True:
+            up = comp[comp]
+            if np.array_equal(up, comp):
+                break
+            comp = up
+        if np.array_equal(comp[a], comp[b]):
+            break
+    roots = np.flatnonzero(core & (comp == np.arange(n)))
+    labels[core] = np.searchsorted(roots, comp[core])
+
+    # Border points: the lowest cluster id among their core neighbours.
+    reach = ~core[src] & core[dst]
+    border = np.full(n, n)
+    np.minimum.at(border, src[reach], labels[dst[reach]])
+    hit = border < n
+    labels[hit] = border[hit]
     return labels
 
 

@@ -387,6 +387,26 @@ def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):
     assert versions["unset"]["blas"]
 
 
+def test_simulate_full_identical_for_any_blas_thread_count(tmp_path):
+    # each frame's echo sum is one BLAS matrix product; BLAS reads the
+    # variable when numpy loads, so each count needs its own process
+    cfg = tmp_path / "full.yaml"
+    cfg.write_text(SMALL_FULL_YAML)
+    src = str(Path(isac_ident.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in isac_ident.BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "isac_ident", "simulate", "--mode", "full",
+                        "--config", str(cfg), "--out", str(tmp_path / threads)],
+                       env={**base, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                       capture_output=True, timeout=300)
+        manifest = json.loads((tmp_path / threads / "manifest.json").read_text())
+        assert manifest["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+    assert len(load_samples(tmp_path / "1" / "samples.csv")) > 0
+    files = [(tmp_path / threads / "samples.csv").read_bytes() for threads in ("1", "2")]
+    assert files[0] == files[1]
+
+
 # (command line, config file, environment) of settings that must be refused
 # before they crash the run or let it finish with wrong or unusable results
 BAD_SETTINGS = {
@@ -444,7 +464,7 @@ def single_beam_dataset(path, beam=5, n=120):
                       candidates=(Candidate(range_m=40.0, angle_deg=-50.0 + t % 3, vel_mps=1.0),),
                       b_star=beam, label=0) for t in range(n)]
     save_samples(samples, path / "train.csv")
-    save_samples(samples[:10], path / "test.csv")
+    save_samples([dataclasses.replace(s, sequence_id=2) for s in samples[:10]], path / "test.csv")
     return path
 
 
@@ -469,7 +489,8 @@ def dataset_with_bad_test_sample(path, **bad):
                                   Candidate(range_m=80.0, angle_deg=30.0, vel_mps=-2.0)),
                       b_star=10 + 10 * (t % 4), label=0) for t in range(12)]
     save_samples(samples, path / "train.csv")
-    save_samples([*samples[:3], dataclasses.replace(samples[3], **bad)], path / "test.csv")
+    test = [dataclasses.replace(s, sequence_id=2) for s in samples[:4]]
+    save_samples([*test[:3], dataclasses.replace(test[3], **bad)], path / "test.csv")
     return path
 
 
@@ -482,6 +503,48 @@ def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
     data = dataset_with_bad_test_sample(tmp_path / "data", **bad)
     assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
     assert "test.csv: sample 3 " in assert_one_line_error(capsys)
+
+
+# test.csv bodies after the header that the loader or the split check must refuse, with
+# a fragment of the one-line error; sequence 9 is in no train.csv of `dataset_dir`
+BAD_TEST_FILES = {
+    "sequence-disagrees": (["0,9,2,0,50.0,10.0,3.0,2.0,12,0", "0,8,2,1,60.0,12.0,3.0,1.0,12,0"],
+                           "test.csv:3: sample 0 has sequence_id 8"),
+    "k-t-disagrees": (["0,9,2,0,50.0,10.0,3.0,2.0,12,0", "0,9,3,1,60.0,12.0,3.0,1.0,12,0"],
+                      "test.csv:3: sample 0 has K_t 3"),
+    "beam-disagrees": (["0,9,2,0,50.0,10.0,3.0,2.0,12,0", "0,9,2,1,60.0,12.0,3.0,1.0,13,0"],
+                       "test.csv:3: sample 0 has b_star 13"),
+    "label-disagrees": (["0,9,2,0,50.0,10.0,3.0,2.0,12,0", "0,9,2,1,60.0,12.0,3.0,1.0,12,1"],
+                        "test.csv:3: sample 0 has label_k 1"),
+    "repeated-sample-id": (["0,9,1,0,50.0,10.0,3.0,2.0,12,0", "0,9,1,0,60.0,12.0,3.0,1.0,12,0"],
+                           "test.csv:3: sample_id 0 is repeated"),
+    "sequence-in-both-splits": (["0,0,1,0,50.0,10.0,3.0,2.0,12,0"],
+                                "sequence 0 is in both train.csv and test.csv"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TEST_FILES, ids=list(BAD_TEST_FILES))
+def test_malformed_test_file_exits_3(dataset_dir, tmp_path, capsys, case):
+    body, fragment = BAD_TEST_FILES[case]
+    (dataset_dir / "test.csv").write_text("\n".join([SAMPLE_HEADER, *body]) + "\n")
+    out = tmp_path / "o"
+    assert main(["eval", str(dataset_dir), "--out", str(out)]) == 3
+    assert fragment in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_non_utf8_test_file_exits_3(dataset_dir, tmp_path, capsys):
+    path = dataset_dir / "test.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert main(["eval", str(dataset_dir), "--out", str(tmp_path / "o")]) == 3
+    assert f"error: {path}: not UTF-8 text" in assert_one_line_error(capsys)
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(b"seed: 3\n\xff\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {cfg}: not UTF-8 text" in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("manifest", ["{oops", "[]", "{}", '{"config": 5}',

@@ -307,6 +307,20 @@ SINGLE_FAULTS = {
     "k-t-negative": (
         ["0,0,-1,0,50.0,10.0,3.0,2.0,12,0", "1,0,1,0,50.0,10.0,3.0,2.0,12,0"], 2,
         "K_t must be >= 1, got -1"),
+    "sequence-disagrees": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,0", "1,5,2,1,60.0,12.0,3.0,1.0,12,0"], 4,
+        "sample 1 has sequence_id 5, but its first row (line 3) has 0"),
+    "k-t-disagrees": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,0", "1,0,7,1,60.0,12.0,3.0,1.0,12,0"], 4,
+        "sample 1 has K_t 7, but its first row (line 3) has 2"),
+    "beam-disagrees": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,0", "1,0,2,1,60.0,12.0,3.0,1.0,40,0"], 4,
+        "sample 1 has b_star 40, but its first row (line 3) has 12"),
+    "label-disagrees": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,1", "1,0,2,1,60.0,12.0,3.0,1.0,12,0"], 4,
+        "sample 1 has label_k 0, but its first row (line 3) has 1"),
+    "repeated-sample-id": ([ROW, "1,0,1,0,50.0,10.0,3.0,2.0,12,0", ROW], 4,
+                           "sample_id 0 is repeated"),
 }
 
 

@@ -280,6 +280,73 @@ def test_dbscan_matches_reference_on_random_instances():
         assert ours == ref, f"trial {trial}: partition mismatch"
 
 
+def detector_like_points(rng, n_cells, n_blobs=4):
+    """(angle, Doppler, range) bins in the order detect_objects builds them.
+
+    Flagged (Doppler, range) cells come in np.argwhere order, around a few
+    blob centres plus some lone cells, and each cell holds a run of
+    main-lobe angle bins near its blob's angle. Integer bins put many
+    neighbours at exactly eps.
+    """
+    centres = np.column_stack([rng.integers(5, 59, n_blobs), rng.integers(0, 250, n_blobs),
+                               rng.integers(0, 512, n_blobs)])
+    blob = rng.integers(0, n_blobs, n_cells)
+    cells = centres[blob, 1:] + rng.integers(-4, 5, (n_cells, 2))
+    lone = rng.random(n_cells) < 0.1
+    cells[lone] = np.column_stack([rng.integers(0, 250, lone.sum()),
+                                   rng.integers(0, 512, lone.sum())])
+    rows = {}
+    for (d, r), b in zip(cells.tolist(), blob.tolist()):
+        a0 = centres[b, 0] + int(rng.integers(-2, 3))
+        rows.setdefault((d, r), range(a0, a0 + int(rng.integers(1, 5))))
+    return np.array([(a, d, r) for (d, r), angles in sorted(rows.items()) for a in angles],
+                    dtype=float)
+
+
+@pytest.mark.parametrize("min_pts", range(1, 10))
+def test_dbscan_labels_equal_the_reference_on_detector_like_points(min_pts):
+    rng = np.random.default_rng(100 + min_pts)
+    for eps, n_cells in ((3.0, 60), (2.0, 40), (1.5, 80)):
+        pts = detector_like_points(rng, n_cells)
+        assert np.array_equal(dbscan(pts, eps, min_pts), reference_dbscan(pts, eps, min_pts))
+
+
+def test_dbscan_neighbours_at_exactly_eps_are_neighbours():
+    pts = np.array([[0, 0, 0], [3, 0, 0], [6, 0, 0], [8, 2, 1], [12, 2, 1]], dtype=float)
+    labels = dbscan(pts, 3.0, 2)
+    assert labels.tolist() == [0, 0, 0, 0, -1]
+    assert np.array_equal(labels, reference_dbscan(pts, 3.0, 2))
+
+
+def test_dbscan_border_point_takes_the_lowest_cluster_id():
+    # two 4-point clusters; the border cell at (3, 0, 0) is exactly eps from
+    # one core point of each and has only 3 neighbours, so it is not core
+    a_far, a_near = [[0, 1, 1], [0, 0, 1], [0, 1, 0]], [[0, 0, 0]]
+    b = [[6, 0, 0], [6, 0, 1], [6, 1, 0], [6, 1, 1]]
+    border = [[3, 0, 0]]
+    # B's near point has a lower index than A's, but A's lowest core index is 0
+    pts = np.array(a_far[:1] + b + a_near + a_far[1:] + border, dtype=float)
+    labels = dbscan(pts, 3.0, 4)
+    assert labels.tolist() == [0, 1, 1, 1, 1, 0, 0, 0, 0]
+    assert np.array_equal(labels, reference_dbscan(pts, 3.0, 4))
+    pts = np.array(border + b + a_near + a_far, dtype=float)  # border first: noise until reached
+    labels = dbscan(pts, 3.0, 4)
+    assert labels.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+    assert np.array_equal(labels, reference_dbscan(pts, 3.0, 4))
+
+
+def test_dbscan_empty_set():
+    labels = dbscan(np.empty((0, 3)), 3.0, 2)
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+    assert np.array_equal(labels, reference_dbscan(np.empty((0, 3)), 3.0, 2))
+
+
+def test_dbscan_labels_equal_the_reference_beyond_one_chunk():
+    pts = detector_like_points(np.random.default_rng(7), 700, n_blobs=6)
+    assert len(pts) > 1024
+    assert np.array_equal(dbscan(pts, 3.0, 5), reference_dbscan(pts, 3.0, 5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), min_pts=st.integers(1, 5))
 def test_dbscan_partition_is_valid(seed, min_pts):
