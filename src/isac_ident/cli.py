@@ -94,7 +94,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_split(args):
-    """Config, train and test samples; every one labeled and served by a codebook beam.
+    """Config, train and test samples; every one served by a codebook beam.
 
     No sequence may be in both splits.
     """
@@ -107,8 +107,6 @@ def _load_split(args):
     for path in paths:
         samples = load_samples(path)
         for s in samples:
-            if s.label is None:
-                raise DataError(f"{path}: sample {s.sample_id} is unlabeled")
             if s.b_star >= cfg.comm.n_beams:
                 raise DataError(f"{path}: sample {s.sample_id} has beam {s.b_star}, "
                                 f"outside the {cfg.comm.n_beams}-beam codebook")

@@ -100,7 +100,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     sections = ("comm", "scenario", "radar", "detect", "training")
     unknown = set(raw) - {"seed", *sections}
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown top-level keys: {', '.join(sorted(map(str, unknown)))}")
     for key in sections:
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"section {key} must be a mapping, got {type(raw[key]).__name__}")
@@ -128,7 +128,11 @@ def load_config(path) -> RunConfig:
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        # one line: PyYAML's own message spans several, with a source excerpt
+        mark = getattr(exc, "problem_mark", None)
+        where = f":{mark.line + 1}:{mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{path}{where}: {problem}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return config_from_dict(raw or {})

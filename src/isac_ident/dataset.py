@@ -298,7 +298,9 @@ def _full_sample(frame: _Frame, cfg, comm, codebook, radar, detect) -> Sample | 
     rng = child_rng(cfg.seed, "frame", frame.sequence_id, frame.t)
     scene = _full_scene(gt, frame.k_t, cfg, rng)
     cube = synthesize_frame(scene, radar, seed=frame.seed)
-    candidates = detect_objects(cube, detect)
+    # as a sample file reads them back: it stores no n_points
+    candidates = tuple(Candidate(c.range_m, c.angle_deg, c.vel_mps, 1, c.power)
+                       for c in detect_objects(cube, detect))
     if not candidates:
         return "no_candidates"
     truth = (gt.range_m, gt.theta_deg + cfg.misalignment_deg, gt.radial_vel)
@@ -315,7 +317,7 @@ def _full_sample(frame: _Frame, cfg, comm, codebook, radar, detect) -> Sample | 
     if not matches:
         return "user_not_matched"  # user not cleanly detected; drop the sample
     return Sample(sample_id=frame.sample_id, sequence_id=frame.sequence_id,
-                  candidates=tuple(candidates), b_star=b_star, label=min(matches)[1])
+                  candidates=candidates, b_star=b_star, label=min(matches)[1])
 
 
 def generate_dataset(
@@ -399,7 +401,7 @@ def split_by_sequence(samples, ratio: float = 0.8, seed: int = 0) -> DatasetSpli
 def format_sample(s: Sample) -> str:
     """The rows of one sample in a sample file, each ending in a newline."""
     head = f"{s.sample_id},{s.sequence_id},{len(s.candidates)},"
-    tail = f",{s.b_star},{-1 if s.label is None else s.label}\n"
+    tail = f",{s.b_star},{s.label}\n"
     return "".join(f"{head}{k},{c.range_m!r},{c.angle_deg!r},{c.vel_mps!r},{c.power!r}{tail}"
                    for k, c in enumerate(s.candidates))
 
@@ -484,7 +486,7 @@ def load_samples(path) -> list[Sample]:
             first, sid, seq, _, b_star, label = head
             try:
                 samples.append(Sample(sample_id=sid, sequence_id=seq, candidates=tuple(cands),
-                                      b_star=b_star, label=None if label < 0 else label))
+                                      b_star=b_star, label=label))
             except ValueError as exc:
                 raise SampleFormatError(f"{path}:{first}: {exc}") from None
             cands, head = [], None

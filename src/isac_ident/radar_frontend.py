@@ -184,9 +184,10 @@ def load_cube(path, cfg: RadarConfig) -> RadarCube:
             f"{path}: cube dims ({n_rx}, {n_chirps}, {n_samples}) do not match config"
         )
     n_values = n_rx * n_chirps * n_samples * 2
+    if len(raw) - 20 != 4 * n_values:
+        raise CubeFormatError(
+            f"{path}: expected {4 * n_values} bytes of float32 pairs, found {len(raw) - 20}")
     payload = np.frombuffer(raw, dtype="<f4", offset=20)
-    if payload.size != n_values:
-        raise CubeFormatError(f"{path}: expected {n_values} floats, found {payload.size}")
     n_bad = payload.size - int(np.isfinite(payload).sum())
     if n_bad:
         raise CubeFormatError(f"{path}: {n_bad} non-finite sample values")

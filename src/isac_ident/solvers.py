@@ -50,14 +50,14 @@ class Sample:
     sequence_id: int
     candidates: tuple[Candidate, ...]
     b_star: int
-    label: int | None = None
+    label: int
 
     def __post_init__(self):
         if len(self.candidates) < 1:
             raise ValueError("sample must contain at least one candidate")
         if self.b_star < 0:
             raise ValueError("beam index must be non-negative")
-        if self.label is not None and not 0 <= self.label < len(self.candidates):
+        if not 0 <= self.label < len(self.candidates):
             raise ValueError("label must index into the candidate list")
 
 
@@ -79,16 +79,14 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _require_labeled(samples, what: str) -> None:
+def _require_nonempty(samples, what: str) -> None:
     if not samples:
         raise SolverError(f"{what} set must be non-empty")
-    if any(s.label is None for s in samples):
-        raise SolverError(f"{what} set must be fully labeled")
 
 
 def _beam_angles(train, pointing_angles) -> np.ndarray:
-    """Serving-beam angle of every sample of a labeled train set."""
-    _require_labeled(train, "train")
+    """Serving-beam angle of every sample of a non-empty train set."""
+    _require_nonempty(train, "train")
     return np.asarray(pointing_angles)[[s.b_star for s in train]]
 
 
@@ -183,19 +181,16 @@ def expand_to_rows(samples):
     """Flatten samples into per-candidate training rows.
 
     Each candidate becomes one row of raw features (range, angle,
-    velocity), the sample's beam index, and a 0/1 target marking the
-    communication user.
+    velocity; an (N, 3) float array), the sample's integer beam index, and
+    a 0/1 target marking the communication user.
     """
     feats = np.fromiter((x for s in samples for c in s.candidates
                          for x in (c.range_m, c.angle_deg, c.vel_mps)), dtype=float)
-    if len(feats):  # no rows keep np.array([])'s shape (0,)
-        feats = feats.reshape(-1, 3)
     sizes = _sizes(samples)
-    beams = np.repeat(np.array([s.b_star for s in samples], dtype=float), sizes)
-    labels = np.array([-1 if s.label is None else s.label for s in samples], dtype=int)
+    beams = np.repeat(np.array([s.b_star for s in samples], dtype=int), sizes)
     targets = np.zeros(len(beams))
-    targets[(np.cumsum(sizes) - sizes + labels)[labels >= 0]] = 1.0
-    return feats, beams, targets
+    targets[np.cumsum(sizes) - sizes + np.array([s.label for s in samples], dtype=int)] = 1.0
+    return feats.reshape(-1, 3), beams, targets
 
 
 def _sizes(samples) -> np.ndarray:
@@ -258,8 +253,8 @@ class TableSolver:
     `fit_rule(train, pointing_angles)` returns `params` (the fitted values
     written to params.json), the (n_beams, 3) `table` and the per-axis
     `sigma`; angle-only rules give range and velocity an infinite sigma.
-    `predict` picks the candidate minimizing
-    sum(((table[b_star] - state) / sigma) ** 2), ties to the lowest index.
+    `predict` picks the candidate minimizing the sum over the axes of d * d,
+    d = (table[b_star] - state) / sigma, ties to the lowest index.
     """
 
     def __init__(self, name: str, fit_rule, pointing_angles):
@@ -273,13 +268,9 @@ class TableSolver:
     def score_rows(self, feats, beams) -> np.ndarray:
         """Minus `predict`'s distance of every row, by the same IEEE operations."""
         _require_in_codebook(beams, len(self.table))
-        expected = self.table[beams.astype(int)]
-        # float_power calls C pow, as Python's `** 2` does; an array's `** 2`
-        # is x * x, which differs from pow in the last bit on about 0.1 % of
-        # values and so could break a near-tie differently from `predict`.
-        r, a, v = (np.float_power((expected[:, j] - feats[:, j]) / sigma, 2.0)
-                   for j, sigma in enumerate(self.sigma))
-        return -(r + a + v)
+        expected = self.table[beams]
+        r, a, v = ((expected[:, j] - feats[:, j]) / sigma for j, sigma in enumerate(self.sigma))
+        return -(r * r + a * a + v * v)
 
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:
@@ -290,8 +281,8 @@ class TableSolver:
         sr, sa, sv = self.sigma
         best, best_d = 0, math.inf
         for k, c in enumerate(candidates):
-            d = (((pr - c.range_m) / sr) ** 2 + ((pa - c.angle_deg) / sa) ** 2
-                 + ((pv - c.vel_mps) / sv) ** 2)
+            r, a, v = (pr - c.range_m) / sr, (pa - c.angle_deg) / sa, (pv - c.vel_mps) / sv
+            d = r * r + a * a + v * v
             if d < best_d:
                 best, best_d = k, d
         return best
@@ -335,7 +326,7 @@ class DnnSolver:
         arithmetic. The weights are those of `mlp.loss_and_grad_arrays` per
         batch followed by the allocating Adam formula, bit for bit.
         """
-        _require_labeled(train, "train")
+        _require_nonempty(train, "train")
         feats, beams, targets = expand_to_rows(train)
         norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
                           angle_span=max(2.0 * float(np.abs(feats[:, 1]).max()), 10.0),
@@ -362,10 +353,9 @@ class DnnSolver:
     def score_rows(self, feats, beams) -> np.ndarray:
         """The scorer's likelihood of every row, `SCORE_CHUNK` rows per call."""
         _require_in_codebook(beams, len(self._beam_table))
-        rows = beams.astype(int)
         return np.concatenate([
             score_with_beam_table(self.model, self._beam_table, feats[i:i + SCORE_CHUNK],
-                                  rows[i:i + SCORE_CHUNK])
+                                  beams[i:i + SCORE_CHUNK])
             for i in range(0, len(feats), SCORE_CHUNK)])
 
     def predict(self, candidates, b_star: int) -> int:
@@ -392,7 +382,7 @@ def evaluate(solver, test) -> float:
     `solver` is any object with `score_rows(feats, beams)`; the split is
     scored in one pass by `predict_split`.
     """
-    _require_labeled(test, "test")
+    _require_nonempty(test, "test")
     (predictions,) = predict_split([solver], test)
     hits = predictions == [s.label for s in test]
     return int(np.count_nonzero(hits)) / len(test)

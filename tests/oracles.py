@@ -198,4 +198,4 @@ def reference_expand_to_rows(samples):
             feats.append((c.range_m, c.angle_deg, c.vel_mps))
             beams.append(s.b_star)
             targets.append(1.0 if k == s.label else 0.0)
-    return np.array(feats), np.array(beams, dtype=float), np.array(targets)
+    return np.array(feats).reshape(-1, 3), np.array(beams, dtype=int), np.array(targets)

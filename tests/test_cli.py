@@ -428,6 +428,8 @@ BAD_SETTINGS = {
     "training-list": (["simulate"], "training: [1]\n", {}),
     "detect-string": (["simulate"], "detect: abc\n", {}),
     "noise-bool": (["simulate"], "comm: {noise: true}\n", {}),
+    "key-int": (["simulate"], "1: 2\n", {}),
+    "key-null": (["simulate"], "null: 1\n", {}),
 }
 
 
@@ -497,8 +499,7 @@ def dataset_with_bad_test_sample(path, **bad):
 @pytest.mark.parametrize("argv", [["eval", "--solver", "offset"], ["eval", "--solver", "dnn"],
                                   ["report"]],
                          ids=["eval-offset", "eval-dnn", "report"])
-@pytest.mark.parametrize("bad", [{"label": None}, {"b_star": 99}],
-                         ids=["unlabeled", "beam-outside-codebook"])
+@pytest.mark.parametrize("bad", [{"b_star": 99}], ids=["beam-outside-codebook"])
 def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
     data = dataset_with_bad_test_sample(tmp_path / "data", **bad)
     assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
@@ -518,6 +519,8 @@ BAD_TEST_FILES = {
                         "test.csv:3: sample 0 has label_k 1"),
     "repeated-sample-id": (["0,9,1,0,50.0,10.0,3.0,2.0,12,0", "0,9,1,0,60.0,12.0,3.0,1.0,12,0"],
                            "test.csv:3: sample_id 0 is repeated"),
+    "label-minus-one": (["0,9,2,0,50.0,10.0,3.0,2.0,12,-1", "0,9,2,1,60.0,12.0,3.0,1.0,12,-1"],
+                        "test.csv:2: label must index into the candidate list"),
     "sequence-in-both-splits": (["0,0,1,0,50.0,10.0,3.0,2.0,12,0"],
                                 "sequence 0 is in both train.csv and test.csv"),
 }

@@ -225,6 +225,18 @@ def test_roundtrip_identity(tmp_path):
     assert load_samples(path) == samples
 
 
+def test_full_mode_roundtrip_identity(tmp_path):
+    # a sample file stores no n_points: a full-mode sample holds its candidates
+    # as the file reads them back
+    cfg = ScenarioConfig(n_sequences=2, samples_per_sequence=(3, 4), candidates_range=(1, 3),
+                         seed=0)
+    radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=10.0)
+    samples = generate_dataset(cfg, mode="full", comm=COMM, radar=radar)
+    path = tmp_path / "samples.csv"
+    save_samples(samples, path)
+    assert load_samples(path) == samples
+
+
 def test_roundtrip_byte_stable(tmp_path):
     samples = generate_dataset(small_cfg(), comm=COMM)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -300,6 +312,9 @@ SINGLE_FAULTS = {
     "nine-columns": ([ROW, "1,0,1,0,50.0,10.0,3.0,2.0,12"], 3, "expected 10 columns, got 9"),
     "label-out-of-range": (
         [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,2", "1,0,2,1,60.0,12.0,3.0,1.0,12,2"], 3,
+        "label must index into the candidate list"),
+    "label-minus-one": (
+        [ROW, "1,0,2,0,50.0,10.0,3.0,2.0,12,-1", "1,0,2,1,60.0,12.0,3.0,1.0,12,-1"], 3,
         "label must index into the candidate list"),
     "negative-beam": (
         [ROW, "1,0,1,0,50.0,10.0,3.0,2.0,-1,0"], 3, "beam index must be non-negative"),

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from isac_ident.solvers import (
     DnnSolver,
     Sample,
     SolverError,
+    TableSolver,
     TrainConfig,
     estimate_offset,
     evaluate,
@@ -471,7 +473,6 @@ def test_split_of_no_samples_is_no_predictions():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_expand_to_rows_matches_reference(seed):
     samples = generate_dataset(ScenarioConfig(seed=seed), comm=COMM)
-    samples[::7] = [replace(s, label=None) for s in samples[::7]]
     for subset in (samples, samples[:1], []):
         for got, want in zip(expand_to_rows(subset), reference_expand_to_rows(subset)):
             assert np.array_equal(got, want) and got.dtype == want.dtype and got.shape == want.shape
@@ -507,6 +508,74 @@ def test_split_predictions_match_per_sample_full():
     samples = generate_dataset(ScenarioConfig(n_sequences=3, samples_per_sequence=(10, 12),
                                               seed=0), mode="full", comm=COMM)
     assert_split_matches_per_sample(samples, samples)
+
+
+# offsets x whose glibc pow(x, 2), Python's `x ** 2`, differs from x * x in the last bit
+POW_IS_NOT_MUL = (0.001296915399800524, 0.0011693778929448716, 1.2291748224027053,
+                  435.6794121681341)
+# (angle, range, velocity) offsets of a candidate from a beam's table row; drawing
+# the same offsets twice gives exact ties, opposite signs mirror them
+OFFSETS = st.tuples(*[st.sampled_from((0.0, *POW_IS_NOT_MUL)) | st.floats(0.0, 20.0)] * 3)
+SIGNS = st.tuples(*[st.sampled_from((1.0, -1.0))] * 3)
+
+
+@functools.cache
+def table_solvers():
+    train = generate_dataset(ScenarioConfig(n_sequences=4, seed=3), comm=COMM)
+    angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
+    solvers = [make_solver(name, angles) for name in SOLVER_NAMES if name != "dnn"]
+    for solver in solvers:
+        solver.fit(train)
+    return solvers
+
+
+@st.composite
+def tie_prone_samples(draw):
+    """(beam, [(offsets, signs), ...]) per sample, the candidates drawn from a
+    small pool of offsets so that duplicates and mirrored pairs are common."""
+    pool = draw(st.lists(OFFSETS, min_size=1, max_size=3))
+    candidate = st.tuples(st.sampled_from(pool), SIGNS)
+    return draw(st.lists(st.tuples(st.integers(0, COMM.n_beams - 1),
+                                   st.lists(candidate, min_size=1, max_size=6)),
+                         min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws=tie_prone_samples())
+def test_table_predict_equals_split_at_ties(draws):
+    for solver in table_solvers():
+        samples = []
+        for i, (b, offsets) in enumerate(draws):
+            pr, pa, pv = solver.table[b].tolist()
+            cands = tuple(Candidate(range_m=max(pr + sr * dr, 0.0),
+                                    angle_deg=min(max(pa + sa * da, -90.0), 90.0),
+                                    vel_mps=pv + sv * dv)
+                          for (da, dr, dv), (sa, sr, sv) in offsets)
+            samples.append(Sample(sample_id=i, sequence_id=0, candidates=cands, b_star=b,
+                                  label=0))
+        (split,) = predict_split([solver], samples)
+        assert split.tolist() == [solver.predict(s.candidates, s.b_star) for s in samples], \
+            solver.name
+
+
+# (x, p, q): glibc pow gives x ** 2 == p ** 2 + q ** 2 exactly, but x * x != p * p + q * q
+POW_TIES = [(1.261550184130407, 1.2615501841304058, 5.960464477539063e-08),
+            (1.370893206324854, 1.3708932063248527, 5.960464477539063e-08)]
+
+
+@pytest.mark.parametrize("x, p, q", POW_TIES)
+def test_table_distance_squares_by_multiplication(x, p, q):
+    assert x * x != p * p + q * q
+    # a zero table with unit sigma: a candidate's distances are its own coordinates
+    solver = TableSolver("unit", lambda train, angles: (
+        {}, np.zeros((len(angles), 3)), (1.0, 1.0, 1.0)), ANGLES)
+    solver.fit([])
+    # the farther candidate under x * x first: pow would tie them and pick it
+    cands = sorted([cand(0.0, r=x), cand(0.0, r=p, v=q)],
+                   key=lambda c: -(c.range_m * c.range_m + c.vel_mps * c.vel_mps))
+    sample = Sample(sample_id=0, sequence_id=0, candidates=tuple(cands), b_star=0, label=0)
+    assert solver.predict(sample.candidates, 0) == 1
+    assert predict_split([solver], [sample])[0].tolist() == [1]
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +673,7 @@ def test_classical_solvers_invariant_to_uniform_angle_shift(name):
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        Sample(sample_id=0, sequence_id=0, candidates=(), b_star=0, label=None)
-    with pytest.raises(ValueError):
-        Sample(sample_id=0, sequence_id=0, candidates=(cand(0.0),), b_star=0, label=3)
+        Sample(sample_id=0, sequence_id=0, candidates=(), b_star=0, label=0)
+    for label in (-1, 1, 3):
+        with pytest.raises(ValueError, match="label must index into the candidate list"):
+            Sample(sample_id=0, sequence_id=0, candidates=(cand(0.0),), b_star=0, label=label)
