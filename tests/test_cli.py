@@ -14,7 +14,8 @@ import isac_ident
 from isac_ident import solvers
 from isac_ident.cli import main
 from isac_ident.config import config_from_dict
-from isac_ident.dataset import SAMPLE_HEADER, load_samples, save_samples
+from isac_ident.dataset import (SAMPLE_HEADER, format_sample, load_samples, save_samples,
+                                 write_sample_file)
 from isac_ident.radar_detect import Candidate
 from isac_ident.radar_frontend import RadarConfig, synthesize_frame, save_cube
 from isac_ident.scene import SceneObject, dft_codebook
@@ -482,8 +483,12 @@ def test_degenerate_design_exits_3(tmp_path, capsys, argv):
     assert not out.exists()  # the fit fails before any output is written
 
 
-def dataset_with_bad_test_sample(path, **bad):
-    """A fittable labeled dataset whose last test sample is changed by `bad`."""
+def dataset_with_bad_test_sample(path, label_k=None, **bad):
+    """A fittable labeled dataset whose last test sample is changed by `bad`.
+
+    `label_k` overwrites that sample's label column in the file, for values a
+    Sample refuses to hold.
+    """
     path.mkdir()
     samples = [Sample(sample_id=t, sequence_id=t % 2,
                       candidates=(Candidate(range_m=40.0, angle_deg=-40.0 + 10.0 * (t % 4),
@@ -492,18 +497,24 @@ def dataset_with_bad_test_sample(path, **bad):
                       b_star=10 + 10 * (t % 4), label=0) for t in range(12)]
     save_samples(samples, path / "train.csv")
     test = [dataclasses.replace(s, sequence_id=2) for s in samples[:4]]
-    save_samples([*test[:3], dataclasses.replace(test[3], **bad)], path / "test.csv")
+    last = format_sample(dataclasses.replace(test[3], **bad))
+    if label_k is not None:
+        last = "".join(row.rsplit(",", 1)[0] + f",{label_k}\n" for row in last.splitlines())
+    write_sample_file([*map(format_sample, test[:3]), last], path / "test.csv")
     return path
 
 
 @pytest.mark.parametrize("argv", [["eval", "--solver", "offset"], ["eval", "--solver", "dnn"],
                                   ["report"]],
                          ids=["eval-offset", "eval-dnn", "report"])
-@pytest.mark.parametrize("bad", [{"b_star": 99}], ids=["beam-outside-codebook"])
-def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad):
+@pytest.mark.parametrize("bad, fragment",
+                         [({"label_k": -1}, "test.csv:8: label must index into the candidate list"),
+                          ({"b_star": 99}, "test.csv: sample 3 ")],
+                         ids=["unlabeled", "beam-outside-codebook"])
+def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad, fragment):
     data = dataset_with_bad_test_sample(tmp_path / "data", **bad)
     assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 3
-    assert "test.csv: sample 3 " in assert_one_line_error(capsys)
+    assert fragment in assert_one_line_error(capsys)
 
 
 # test.csv bodies after the header that the loader or the split check must refuse, with
