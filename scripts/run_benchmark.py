@@ -2,9 +2,11 @@
 """Accuracy table over several seeds of the default synthetic scene.
 
 For each seed, runs the CLI's `simulate` and `eval --solver all` into a
-temporary directory and reads back the split and its `accuracy.csv`;
-prints per-seed accuracies with the train/test sample counts and mean
-candidates per sample, then the mean accuracy of every solver.
+temporary directory and reads back the split, its `accuracy.csv` and the
+`dnn_epoch_losses` of its manifest; prints per-seed accuracies with the
+train/test sample counts and mean candidates per sample, the DNN's loss
+spikes (epoch-to-epoch rises of more than 3x, and the last epoch loss over
+the lowest), then the mean accuracy of every solver.
 
 Usage:
     python scripts/run_benchmark.py [--seeds 0 1 2] [--epochs 100] [--mode fast|full]
@@ -13,6 +15,8 @@ Usage:
 import argparse
 import contextlib
 import io
+import json
+import math
 import sys
 import tempfile
 import time
@@ -22,8 +26,18 @@ from isac_ident import cli
 from isac_ident.dataset import load_samples
 
 
+def loss_spikes(losses):
+    """Count of epoch-to-epoch rises of more than 3x, and the last loss over the lowest."""
+    jumps = sum(later > 3.0 * earlier for earlier, later in zip(losses, losses[1:]))
+    lowest = min(losses)
+    if lowest == 0.0:  # a run that reached zero loss ends there or above it
+        return jumps, 1.0 if losses[-1] == 0.0 else math.inf
+    return jumps, losses[-1] / lowest
+
+
 def run_seed(seed: int, mode: str, epochs: int, work: Path):
-    """Sample counts, candidates per sample and (solver, accuracy) rows of one seed."""
+    """Sample counts, candidates per sample, (solver, accuracy) rows and the
+    DNN's epoch losses of one seed."""
     config = work / "run.yaml"
     config.write_text(f"training: {{epochs: {epochs}}}\n", encoding="utf-8")
     common = ["--config", str(config), "--seed", str(seed)]
@@ -38,7 +52,8 @@ def run_seed(seed: int, mode: str, epochs: int, work: Path):
     per_sample = sum(len(s.candidates) for s in train + test) / (len(train) + len(test))
     lines = (scores / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]
     rows = [(name, float(acc)) for name, acc in (line.split(",") for line in lines)]
-    return (len(train), len(test)), per_sample, rows
+    manifest = json.loads((scores / "manifest.json").read_text(encoding="utf-8"))
+    return (len(train), len(test)), per_sample, rows, manifest["stats"]["dnn_epoch_losses"]
 
 
 def main():
@@ -52,12 +67,15 @@ def main():
     for seed in args.seeds:
         t0 = time.time()
         with tempfile.TemporaryDirectory() as work:
-            (n_train, n_test), per_sample, rows = run_seed(seed, args.mode, args.epochs, Path(work))
+            (n_train, n_test), per_sample, rows, losses = run_seed(seed, args.mode, args.epochs,
+                                                                   Path(work))
         line = [f"seed {seed} ({n_train}/{n_test} samples, "
                 f"{per_sample:.2f} candidates per sample):"]
         for name, acc in rows:
             results.setdefault(name, []).append(acc)
             line.append(f"{name}={acc:.4f}")
+        jumps, last_over_min = loss_spikes(losses)
+        line.append(f"dnn loss: {jumps} jumps >3x, last/min {last_over_min:.3g}")
         line.append(f"[{time.time() - t0:.0f}s]")
         print(" ".join(line))
 

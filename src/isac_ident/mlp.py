@@ -13,6 +13,14 @@ sees only the serving-beam index, so inference reads its output from a
 per-beam table (`beam_table`, `score_with_beam_table`) and runs only the
 radar branch and the head per row; `score_candidates` is the reference
 forward pass over both branches.
+
+On 6-row samples and 32-row batches numpy's per-call dispatch sets the
+cost. A layer is `a.dot(W.T)` on the transposed view, then `z += b` and
+the activation in place: `ndarray.dot` has the bits of `a @ W.T`, and a
+(32, 3) by (3, 16) product takes 1.4 us through it against 2.4 us through
+`matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a contiguous
+copy of `W.T` would change the bits. Training caches each layer's (input,
+output); relu's gradient mask is `output > 0`, equal to z > 0 even for NaN.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class NormBounds:
     angle_span: float
     vel_max: float
     n_beams: int
+    shift: np.ndarray = field(init=False, repr=False, compare=False)  # a radar row maps
+    scale: np.ndarray = field(init=False, repr=False, compare=False)  # to (row + shift) / scale
 
     def __post_init__(self):
         spans = (self.range_max, self.angle_span, self.vel_max)
@@ -60,6 +70,9 @@ class NormBounds:
             raise ValueError("normalization constants must be finite and positive and "
                              f"n_beams whole, got {self}")
         object.__setattr__(self, "n_beams", int(self.n_beams))  # a checkpoint stores a float
+        object.__setattr__(self, "shift", np.array([0.0, self.angle_span / 2.0, self.vel_max]))
+        object.__setattr__(self, "scale", np.array([self.range_max, self.angle_span,
+                                                    2.0 * self.vel_max]))
 
 
 @dataclass(frozen=True)
@@ -125,28 +138,23 @@ def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpMod
     return model
 
 
-def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
-def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
-    return a * (1.0 - a)
-
-
 def _forward_layers(layers, x, caches: list | None = None):
     """Run `x` through `layers`. Training passes `caches`, which gets each
-    layer's (input, pre-activation, output) for backprop; inference keeps none."""
+    layer's (input, output) for backprop; inference keeps none."""
     a = x
     for layer in layers:
-        z = a @ layer.weights.T + layer.bias
-        out = _apply_activation(z, layer.activation)
+        z = a.dot(layer.weights.T)
+        z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        else:  # 1 / (1 + exp(-clip(z, -500, 500))), one operation at a time
+            np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
+            np.exp(np.negative(z, out=z), out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
         if caches is not None:
-            caches.append((a, z, out))
-        a = out
+            caches.append((a, z))
+        a = z
     return a
 
 
@@ -156,18 +164,16 @@ def _backward_layers(layers, caches, d_out, grads, input_grad=True):
     `input_grad` is False: a branch's first layer needs none."""
     d = d_out
     for k in reversed(range(len(layers))):
-        layer, g, (a_in, z, a_out) = layers[k], grads[k], caches[k]
-        dz = d * _activation_grad(z, a_out, layer.activation)
-        dz.sum(axis=0, out=g.bias)
-        np.matmul(dz.T, a_in, out=g.weights)
-        d = dz @ layer.weights if k or input_grad else None
+        layer, g, (a_in, a_out) = layers[k], grads[k], caches[k]
+        dz = d * (a_out > 0) if layer.activation == "relu" else d * (a_out * (1.0 - a_out))
+        np.add.reduce(dz, axis=0, out=g.bias)
+        np.dot(dz.T, a_in, out=g.weights)
+        d = dz.dot(layer.weights) if k or input_grad else None
     return d
 
 
-def _normalize_radar(norm: NormBounds, feats) -> np.ndarray:
-    shift = np.array([0.0, norm.angle_span / 2.0, norm.vel_max])
-    scale = np.array([norm.range_max, norm.angle_span, 2.0 * norm.vel_max])
-    return (np.asarray(feats, dtype=float) + shift) / scale
+def _normalize_radar(norm: NormBounds, feats: np.ndarray) -> np.ndarray:
+    return (feats + norm.shift) / norm.scale
 
 
 def _normalize_beams(norm: NormBounds, beams) -> np.ndarray:
@@ -187,9 +193,10 @@ def _score_batch(model: MlpModel, x_radar: np.ndarray, a_beam: np.ndarray, cache
     return _forward_layers(model.head, h, c_head)[:, 0]
 
 
-def _require_finite(feats: np.ndarray, beams=()) -> None:
-    if not (np.isfinite(feats).all() and np.isfinite(beams).all()):
-        raise ValueError("model inputs must be finite")
+def _require_finite(*arrays: np.ndarray) -> None:
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise ValueError("model inputs must be finite")
 
 
 def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
@@ -230,7 +237,7 @@ def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> floa
     a_beam = _forward_layers(model.beam_branch, x_beam, c_beam)
     scores = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
     err = scores - y
-    loss = float(np.mean(err ** 2))
+    loss = float(np.add.reduce(err * err) / len(y))  # np.mean(err ** 2), bit for bit
 
     d_scores = (2.0 / len(y)) * err[:, None]
     d_h = _backward_layers(model.head, c_head, d_scores, grads.head)
@@ -243,10 +250,8 @@ def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> floa
 
 
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
-    """Mean squared error over a batch of raw rows plus backprop gradients.
-
-    The gradient comes back as one vector aligned with model.theta.
-    """
+    """Mean squared error over a batch of raw rows and its backprop gradient,
+    one vector aligned with model.theta."""
     feats = np.asarray(feats, dtype=float)
     beams = np.asarray(beams, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -312,10 +317,10 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
 def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
     """Versioned binary checkpoint plus a human-readable JSON sidecar."""
     layers = model.layers()
+    norm = {k: getattr(model.norm, k) for k in ("range_max", "angle_span", "vel_max", "n_beams")}
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", _CKPT_MAGIC, _CKPT_VERSION))
-        fh.write(struct.pack("<dddd", model.norm.range_max, model.norm.angle_span,
-                             model.norm.vel_max, float(model.norm.n_beams)))
+        fh.write(struct.pack("<dddd", *map(float, norm.values())))
         fh.write(struct.pack("<III", len(model.radar_branch),
                              len(model.beam_branch), len(model.head)))
         for layer in layers:
@@ -324,17 +329,9 @@ def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:
         fh.write(model.theta.astype("<f8").tobytes())
     sidecar = {
         "format_version": _CKPT_VERSION,
-        "normalization": {
-            "range_max": model.norm.range_max,
-            "angle_span": model.norm.angle_span,
-            "vel_max": model.norm.vel_max,
-            "n_beams": model.norm.n_beams,
-        },
-        "layers": [
-            {"out": int(l.weights.shape[0]), "in": int(l.weights.shape[1]),
-             "activation": l.activation}
-            for l in layers
-        ],
+        "normalization": norm,
+        "layers": [{"out": int(l.weights.shape[0]), "in": int(l.weights.shape[1]),
+                    "activation": l.activation} for l in layers],
         "hyperparameters": hyper or {},
     }
     Path(str(path) + ".json").write_text(

@@ -269,8 +269,9 @@ class TableSolver:
         """Minus `predict`'s distance of every row, by the same IEEE operations."""
         _require_in_codebook(beams, len(self.table))
         expected = self.table[beams]
-        r, a, v = ((expected[:, j] - feats[:, j]) / sigma for j, sigma in enumerate(self.sigma))
-        return -(r * r + a * a + v * v)
+        with np.errstate(over="ignore"):  # a square past the largest double is inf
+            r, a, v = ((expected[:, j] - feats[:, j]) / sigma for j, sigma in enumerate(self.sigma))
+            return -(r * r + a * a + v * v)
 
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:
@@ -320,10 +321,10 @@ class DnnSolver:
         """Adam on the expanded rows, reshuffled every epoch by a seeded generator;
         keeps the final weights (no early stopping) and each epoch's mean loss.
 
-        The rows are normalized once per fit, and each batch's gradient is
-        written into one preallocated vector that `adam_step` reads in place,
-        so a step pays only for the batch's forward, backward and Adam
-        arithmetic. The weights are those of `mlp.loss_and_grad_arrays` per
+        The rows are normalized once per fit and permuted once per epoch; a
+        batch is a slice of them, and its gradient goes into one vector that
+        `adam_step` reads in place, so a step pays for arithmetic, not
+        gathers. The weights are those of `mlp.loss_and_grad_arrays` per
         batch followed by the allocating Adam formula, bit for bit.
         """
         _require_nonempty(train, "train")
@@ -341,12 +342,14 @@ class DnnSolver:
         self.epoch_losses = []
         for _ in range(hyper.epochs):
             order = rng.permutation(n)
+            xr = xb = y = None  # free the last epoch's rows before the next copy
+            xr, xb, y = x_radar[order], x_beam[order], targets[order]
             total = 0.0
             for start in range(0, n, hyper.batch):
-                idx = order[start:start + hyper.batch]
-                loss = _loss_and_grad(model, x_radar[idx], x_beam[idx], targets[idx], grads)
+                batch = slice(start, start + hyper.batch)
+                loss = _loss_and_grad(model, xr[batch], xb[batch], y[batch], grads)
                 adam_step(state, model.theta, grads.theta)
-                total += loss * len(idx)
+                total += loss * len(y[batch])
             self.epoch_losses.append(total / n)
         self.model = model
 
@@ -363,8 +366,8 @@ class DnnSolver:
             raise ValueError("candidate list must be non-empty")
         _require_in_codebook(b_star, len(self._beam_table))
         feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in candidates]
-        return int(np.argmax(score_with_beam_table(self.model, self._beam_table, feats,
-                                                   [b_star] * len(feats))))
+        return int(score_with_beam_table(self.model, self._beam_table, feats,
+                                         [b_star] * len(feats)).argmax())
 
 
 def make_solver(name: str, pointing_angles,

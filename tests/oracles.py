@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from isac_ident.mlp import _forward_layers, init_weights, normalize_inputs
-from isac_ident.mlp import ModelWidths, NormBounds, loss_and_grad_arrays
+from isac_ident.mlp import ModelWidths, NormBounds, init_weights, loss_and_grad_arrays
 from isac_ident.radar_detect import cfar_threshold_factor
 from isac_ident.seeding import child_rng
 
@@ -84,21 +83,64 @@ def draw_grad_check_case(seed):
     return model, feats, beams, targets
 
 
+def reference_forward(model, feats, beams):
+    """Both branches and the head as allocating array expressions:
+    a @ W.T + b, then max(z, 0) or 1 / (1 + exp(-clip(z, -500, 500))).
+    Returns the scores and, per branch, each layer's (input, z, output)."""
+    norm = model.norm
+    shift = np.array([0.0, norm.angle_span / 2.0, norm.vel_max])
+    scale = np.array([norm.range_max, norm.angle_span, 2.0 * norm.vel_max])
+    x_radar = (np.asarray(feats, dtype=float) + shift) / scale
+    x_beam = (np.asarray(beams, dtype=float) / max(norm.n_beams - 1, 1))[:, None]
+
+    def run(layers, a):
+        caches = []
+        for layer in layers:
+            z = a @ layer.weights.T + layer.bias
+            if layer.activation == "relu":
+                out = np.maximum(z, 0.0)
+            else:
+                out = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+            caches.append((a, z, out))
+            a = out
+        return caches
+
+    c_radar, c_beam = run(model.radar_branch, x_radar), run(model.beam_branch, x_beam)
+    c_head = run(model.head, np.concatenate([c_radar[-1][2], c_beam[-1][2]], axis=1))
+    return c_head[-1][2][:, 0], (c_radar, c_beam, c_head)
+
+
+def reference_loss_and_grad(model, feats, beams, targets):
+    """Mean squared error of raw rows, np.mean(err ** 2), and its gradient laid
+    out like theta, by allocating backprop: relu mask (z > 0).astype(float)."""
+    scores, (c_radar, c_beam, c_head) = reference_forward(model, feats, beams)
+    err = scores - np.asarray(targets, dtype=float)
+    loss = float(np.mean(err ** 2))
+
+    def back(layers, caches, d):
+        """One branch's gradient laid out like theta, and its input's gradient."""
+        parts = []
+        for layer, (a_in, z, out) in zip(reversed(layers), reversed(caches)):
+            act = (z > 0).astype(float) if layer.activation == "relu" else out * (1.0 - out)
+            dz = d * act
+            parts.insert(0, np.concatenate([(dz.T @ a_in).ravel(), dz.sum(axis=0)]))
+            d = dz @ layer.weights
+        return np.concatenate(parts), d
+
+    g_head, d_h = back(model.head, c_head, (2.0 / len(err)) * err[:, None])
+    width = len(model.radar_branch[-1].bias)
+    g_radar, _ = back(model.radar_branch, c_radar, d_h[:, :width])
+    g_beam, _ = back(model.beam_branch, c_beam, d_h[:, width:])
+    return loss, np.concatenate([g_radar, g_beam, g_head])
+
+
 def min_relu_preactivation(model, feats, beams):
     """Smallest |z| over all relu pre-activations; finite differences are
     only trustworthy when no relu sits within the probe step of its kink."""
-    xr, xb = normalize_inputs(model.norm, feats, beams)
-    lo = np.inf
-    cr, cb, ch = [], [], []
-    h = np.concatenate([_forward_layers(model.radar_branch, xr, cr),
-                        _forward_layers(model.beam_branch, xb, cb)], axis=1)
-    _forward_layers(model.head, h, ch)
-    for caches, layers in ((cr, model.radar_branch), (cb, model.beam_branch),
-                           (ch, model.head)):
-        for (_, z, _), layer in zip(caches, layers):
-            if layer.activation == "relu":
-                lo = min(lo, float(np.abs(z).min()))
-    return lo
+    _, branches = reference_forward(model, feats, beams)
+    caches = [cache for branch in branches for cache in branch]
+    return min(float(np.abs(z).min()) for layer, (_, z, _) in zip(model.layers(), caches)
+               if layer.activation == "relu")
 
 
 def finite_difference_grads(model, feats, beams, targets, h=1e-4):
@@ -117,8 +159,9 @@ def finite_difference_grads(model, feats, beams, targets, h=1e-4):
 
 
 def reference_dnn_fit(train, pointing_angles, hyper, widths):
-    """`DnnSolver.fit` as a plain loop: public `loss_and_grad_arrays` on each
-    batch of raw rows, then Adam written as allocating array expressions.
+    """`DnnSolver.fit` as a plain loop: `reference_loss_and_grad` on each
+    batch of raw rows, gathered by index, then Adam written as allocating
+    array expressions.
     Returns the final theta and the mean loss of every epoch."""
     feats, beams, targets = reference_expand_to_rows(train)
     norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
@@ -136,7 +179,7 @@ def reference_dnn_fit(train, pointing_angles, hyper, widths):
         total = 0.0
         for start in range(0, len(feats), hyper.batch):
             idx = order[start:start + hyper.batch]
-            loss, grad = loss_and_grad_arrays(model, feats[idx], beams[idx], targets[idx])
+            loss, grad = reference_loss_and_grad(model, feats[idx], beams[idx], targets[idx])
             step += 1
             m = b1 * m + (1.0 - b1) * grad
             v = b2 * v + (1.0 - b2) * (grad * grad)

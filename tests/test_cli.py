@@ -517,6 +517,29 @@ def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad, fragment):
     assert fragment in assert_one_line_error(capsys)
 
 
+def test_absurd_but_finite_state_scores_silently(dataset_dir, tmp_path, capsys):
+    # a range of 1e300 squares past the largest double: the distance is inf,
+    # which is the right answer, and the run warns about nothing
+    path = dataset_dir / "test.csv"
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    fields[4] = "1e300"
+    path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["eval", str(dataset_dir), "--solver", "linreg-3d", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    comm = config_from_dict(json.loads((dataset_dir / "manifest.json").read_text())["config"]).comm
+    angles = dft_codebook(comm.n_antennas, comm.n_beams, comm.element_spacing).pointing_angles
+    solver = solvers.make_solver("linreg-3d", angles)
+    solver.fit(load_samples(dataset_dir / "train.csv"))
+    test = load_samples(path)
+    assert test[0].candidates[0].range_m == 1e300
+    rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [
+        solver.predict(s.candidates, s.b_star) for s in test]
+
+
 # test.csv bodies after the header that the loader or the split check must refuse, with
 # a fragment of the one-line error; sequence 9 is in no train.csv of `dataset_dir`
 BAD_TEST_FILES = {

@@ -120,6 +120,31 @@ def test_loss_rejects_empty_and_bad_targets():
         loss_and_grad_arrays(model, feat(), [0], [0.5])
 
 
+@pytest.mark.parametrize("head_bias", [600.0, -600.0])
+def test_loss_and_grad_equal_the_reference_bit_for_bit(head_bias):
+    # dead relus (units biased far below zero) and a sigmoid pre-activation
+    # beyond the +-500 clip, where the clip decides the score's bits
+    from oracles import reference_forward, reference_loss_and_grad
+
+    model = init_weights(TINY, NORM, seed=5)
+    model.radar_branch[1].bias[:2] = -1e3
+    model.head[0].bias[:3] = -1e3
+    model.head[-1].bias[:] = head_bias
+    rng = np.random.default_rng(8)
+    feats = np.column_stack([rng.uniform(5, 95, 12), rng.uniform(-80, 80, 12),
+                             rng.uniform(-18, 18, 12)])
+    beams = rng.integers(0, 16, 12)
+    targets = (np.arange(12) % 3 == 0).astype(float)
+    _, (c_radar, _, c_head) = reference_forward(model, feats, beams)
+    assert (c_radar[1][2][:, :2] == 0).all() and (c_head[0][2][:, :3] == 0).all()
+    assert (np.abs(c_head[-1][1]) > 500).all()
+    loss, grad = loss_and_grad_arrays(model, feats, beams, targets)
+    ref_loss, ref_grad = reference_loss_and_grad(model, feats, beams, targets)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert (grad != 0).any() == (head_bias < 0)  # a saturated 1.0 passes no gradient
+
+
 def test_gradients_match_central_differences():
     # central differences need the loss differentiable within +-h of every
     # parameter, so draws whose relu pre-activations sit near a kink are

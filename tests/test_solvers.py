@@ -296,17 +296,24 @@ def test_dnn_training_deterministic():
     assert np.array_equal(m1.theta, m2.theta)
 
 
-def test_dnn_fit_matches_the_reference_loop():
-    # 30 samples of 3 candidates: 6 batches of 16 rows per epoch, the last one
-    # 10 rows; 70 epochs make 420 Adam steps, past step 356, from which the
-    # first moment's bias correction 1 - 0.9**t rounds to 1.0
+@pytest.mark.parametrize("batch, epochs", [
+    # 6 batches of 16 rows per epoch, the last one 10 rows; 70 epochs make 420
+    # Adam steps, past step 356, from which the first moment's bias correction
+    # 1 - 0.9**t rounds to 1.0
+    (16, 70),
+    (1, 3),     # one row per step
+    (128, 40),  # one batch larger than the 90 rows: every step sees the whole epoch
+    (30, 20),   # three batches of exactly 30 rows, none of them short
+], ids=["batch-16", "one-row", "larger-than-rows", "exact-divisor"])
+def test_dnn_fit_matches_the_reference_loop(batch, epochs):
+    # fit slices each epoch's permuted rows, while the reference gathers each
+    # batch by index, so a slip at a batch boundary shows in the bits
     train = offset_samples(2.0, 30, np.random.default_rng(31), noise=1.0)
-    hyper = TrainConfig(epochs=70, batch=16, seed=4)
+    hyper = TrainConfig(epochs=epochs, batch=batch, seed=4)
     solver = DnnSolver(ANGLES, hyper, TINY)
     solver.fit(train)
     theta, epoch_losses = reference_dnn_fit(train, ANGLES, hyper, TINY)
-    rows = sum(len(s.candidates) for s in train)
-    assert rows % 16 == 10 and 70 * -(-rows // 16) == 420
+    assert sum(len(s.candidates) for s in train) == 90
     assert solver.model.theta.tobytes() == theta.tobytes()
     assert solver.epoch_losses == epoch_losses
 
