@@ -8,8 +8,9 @@ the user among the candidates.
 
 Fast mode synthesizes candidate states directly from the ground-truth
 kinematics plus configured angle errors; full mode renders each sample
-as an FMCW frame, runs the detection chain, and labels the candidate
-nearest the ground truth.
+as the range-Doppler spectra of an FMCW frame (`synthesize_spectra`: no
+ADC cube is built), runs the detection chain from CFAR on
+(`detect_spectra`), and labels the candidate nearest the ground truth.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from isac_ident.radar_detect import Candidate, DetectConfig, detect_objects
-from isac_ident.radar_frontend import RadarConfig, synthesize_frame
+from isac_ident.radar_detect import Candidate, DetectConfig, detect_spectra
+from isac_ident.radar_frontend import RadarConfig, synthesize_spectra
 from isac_ident.scene import (
     CommConfig,
     SceneObject,
@@ -297,10 +298,10 @@ def _full_sample(frame: _Frame, cfg, comm, codebook, radar, detect) -> Sample | 
     b_star = _serving_beam(gt, comm, codebook, frame.seed)
     rng = child_rng(cfg.seed, "frame", frame.sequence_id, frame.t)
     scene = _full_scene(gt, frame.k_t, cfg, rng)
-    cube = synthesize_frame(scene, radar, seed=frame.seed)
+    spectra = synthesize_spectra(scene, radar, seed=frame.seed)
     # as a sample file reads them back: it stores no n_points
     candidates = tuple(Candidate(c.range_m, c.angle_deg, c.vel_mps, 1, c.power)
-                       for c in detect_objects(cube, detect))
+                       for c in detect_spectra(spectra, radar, detect))
     if not candidates:
         return "no_candidates"
     truth = (gt.range_m, gt.theta_deg + cfg.misalignment_deg, gt.radial_vel)

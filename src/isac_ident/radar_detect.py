@@ -1,8 +1,12 @@
 """Classical detection chain: range-Doppler map, CFAR, angle FFT, DBSCAN.
 
 Processing order is range FFT, clutter cleaning (per-range-bin mean removal
-across chirps) and Doppler FFT per antenna, then the squared magnitude
-summed over the antennas into one range-Doppler map. Cell-averaging CFAR
+across chirps) and Doppler FFT per antenna, whose bin 0 is then set to
+exactly 0, then the squared magnitude summed over the antennas into one
+range-Doppler map. `detect_objects` runs the whole chain on an ADC cube;
+`detect_spectra` starts from per-antenna spectra, as
+`radar_frontend.synthesize_spectra` writes them for full-mode datasets,
+so that path runs no FFT over a cube. Cell-averaging CFAR
 runs along the range axis of that map, with its threshold calibrated for a
 sum of `n_rx` exponentials. The zero-padded angle FFT runs only at the
 flagged cells, over their `n_rx` antenna samples, and each cell keeps the
@@ -99,6 +103,9 @@ def _range_doppler(cube: RadarCube, clutter_clean: bool = True) -> np.ndarray:
 
     Range FFT, optional static clutter removal (per-range-bin mean across
     chirps) and Doppler FFT, all in one complex buffer of the cube's size.
+    Clutter removal leaves Doppler bin 0 holding only rounding residue, which
+    an unfloored CFAR would flag, so that bin is then set to exactly 0; every
+    other bin keeps the bits of the mean-removed FFT.
     """
     x = np.empty(cube.data.shape, dtype=complex)
     for data, y in zip(cube.data, x):                      # one antenna at a time
@@ -106,6 +113,8 @@ def _range_doppler(cube: RadarCube, clutter_clean: bool = True) -> np.ndarray:
         if clutter_clean:
             y -= y.mean(axis=0)                            # static clutter removal
         np.fft.fft(y, axis=0, out=y)                       # Doppler
+        if clutter_clean:
+            y[0] = 0.0
     return x
 
 
@@ -121,24 +130,22 @@ def _velocity_axis(cfg: RadarConfig) -> np.ndarray:
     return doppler_hz * C0 / (2.0 * cfg.carrier_hz)
 
 
-def range_doppler_map(cube: RadarCube):
-    """Per-antenna spectra and the antenna-summed range-Doppler power map.
+def range_doppler_map(spectra: np.ndarray, cfg: RadarConfig) -> PowerCube:
+    """The antenna-summed range-Doppler power map of per-antenna spectra.
 
-    Returns `(spectra, rd_map)`. `spectra` holds each antenna's complex
-    range-Doppler spectrum, shape (n_rx, D, R), in FFT Doppler order.
-    `rd_map` is a one-plane `PowerCube` (its one angle is a placeholder 0):
-    the sum over antennas of |x|^2, Doppler centered. By Parseval it is
-    1/A times the A-point power cube of `process_cube` summed over angle.
+    `spectra` holds each antenna's complex range-Doppler spectrum, shape
+    (n_rx, D, R), in FFT Doppler order. The map is a one-plane `PowerCube`
+    (its one angle is a placeholder 0): the sum over antennas of |x|^2,
+    Doppler centered. By Parseval it is 1/A times the A-point power cube of
+    `process_cube` summed over angle.
     """
-    spectra = _range_doppler(cube)
     rd = np.zeros(spectra.shape[1:])
     for x in spectra:                                      # antenna sum, one plane at a time
         rd += x.real ** 2
         rd += x.imag ** 2
-    cfg = cube.config
-    return spectra, PowerCube(power=np.fft.fftshift(rd, axes=0)[None], angle_deg=np.zeros(1),
-                              velocity_mps=_velocity_axis(cfg),
-                              range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
+    return PowerCube(power=np.fft.fftshift(rd, axes=0)[None], angle_deg=np.zeros(1),
+                     velocity_mps=_velocity_axis(cfg),
+                     range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
 
 
 def _angle_power(x: np.ndarray, angle_fft_size: int) -> np.ndarray:
@@ -333,9 +340,13 @@ def summarize_clusters(cells, labels, power, angle_deg, velocity_mps,
     return out
 
 
-def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
-    """Full chain: range-Doppler map, CFAR, angle FFT at flagged cells, DBSCAN.
+def detect_spectra(spectra: np.ndarray, radar_cfg: RadarConfig,
+                   cfg: DetectConfig) -> list[Candidate]:
+    """Candidates from per-antenna range-Doppler spectra: CFAR, angle FFT at flagged cells, DBSCAN.
 
+    `spectra` is shaped (n_rx, n_chirps, n_samples), Doppler in FFT order, as
+    `radar_frontend.synthesize_spectra` returns it (and `_range_doppler` for
+    a cube).
     CFAR runs on the antenna-summed map as a one-plane `PowerCube`. At each
     flagged cell the zero-padded angle FFT of its antenna samples gives an
     angle spectrum, and the bins within MAIN_LOBE_DB of its peak become
@@ -343,7 +354,10 @@ def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
     the main lobe keeps a cluster several points large; the angle sidelobes,
     which would cluster into ghost objects, are never points.
     """
-    spectra, rd_map = range_doppler_map(cube)
+    expected = (radar_cfg.n_rx, radar_cfg.n_chirps, radar_cfg.n_samples)
+    if spectra.shape != expected:
+        raise ValueError(f"spectra shape {spectra.shape} != config shape {expected}")
+    rd_map = range_doppler_map(spectra, radar_cfg)
     _, d, r = cfar_detect(rd_map, cfg, n_looks=len(spectra)).T
     fft_bin = np.fft.fftshift(np.arange(spectra.shape[1]))  # shifted Doppler bin -> FFT bin
     spec = _angle_power(spectra[:, fft_bin[d], r], cfg.angle_fft_size).T  # (cells, angle bins)
@@ -352,8 +366,13 @@ def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
     points = np.column_stack((a, d[k], r[k]))
     labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
     return summarize_clusters(points, labels, spec[k, a],
-                              _angle_axis(cube.config, cfg.angle_fft_size),
+                              _angle_axis(radar_cfg, cfg.angle_fft_size),
                               rd_map.velocity_mps, rd_map.range_m)
+
+
+def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
+    """Full chain from an ADC cube: range and Doppler FFTs, then `detect_spectra`."""
+    return detect_spectra(_range_doppler(cube), cube.config, cfg)
 
 
 def write_candidates(rows, path) -> None:

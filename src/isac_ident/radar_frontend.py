@@ -1,14 +1,19 @@
-"""FMCW IF-signal synthesis: the complex ADC cube for a multi-object scene.
+"""FMCW IF-signal synthesis: the ADC cube, or its range-Doppler spectra, of a scene.
 
 The transmit side is a frame of linear up-chirps; mixing with the echo of
 an object at range d yields an IF tone whose fast-time frequency encodes
 range, whose chirp-to-chirp phase encodes Doppler, and whose antenna-to-
 antenna phase encodes azimuth (stop-and-hop approximation).
 
-The echoes of all objects are summed by one complex matrix product, so the
-cube passes through BLAS: its values are the closed-form tones up to the
-last-bit rounding of BLAS's complex multiply-add. A test checks that the
-samples `simulate` derives from them do not depend on the BLAS thread count.
+`synthesize_frame` renders the complex ADC cube, which cube files and the
+`detect` command carry. `synthesize_spectra` writes the per-antenna
+range-Doppler spectra that detection reads straight from per-object
+factors, with no cube and no cube-sized FFT; `simulate --mode full` uses
+it. Both sum the echoes of all objects by one complex matrix product, so
+their values pass through BLAS: they are the closed-form tones (or their
+DFTs) up to the last-bit rounding of BLAS's complex multiply-add. A test
+checks that the samples `simulate` derives from them do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -110,26 +115,21 @@ def if_tone(obj: SceneObject, cfg: RadarConfig, antenna: int, chirp: int, sample
     return obj.reflectivity * complex(math.cos(phase), math.sin(phase))
 
 
-def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
-    """Sum of per-object IF tones over the full cube plus circular Gaussian noise.
+def _phasors(scene, cfg: RadarConfig):
+    """Per-object antenna, chirp and fast-time phasors of `if_tone`.
 
-    The phase of `if_tone` is a sum of a fast-time, a chirp and an antenna
-    term, so each tone is the outer product of an (antenna, chirp) phasor
-    and a fast-time phasor. The K objects' (n_rx * n_chirps, K) and
-    (K, n_samples) phasor matrices give the whole echo sum as one matrix
-    product, written into the cube.
+    Returns (K, n_rx), (K, n_chirps) and (K, n_samples) arrays; the
+    reflectivity rides on the antenna phasor. The phase of `if_tone` is a sum
+    of an antenna, a chirp and a fast-time term, so object k's tone at
+    (m, l, i) is antenna[k, m] * chirp[k, l] * fast[k, i].
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
     m = np.arange(cfg.n_rx)
     l = np.arange(cfg.n_chirps)
     i = np.arange(cfg.n_samples)
-    # The product is written into a cube allocated before the small phasor
-    # matrices. A product with its own output, or this order reversed, made
-    # each new frame thread page-fault its first frame's memory in again
-    # (about 2,700 minor faults per 8-frame `simulate`, measured).
-    data = np.zeros((cfg.n_rx, cfg.n_chirps, cfg.n_samples), dtype=complex)
-    slow = np.empty((cfg.n_rx, cfg.n_chirps, len(scene)), dtype=complex)
+    antenna = np.empty((len(scene), cfg.n_rx), dtype=complex)
+    chirp = np.empty((len(scene), cfg.n_chirps), dtype=complex)
     fast = np.empty((len(scene), cfg.n_samples), dtype=complex)
     for k, obj in enumerate(scene):
         d = obj.range_m
@@ -140,17 +140,82 @@ def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
         fast[k] = np.exp(1j * (2.0 * math.pi * (
             cfg.slope_hz_per_s * tau * (i / cfg.sample_rate_hz) + cfg.carrier_hz * tau
             - 0.5 * cfg.slope_hz_per_s * tau * tau)))
-        chirp = np.exp(1j * (2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s))
-        antenna = obj.reflectivity * np.exp(
+        chirp[k] = np.exp(1j * (2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s))
+        antenna[k] = obj.reflectivity * np.exp(
             1j * (2.0 * math.pi * cfg.rx_spacing * m * math.sin(math.radians(obj.azimuth_deg))))
-        slow[..., k] = np.multiply.outer(antenna, chirp)
-    np.matmul(slow.reshape(-1, len(scene)), fast, out=data.reshape(-1, cfg.n_samples))
+    return antenna, chirp, fast
+
+
+def _outer_sum(antenna, chirp, fast, out) -> None:
+    """out[m, l, i] = sum_k antenna[k, m] * chirp[k, l] * fast[k, i], as one matrix product.
+
+    The K objects' (n_rx * n_chirps, K) slow-time factors times their
+    (K, n_samples) fast-time factors, written into `out`.
+    """
+    slow = antenna.T[:, None, :] * chirp.T[None, :, :]
+    np.matmul(slow.reshape(-1, len(fast)), fast, out=out.reshape(-1, out.shape[-1]))
+
+
+def _add_noise(x: np.ndarray, power: float, seed: int) -> None:
+    """Add circular Gaussian noise of per-cell power `power` to the complex array `x`.
+
+    The real parts of all cells are drawn in C order, then the imaginary
+    parts, from `child_rng(seed, "frame-noise")`. They are drawn one
+    antenna plane at a time, so the buffer is a plane, not a cube.
+    """
+    rng = child_rng(seed, "frame-noise")
+    scale = math.sqrt(power / 2.0)
+    draws = np.empty(x.shape[1:])
+    for part in (x.real, x.imag):
+        for plane in part:
+            rng.standard_normal(out=draws)
+            draws *= scale
+            plane += draws
+
+
+def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
+    """Sum of per-object IF tones over the full cube plus circular Gaussian noise.
+
+    Each tone is the outer product of an (antenna, chirp) phasor and a
+    fast-time phasor, so the whole echo sum is one matrix product written
+    into the cube (`_outer_sum`). The noise has power `noise_floor` per
+    sample.
+    """
+    # The product is written into a cube allocated before the small phasor
+    # matrices. A product with its own output, or this order reversed, made
+    # each new frame thread page-fault its first frame's memory in again
+    # (about 2,700 minor faults per 8-frame `simulate`, measured).
+    data = np.zeros((cfg.n_rx, cfg.n_chirps, cfg.n_samples), dtype=complex)
+    _outer_sum(*_phasors(scene, cfg), out=data)
     if cfg.noise_floor > 0:
-        rng = child_rng(seed, "frame-noise")
-        scale = math.sqrt(cfg.noise_floor / 2.0)
-        data.real += scale * rng.standard_normal(data.shape)
-        data.imag += scale * rng.standard_normal(data.shape)
+        _add_noise(data, cfg.noise_floor, seed)
     return RadarCube(data=data, config=cfg)
+
+
+def synthesize_spectra(scene, cfg: RadarConfig, seed: int = 0) -> np.ndarray:
+    """Per-antenna range-Doppler spectra of a frame, without rendering its cube.
+
+    Returns what `radar_detect._range_doppler(synthesize_frame(scene, cfg))`
+    returns: shape (n_rx, n_chirps, n_samples), Doppler in FFT order, static
+    clutter removed. Both FFTs are linear, so each echo's spectrum is the
+    outer product of its antenna phasor, the DFT of its mean-removed chirp
+    phasor and the DFT of its fast-time phasor, and the echo sum is one
+    matrix product of these small factors. White noise stays white under the
+    unnormalized DFT, so the noise is drawn straight into the spectra with
+    per-cell power `noise_floor * n_chirps * n_samples`. Doppler bin 0 is
+    then set to exactly 0, as clutter removal leaves it. The noise draws are
+    not those of `synthesize_frame`: the two paths agree in distribution,
+    and noise-free to rounding.
+    """
+    # allocated before the phasors, for the page-fault reason in synthesize_frame
+    spectra = np.empty((cfg.n_rx, cfg.n_chirps, cfg.n_samples), dtype=complex)
+    antenna, chirp, fast = _phasors(scene, cfg)
+    chirp -= chirp.mean(axis=1, keepdims=True)             # static clutter removal
+    _outer_sum(antenna, np.fft.fft(chirp, axis=1), np.fft.fft(fast, axis=1), out=spectra)
+    if cfg.noise_floor > 0:
+        _add_noise(spectra, cfg.noise_floor * cfg.n_chirps * cfg.n_samples, seed)
+    spectra[:, 0] = 0.0
+    return spectra
 
 
 def save_cube(cube: RadarCube, path) -> None:

@@ -192,12 +192,16 @@ def reference_dnn_fit(train, pointing_angles, hyper, widths):
 
 
 def reference_power(data, angle_fft_size, clutter_clean=True):
-    """Whole-cube FFT chain: range, clutter removal, Doppler, zero-padded
-    angle FFT, each shifted, then the squared magnitude of the full result."""
+    """Whole-cube FFT chain: range, clutter removal, Doppler (bin 0 zeroed
+    after clutter removal), zero-padded angle FFT, each shifted, then the
+    squared magnitude of the full result."""
     x = np.fft.fft(data, axis=2)
     if clutter_clean:
         x = x - x.mean(axis=1, keepdims=True)
-    x = np.fft.fftshift(np.fft.fft(x, axis=1), axes=1)
+    x = np.fft.fft(x, axis=1)
+    if clutter_clean:
+        x[:, 0] = 0.0
+    x = np.fft.fftshift(x, axes=1)
     x = np.fft.fftshift(np.fft.fft(x, n=angle_fft_size, axis=0), axes=0)
     return np.abs(x) ** 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,15 +12,23 @@ from isac_ident.radar_detect import (
     DetectConfig,
     DetectConfigError,
     PowerCube,
+    _range_doppler,
     cfar_detect,
     cfar_threshold_factor,
     dbscan,
     detect_objects,
+    detect_spectra,
     process_cube,
     range_doppler_map,
     summarize_clusters,
 )
-from isac_ident.radar_frontend import C0, RadarConfig, RadarCube, synthesize_frame
+from isac_ident.radar_frontend import (
+    C0,
+    RadarConfig,
+    RadarCube,
+    synthesize_frame,
+    synthesize_spectra,
+)
 from isac_ident.scene import SceneObject
 
 from oracles import reference_cfar, reference_n_look_pfa, reference_power
@@ -226,7 +235,8 @@ def test_cfar_threshold_factor_n_looks_meets_pfa(n, pfa, n_looks):
 
 def test_range_doppler_map_is_power_cube_summed_over_angle():
     cube = random_cube(13, 48, seed=5)
-    spectra, rd = range_doppler_map(cube)
+    spectra = _range_doppler(cube)
+    rd = range_doppler_map(spectra, cube.config)
     pc = process_cube(cube, angle_fft_size=64)
     assert spectra.shape == cube.data.shape and rd.power.shape == (1, 13, 48)
     assert np.allclose(rd.power[0], pc.power.sum(axis=0) / 64, rtol=1e-12, atol=0)
@@ -239,7 +249,8 @@ def test_cfar_on_range_doppler_map_of_noise_is_calibrated():
     cfg = DetectConfig(cfar_pfa=pfa)
     hits = single_look_hits = cells = 0
     for seed in (11, 12):
-        _, rd = range_doppler_map(random_cube(256, 1024, seed=seed))
+        cube = random_cube(256, 1024, seed=seed)
+        rd = range_doppler_map(_range_doppler(cube), cube.config)
         hits += len(cfar_detect(rd, cfg, n_looks=4))
         single_look_hits += len(cfar_detect(rd, cfg))
         cells += rd.power.size
@@ -455,17 +466,50 @@ def test_single_object_gives_one_candidate_without_sidelobe_ghosts():
     assert abs(cand.angle_deg - obj.azimuth_deg) <= local_angle_bin
 
 
-def test_detect_objects_on_noise_follows_the_calibrated_pfa():
+def noise_spectra(n_chirps, n_samples, seed, n_rx=4):
+    """Noise-only spectra from `synthesize_spectra`: its one echo lies far below the noise."""
+    cfg = dataclasses.replace(small_radar(n_chirps, n_samples, n_rx), noise_floor=2.0)
+    return synthesize_spectra([moving_obj(0, 40.0, 0.0, 3.0, refl=1e-300)], cfg, seed=seed), cfg
+
+
+@pytest.mark.parametrize("source", ["cube", "spectra"])
+def test_detect_objects_on_noise_follows_the_calibrated_pfa(source):
     # with a 4-point angle FFT every flagged cell of a noise-only map is one
     # cluster, so the candidate count follows the map's false-alarm rate
     pfa = 1e-3
     cfg = DetectConfig(cfar_pfa=pfa, dbscan_min_pts=1, angle_fft_size=4)
     found = cells = 0
     for seed in range(4):
-        cube = random_cube(128, 512, seed=20 + seed)
-        found += len(detect_objects(cube, cfg))
+        if source == "cube":
+            found += len(detect_objects(random_cube(128, 512, seed=20 + seed), cfg))
+        else:
+            found += len(detect_spectra(*noise_spectra(128, 512, seed=20 + seed), cfg))
         cells += 128 * 512
     assert 0.5 * pfa * cells <= found <= 2.0 * pfa * cells
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unfloored_cfar_flags_no_zero_doppler_cell(seed):
+    # clutter removal leaves the zero-Doppler row at rounding residue, which
+    # CA-CFAR without a floor flagged far above its pfa (0 m/s phantoms)
+    cfg = dataclasses.replace(FULL_MODE_DETECT, cfar_floor_frac=0.0)
+    cube = synthesize_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
+    spectra = _range_doppler(cube)
+    rd = range_doppler_map(spectra, FULL_MODE_RADAR)
+    assert not spectra[:, 0].any()
+    zero_row = int(np.flatnonzero(rd.velocity_mps == 0.0)[0])
+    assert zero_row not in cfar_detect(rd, cfg, n_looks=len(spectra))[:, 1]
+    for cands in (detect_objects(cube, cfg),
+                  detect_spectra(synthesize_spectra([moving_obj(0, 40.0, 15.0, 6.0)],
+                                                    FULL_MODE_RADAR, seed=seed),
+                                 FULL_MODE_RADAR, cfg)):
+        assert cands and all(c.vel_mps != 0.0 for c in cands)
+
+
+def test_detect_spectra_rejects_spectra_of_another_shape():
+    spectra, cfg = noise_spectra(16, 64, seed=0)
+    with pytest.raises(ValueError, match="spectra shape"):
+        detect_spectra(spectra[:, :8], cfg, DetectConfig())
 
 
 def test_angle_fft_shorter_than_the_antenna_count_is_rejected():

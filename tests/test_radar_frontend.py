@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from isac_ident.radar_detect import _range_doppler
 from isac_ident.radar_frontend import (
     C0,
     CubeFormatError,
@@ -13,6 +14,7 @@ from isac_ident.radar_frontend import (
     load_cube,
     save_cube,
     synthesize_frame,
+    synthesize_spectra,
 )
 from isac_ident.scene import SceneObject
 from isac_ident.seeding import child_rng
@@ -144,6 +146,65 @@ def test_seeded_frame_bit_identical():
 def test_empty_scene_rejected():
     with pytest.raises(ValueError):
         synthesize_frame([], SMALL)
+    with pytest.raises(ValueError):
+        synthesize_spectra([], SMALL)
+
+
+# ------------------------------------------------- spectra without a cube
+
+SPECTRA_CASES = {
+    # a static object's echo is all clutter, so only the moving one survives
+    "static-object": (RadarConfig(n_chirps=16, n_samples=64, n_rx=4,
+                                  chirp_duration_s=64 / 16.666e6 + 1e-6),
+                      [static_obj(40.0, 20.0, refl=1.3), moving_obj(25.0, -10.0, 5.0)]),
+    "one-antenna": (RadarConfig(n_chirps=16, n_samples=64, n_rx=1,
+                                chirp_duration_s=64 / 16.666e6 + 1e-6),
+                    [moving_obj(30.0, 5.0, -3.0), moving_obj(70.0, -40.0, 9.0, refl=0.7)]),
+    "odd-chirps": (RadarConfig(n_chirps=33, n_samples=96, n_rx=3,
+                               chirp_duration_s=96 / 16.666e6 + 1e-6),
+                   [moving_obj(50.0, 30.0, 7.0), moving_obj(12.0, -5.0, -2.0)]),
+    "default-profile": (RadarConfig(),
+                        [moving_obj(240.0, -35.0, 12.0, refl=0.8),
+                         moving_obj(5.5, 60.0, -14.0, refl=1.3), moving_obj(123.4, 8.0, 3.3),
+                         static_obj(199.9, -70.0, refl=0.7)]),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRA_CASES)
+def test_noise_free_spectra_equal_the_cube_path(case):
+    cfg, scene = SPECTRA_CASES[case]
+    want = _range_doppler(synthesize_frame(scene, cfg, seed=0))
+    got = synthesize_spectra(scene, cfg, seed=0)
+    assert got.shape == want.shape == (cfg.n_rx, cfg.n_chirps, cfg.n_samples)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not got[:, 0].any()
+
+
+def faint_scene():
+    # one echo far below any noise draw: noisy spectra then hold the noise bits alone
+    return [moving_obj(40.0, 10.0, 3.0, refl=1e-300)]
+
+
+def test_spectra_noise_is_the_seeded_draws():
+    cfg = RadarConfig(n_chirps=16, n_samples=64, n_rx=3, noise_floor=50.0,
+                      chirp_duration_s=64 / 16.666e6 + 1e-6)
+    spectra = synthesize_spectra(faint_scene(), cfg, seed=9)
+    rng = child_rng(9, "frame-noise")
+    scale = math.sqrt(50.0 * 16 * 64 / 2.0)
+    real, imag = scale * rng.standard_normal((3, 16, 64)), scale * rng.standard_normal((3, 16, 64))
+    real[:, 0] = imag[:, 0] = 0.0
+    assert np.array_equal(spectra.real, real) and np.array_equal(spectra.imag, imag)
+
+
+def test_spectra_noise_power_per_cell():
+    # white noise of power P per sample has power P * n_chirps * n_samples per
+    # cell of the unnormalized 2-D DFT; clutter removal leaves Doppler bin 0 at 0
+    cfg = RadarConfig(n_chirps=64, n_samples=256, n_rx=4, noise_floor=3.0,
+                      chirp_duration_s=256 / 16.666e6 + 1e-6)
+    power = np.abs(synthesize_spectra(faint_scene(), cfg, seed=4)) ** 2
+    assert np.all(power[:, 0] == 0.0)
+    # 64512 exponential cells: the mean is within 2 % at 5 standard errors
+    assert power[:, 1:].mean() == pytest.approx(3.0 * 64 * 256, rel=0.02)
 
 
 # ------------------------------------------------- spectra land on the physics
