@@ -6,7 +6,10 @@ temporary directory and reads back the split, its `accuracy.csv` and the
 `dnn_epoch_losses` of its manifest; prints per-seed accuracies with the
 train/test sample counts and mean candidates per sample, the DNN's loss
 spikes (epoch-to-epoch rises of more than 3x, and the last epoch loss over
-the lowest), then the mean accuracy of every solver.
+the lowest), then, from the `simulate` manifest, the frames, the samples
+kept and the frames dropped per reason, with the count of test samples that
+hold more candidates than a scene has objects; last, the mean
+accuracy of every solver.
 
 Usage:
     python scripts/run_benchmark.py [--seeds 0 1 2] [--epochs 100] [--mode fast|full]
@@ -23,7 +26,7 @@ import time
 from pathlib import Path
 
 from isac_ident import cli
-from isac_ident.dataset import load_samples
+from isac_ident.dataset import ScenarioConfig, load_samples
 
 
 def loss_spikes(losses):
@@ -35,9 +38,12 @@ def loss_spikes(losses):
     return jumps, losses[-1] / lowest
 
 
+MAX_OBJECTS = ScenarioConfig().candidates_range[1]  # objects in a default scene, at most
+
+
 def run_seed(seed: int, mode: str, epochs: int, work: Path):
-    """Sample counts, candidates per sample, (solver, accuracy) rows and the
-    DNN's epoch losses of one seed."""
+    """Sample counts, candidates per sample, (solver, accuracy) rows, the
+    DNN's epoch losses and the `simulate` stats line of one seed."""
     config = work / "run.yaml"
     config.write_text(f"training: {{epochs: {epochs}}}\n", encoding="utf-8")
     common = ["--config", str(config), "--seed", str(seed)]
@@ -53,7 +59,13 @@ def run_seed(seed: int, mode: str, epochs: int, work: Path):
     lines = (scores / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]
     rows = [(name, float(acc)) for name, acc in (line.split(",") for line in lines)]
     manifest = json.loads((scores / "manifest.json").read_text(encoding="utf-8"))
-    return (len(train), len(test)), per_sample, rows, manifest["stats"]["dnn_epoch_losses"]
+    sim = json.loads((data / "manifest.json").read_text(encoding="utf-8"))["stats"]
+    crowded = sum(len(s.candidates) > MAX_OBJECTS for s in test)
+    dropped = " ".join(f"{reason}={n}" for reason, n in sim["dropped"].items())
+    sim_line = (f"  frames {sim['frames']}, kept {sim['kept']}, dropped {dropped}, "
+                f"test samples with > {MAX_OBJECTS} candidates {crowded}/{len(test)}")
+    return ((len(train), len(test)), per_sample, rows, manifest["stats"]["dnn_epoch_losses"],
+            sim_line)
 
 
 def main():
@@ -67,8 +79,8 @@ def main():
     for seed in args.seeds:
         t0 = time.time()
         with tempfile.TemporaryDirectory() as work:
-            (n_train, n_test), per_sample, rows, losses = run_seed(seed, args.mode, args.epochs,
-                                                                   Path(work))
+            (n_train, n_test), per_sample, rows, losses, sim_line = run_seed(
+                seed, args.mode, args.epochs, Path(work))
         line = [f"seed {seed} ({n_train}/{n_test} samples, "
                 f"{per_sample:.2f} candidates per sample):"]
         for name, acc in rows:
@@ -78,6 +90,7 @@ def main():
         line.append(f"dnn loss: {jumps} jumps >3x, last/min {last_over_min:.3g}")
         line.append(f"[{time.time() - t0:.0f}s]")
         print(" ".join(line))
+        print(sim_line)
 
     print("\nsolver          mean accuracy")
     for name, accs in results.items():

@@ -7,10 +7,11 @@ sweeping the codebook against the synthesized channel, and the index of
 the user among the candidates.
 
 Fast mode synthesizes candidate states directly from the ground-truth
-kinematics plus configured angle errors; full mode renders each sample
-as the range-Doppler spectra of an FMCW frame (`synthesize_spectra`: no
-ADC cube is built), runs the detection chain from CFAR on
-(`detect_spectra`), and labels the candidate nearest the ground truth.
+kinematics plus configured angle errors; full mode draws each sample's
+FMCW frame as its detector sees it (`sample_frame`: the antenna-summed
+range-Doppler map, and antenna samples only at the cells CFAR flags; no
+ADC cube or per-antenna spectra are built), runs the detection chain from
+CFAR on (`detect_map`), and labels the candidate nearest the ground truth.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from isac_ident.radar_detect import Candidate, DetectConfig, detect_spectra
-from isac_ident.radar_frontend import RadarConfig, synthesize_spectra
+from isac_ident.radar_detect import Candidate, DetectConfig, detect_map
+from isac_ident.radar_frontend import RadarConfig, sample_frame
 from isac_ident.scene import (
     CommConfig,
     SceneObject,
@@ -298,10 +299,10 @@ def _full_sample(frame: _Frame, cfg, comm, codebook, radar, detect) -> Sample | 
     b_star = _serving_beam(gt, comm, codebook, frame.seed)
     rng = child_rng(cfg.seed, "frame", frame.sequence_id, frame.t)
     scene = _full_scene(gt, frame.k_t, cfg, rng)
-    spectra = synthesize_spectra(scene, radar, seed=frame.seed)
+    power, read_cells = sample_frame(scene, radar, seed=frame.seed)
     # as a sample file reads them back: it stores no n_points
     candidates = tuple(Candidate(c.range_m, c.angle_deg, c.vel_mps, 1, c.power)
-                       for c in detect_spectra(spectra, radar, detect))
+                       for c in detect_map(power, read_cells, radar, detect))
     if not candidates:
         return "no_candidates"
     truth = (gt.range_m, gt.theta_deg + cfg.misalignment_deg, gt.radial_vel)

@@ -3,16 +3,17 @@
 Processing order is range FFT, clutter cleaning (per-range-bin mean removal
 across chirps) and Doppler FFT per antenna, whose bin 0 is then set to
 exactly 0, then the squared magnitude summed over the antennas into one
-range-Doppler map. `detect_objects` runs the whole chain on an ADC cube;
-`detect_spectra` starts from per-antenna spectra, as
-`radar_frontend.synthesize_spectra` writes them for full-mode datasets,
-so that path runs no FFT over a cube. Cell-averaging CFAR
-runs along the range axis of that map, with its threshold calibrated for a
-sum of `n_rx` exponentials. The zero-padded angle FFT runs only at the
-flagged cells, over their `n_rx` antenna samples, and each cell keeps the
-angle bins of its main lobe. The resulting (angle, Doppler, range) cells are
-clustered with DBSCAN in bin units and each cluster becomes one candidate
-object summarized by the mean of its members.
+range-Doppler map. `detect_map` runs the chain from that map on, reading
+per-antenna samples only at the cells CFAR flags: `detect_objects` feeds it
+the map and the spectra of an ADC cube, and full-mode datasets feed it what
+`radar_frontend.sample_frame` draws, so that path runs no FFT over a cube.
+Cell-averaging CFAR runs along the range axis of the map, with its
+threshold calibrated for a sum of `n_rx` exponentials. The zero-padded
+angle FFT runs only at the flagged cells, over their `n_rx` antenna
+samples, and each cell keeps the angle bins of its main lobe. The resulting
+(angle, Doppler, range) cells are clustered with DBSCAN in bin units and
+each cluster becomes one candidate object summarized by the mean of its
+members.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
+from isac_ident.radar_frontend import C0, RadarConfig, RadarCube, check_finite_fields
 
 MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
 
@@ -54,6 +55,7 @@ class DetectConfig:
     cfar_floor_frac: float = 0.02
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not 0.0 < self.cfar_pfa < 1.0:
             raise ValueError("cfar_pfa must be in (0, 1)")
         if self.cfar_train < 1 or self.cfar_guard < 0:
@@ -130,21 +132,25 @@ def _velocity_axis(cfg: RadarConfig) -> np.ndarray:
     return doppler_hz * C0 / (2.0 * cfg.carrier_hz)
 
 
-def range_doppler_map(spectra: np.ndarray, cfg: RadarConfig) -> PowerCube:
-    """The antenna-summed range-Doppler power map of per-antenna spectra.
+def antenna_power(spectra: np.ndarray) -> np.ndarray:
+    """The sum over antennas of |x|^2 of per-antenna spectra (n_rx, D, R), one plane at a time."""
+    power = np.zeros(spectra.shape[1:])
+    for x in spectra:
+        power += x.real ** 2
+        power += x.imag ** 2
+    return power
 
-    `spectra` holds each antenna's complex range-Doppler spectrum, shape
-    (n_rx, D, R), in FFT Doppler order. The map is a one-plane `PowerCube`
-    (its one angle is a placeholder 0): the sum over antennas of |x|^2,
-    Doppler centered. By Parseval it is 1/A times the A-point power cube of
-    `process_cube` summed over angle.
+
+def range_doppler_map(power: np.ndarray, cfg: RadarConfig) -> PowerCube:
+    """The antenna-summed range-Doppler power map as a one-plane `PowerCube`, without a copy.
+
+    `power` is shaped (D, R), Doppler in FFT order, and so are the cube's
+    plane and its velocity axis (its one angle is a placeholder 0). By
+    Parseval the map of `antenna_power` is 1/A times the A-point power cube
+    of `process_cube`, Doppler uncentered, summed over angle.
     """
-    rd = np.zeros(spectra.shape[1:])
-    for x in spectra:                                      # antenna sum, one plane at a time
-        rd += x.real ** 2
-        rd += x.imag ** 2
-    return PowerCube(power=np.fft.fftshift(rd, axes=0)[None], angle_deg=np.zeros(1),
-                     velocity_mps=_velocity_axis(cfg),
+    return PowerCube(power=power[None], angle_deg=np.zeros(1),
+                     velocity_mps=np.fft.ifftshift(_velocity_axis(cfg)),
                      range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
 
 
@@ -214,37 +220,51 @@ def cfar_threshold_factor(n_train: int, pfa: float, n_looks: int = 1) -> float:
             hi = mid
 
 
-def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
-    """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice.
+def cfar_threshold(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
+    """The CA-CFAR threshold of every cell of `power`, along its last (range) axis.
 
-    The scale factor holds `cfg.cfar_pfa` for noise cells that are sums of
-    `n_looks` exponentials (the antenna count for a range-Doppler map).
-    Training windows are [i-guard-train, i-guard-1] and
-    [i+guard+1, i+guard+train], truncated at the edges (one-sided at the
-    extremes). Returns the flagged cells' (angle, Doppler, range) indices,
-    shape (N, 3), in `np.argwhere` order.
+    alpha * max(mean of the training cells, cfar_floor_frac * peak), with
+    alpha from `cfar_threshold_factor`. Training windows are
+    [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train], truncated at
+    the edges (one-sided at the extremes). Besides the result, the working
+    set is the padded cumulative sum and one map-sized temporary.
     """
     train, guard = cfg.cfar_train, cfg.cfar_guard
-    n = pc.power.shape[2]
+    n = power.shape[-1]
     pad = train + guard
     if 2 * pad + 1 > n:
         raise DetectConfigError(
             f"CFAR window of {2 * pad + 1} cells exceeds range axis of {n} bins"
         )
     alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
-    floor = cfg.cfar_floor_frac * pc.power.max()
+    floor = cfg.cfar_floor_frac * power.max()
     # cs[..., pad + k] holds the sum of the first k cells, k clamped to [0, n],
     # so each window edge is a shifted slice and truncation needs no clipping
-    cs = np.zeros(pc.power.shape[:2] + (n + 1 + 2 * pad,))
-    np.cumsum(pc.power, axis=-1, out=cs[..., pad + 1:pad + 1 + n])
+    cs = np.zeros(power.shape[:-1] + (n + 1 + 2 * pad,))
+    np.cumsum(power, axis=-1, out=cs[..., pad + 1:pad + 1 + n])
     cs[..., pad + 1 + n:] = cs[..., pad + n:pad + n + 1]
     lo_a, lo_b, hi_a, hi_b = (cs[..., k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
     idx = np.arange(n)
     counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
               + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
-    threshold = np.maximum(((lo_b - lo_a) + (hi_b - hi_a)) / counts, floor)
+    # ((lo_b - lo_a) + (hi_b - hi_a)) / counts, floored, times alpha
+    threshold = np.subtract(lo_b, lo_a)
+    threshold += np.subtract(hi_b, hi_a)
+    np.divide(threshold, counts, out=threshold)
+    np.maximum(threshold, floor, out=threshold)
     threshold *= alpha
-    return np.argwhere(pc.power > threshold)
+    return threshold
+
+
+def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
+    """Cell-averaging CFAR along the range axis of every (angle, Doppler) slice.
+
+    The scale factor holds `cfg.cfar_pfa` for noise cells that are sums of
+    `n_looks` exponentials (the antenna count for a range-Doppler map); the
+    threshold is `cfar_threshold`'s. Returns the flagged cells' (angle,
+    Doppler, range) indices, shape (N, 3), in `np.argwhere` order.
+    """
+    return np.argwhere(pc.power > cfar_threshold(pc.power, cfg, n_looks))
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -340,39 +360,46 @@ def summarize_clusters(cells, labels, power, angle_deg, velocity_mps,
     return out
 
 
-def detect_spectra(spectra: np.ndarray, radar_cfg: RadarConfig,
-                   cfg: DetectConfig) -> list[Candidate]:
-    """Candidates from per-antenna range-Doppler spectra: CFAR, angle FFT at flagged cells, DBSCAN.
+def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
+               cfg: DetectConfig) -> list[Candidate]:
+    """Candidates from a range-Doppler map: CFAR, angle FFT at flagged cells, DBSCAN.
 
-    `spectra` is shaped (n_rx, n_chirps, n_samples), Doppler in FFT order, as
-    `radar_frontend.synthesize_spectra` returns it (and `_range_doppler` for
-    a cube).
-    CFAR runs on the antenna-summed map as a one-plane `PowerCube`. At each
-    flagged cell the zero-padded angle FFT of its antenna samples gives an
-    angle spectrum, and the bins within MAIN_LOBE_DB of its peak become
-    (angle, Doppler, range) points carrying that spectrum's power. Keeping
-    the main lobe keeps a cluster several points large; the angle sidelobes,
-    which would cluster into ghost objects, are never points.
+    `power` is the antenna-summed map, shaped (n_chirps, n_samples), Doppler
+    in FFT order; `read_cells(d, r)` returns the (n_rx, N) complex antenna
+    samples at FFT Doppler bins `d` and range bins `r`, and is called once,
+    with the flagged cells in CFAR order: row-major on the map with Doppler
+    zero centered.
+    CFAR runs on the map as a one-plane `PowerCube`. At each flagged cell
+    the zero-padded angle FFT of its antenna samples gives an angle
+    spectrum, and the bins within MAIN_LOBE_DB of its peak become (angle,
+    Doppler, range) points carrying that spectrum's power. Keeping the main
+    lobe keeps a cluster several points large; the angle sidelobes, which
+    would cluster into ghost objects, are never points.
     """
-    expected = (radar_cfg.n_rx, radar_cfg.n_chirps, radar_cfg.n_samples)
-    if spectra.shape != expected:
-        raise ValueError(f"spectra shape {spectra.shape} != config shape {expected}")
-    rd_map = range_doppler_map(spectra, radar_cfg)
-    _, d, r = cfar_detect(rd_map, cfg, n_looks=len(spectra)).T
-    fft_bin = np.fft.fftshift(np.arange(spectra.shape[1]))  # shifted Doppler bin -> FFT bin
-    spec = _angle_power(spectra[:, fft_bin[d], r], cfg.angle_fft_size).T  # (cells, angle bins)
+    expected = (radar_cfg.n_chirps, radar_cfg.n_samples)
+    if power.shape != expected:
+        raise ValueError(f"map shape {power.shape} != config shape {expected}")
+    rd_map = range_doppler_map(power, radar_cfg)
+    _, d, r = cfar_detect(rd_map, cfg, n_looks=radar_cfg.n_rx).T
+    # CFAR rows are independent, so the flags of the zero-centered map are
+    # these; put them in its row-major order, Doppler as centered bins
+    centered = (d + len(power) // 2) % len(power)
+    order = np.argsort(centered, kind="stable")
+    d, centered, r = d[order], centered[order], r[order]
+    spec = _angle_power(read_cells(d, r), cfg.angle_fft_size).T  # (cells, angle bins)
     lobe = spec >= spec.max(axis=1, keepdims=True) * 10.0 ** (-MAIN_LOBE_DB / 10.0)
     k, a = np.nonzero(lobe)
-    points = np.column_stack((a, d[k], r[k]))
+    points = np.column_stack((a, centered[k], r[k]))
     labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
     return summarize_clusters(points, labels, spec[k, a],
                               _angle_axis(radar_cfg, cfg.angle_fft_size),
-                              rd_map.velocity_mps, rd_map.range_m)
+                              _velocity_axis(radar_cfg), rd_map.range_m)
 
 
 def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:
-    """Full chain from an ADC cube: range and Doppler FFTs, then `detect_spectra`."""
-    return detect_spectra(_range_doppler(cube), cube.config, cfg)
+    """Full chain from an ADC cube: range and Doppler FFTs, then `detect_map`."""
+    spectra = _range_doppler(cube)
+    return detect_map(antenna_power(spectra), lambda d, r: spectra[:, d, r], cube.config, cfg)
 
 
 def write_candidates(rows, path) -> None:

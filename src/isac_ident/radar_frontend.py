@@ -1,4 +1,4 @@
-"""FMCW IF-signal synthesis: the ADC cube, or its range-Doppler spectra, of a scene.
+"""FMCW IF-signal synthesis: the ADC cube of a scene, or its detector statistic.
 
 The transmit side is a frame of linear up-chirps; mixing with the echo of
 an object at range d yields an IF tone whose fast-time frequency encodes
@@ -6,21 +6,22 @@ range, whose chirp-to-chirp phase encodes Doppler, and whose antenna-to-
 antenna phase encodes azimuth (stop-and-hop approximation).
 
 `synthesize_frame` renders the complex ADC cube, which cube files and the
-`detect` command carry. `synthesize_spectra` writes the per-antenna
-range-Doppler spectra that detection reads straight from per-object
-factors, with no cube and no cube-sized FFT; `simulate --mode full` uses
-it. Both sum the echoes of all objects by one complex matrix product, so
-their values pass through BLAS: they are the closed-form tones (or their
-DFTs) up to the last-bit rounding of BLAS's complex multiply-add. A test
-checks that the samples `simulate` derives from them do not depend on the
-BLAS thread count.
+`detect` command carry; it sums the echoes of all objects by one complex
+matrix product, so its values are the closed-form tones up to the last-bit
+rounding of BLAS's complex multiply-add. `sample_frame` draws what
+detection reads of a noisy frame and nothing else: the antenna-summed
+range-Doppler power map, two draws per cell, and the per-antenna samples
+of the cells CFAR flags, on demand. `simulate --mode full` uses it; no
+cube, and no array of per-antenna spectra, is built. A test checks that
+the samples `simulate` derives from it do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,18 @@ _CUBE_VERSION = 1
 
 class CubeFormatError(ValueError):
     """Radar cube file is malformed."""
+
+
+def check_finite_fields(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass `obj` that is NaN or infinite.
+
+    A NaN passes every range check (each comparison is False), so it must be
+    rejected by name before them.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,7 @@ class RadarConfig:
     noise_floor: float = 0.0             # per-sample complex noise power
 
     def __post_init__(self):
+        check_finite_fields(self)
         if min(self.n_chirps, self.n_samples, self.n_rx) < 1:
             raise ValueError("chirp, sample and antenna counts must be >= 1")
         if self.slope_hz_per_s * self.chirp_duration_s <= 0:
@@ -192,30 +206,95 @@ def synthesize_frame(scene, cfg: RadarConfig, seed: int = 0) -> RadarCube:
     return RadarCube(data=data, config=cfg)
 
 
-def synthesize_spectra(scene, cfg: RadarConfig, seed: int = 0) -> np.ndarray:
-    """Per-antenna range-Doppler spectra of a frame, without rendering its cube.
+def _spectral_factors(scene, cfg: RadarConfig):
+    """Per-object antenna, Doppler and range factors of a frame's range-Doppler spectra.
 
-    Returns what `radar_detect._range_doppler(synthesize_frame(scene, cfg))`
-    returns: shape (n_rx, n_chirps, n_samples), Doppler in FFT order, static
-    clutter removed. Both FFTs are linear, so each echo's spectrum is the
-    outer product of its antenna phasor, the DFT of its mean-removed chirp
-    phasor and the DFT of its fast-time phasor, and the echo sum is one
-    matrix product of these small factors. White noise stays white under the
-    unnormalized DFT, so the noise is drawn straight into the spectra with
-    per-cell power `noise_floor * n_chirps * n_samples`. Doppler bin 0 is
-    then set to exactly 0, as clutter removal leaves it. The noise draws are
-    not those of `synthesize_frame`: the two paths agree in distribution,
-    and noise-free to rounding.
+    Both FFTs are linear, so each echo's spectrum at (antenna m, Doppler bin
+    d, range bin r) is antenna[k, m] * doppler[k, d] * fast[k, r]: its antenna
+    phasor, the DFT of its mean-removed (static clutter removed) chirp
+    phasor and the DFT of its fast-time phasor. Doppler is in FFT order.
     """
-    # allocated before the phasors, for the page-fault reason in synthesize_frame
-    spectra = np.empty((cfg.n_rx, cfg.n_chirps, cfg.n_samples), dtype=complex)
     antenna, chirp, fast = _phasors(scene, cfg)
     chirp -= chirp.mean(axis=1, keepdims=True)             # static clutter removal
-    _outer_sum(antenna, np.fft.fft(chirp, axis=1), np.fft.fft(fast, axis=1), out=spectra)
-    if cfg.noise_floor > 0:
-        _add_noise(spectra, cfg.noise_floor * cfg.n_chirps * cfg.n_samples, seed)
-    spectra[:, 0] = 0.0
-    return spectra
+    return antenna, np.fft.fft(chirp, axis=1), np.fft.fft(fast, axis=1)
+
+
+def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
+    """A noisy frame as detection reads it: the power map and a reader of its cells.
+
+    Returns (power, read_cells). `power` is the range-Doppler map summed
+    over the antennas, shape (n_chirps, n_samples), Doppler in FFT order,
+    Doppler bin 0 exactly 0 (as static clutter removal leaves it).
+    `read_cells(d, r)` returns the complex antenna samples, shape (n_rx, N),
+    at FFT Doppler bins `d` and range bins `r`; call it once, with the cells
+    CFAR flags in CFAR order.
+
+    White noise stays white under the unnormalized DFT, so a cell is its
+    echo s plus circular Gaussian noise of power P = noise_floor * n_chirps
+    * n_samples. As a vector in R^(2 n_rx), with sigma^2 = P / 2, that is
+    exactly (|s| + sigma z) s_hat + sigma sqrt(q) v, with z ~ N(0, 1),
+    q ~ chi^2(2 n_rx - 1) and v uniform on the unit sphere orthogonal to
+    s_hat, since an isotropic Gaussian is rotation-invariant. The map cell is
+    (|s| + sigma z)^2 + sigma^2 q, so the map costs two draws per cell, and v
+    is drawn only at the cells read. Where |s| = 0, s_hat is the first axis
+    (the real part of antenna 0).
+
+    The draws come from `child_rng(seed, "frame-noise")`: z over Doppler
+    bins 1 and up in C order, then q, then 2 n_rx normals per cell read. With
+    `noise_floor` 0 nothing is drawn: the map is the echo power and the
+    cells are the echo. The echo power is summed one antenna plane at a
+    time, and the echo at a cell comes from the per-object factors.
+    """
+    # Every plane of the frame lives in one block, allocated first: the map,
+    # |s| + sigma z, sigma^2 q and a complex work plane. Freed as one chunk
+    # larger than the rest of the frame's arrays together (CFAR's included),
+    # it keeps glibc's trim threshold above what a frame frees, so a frame
+    # thread reuses its heap instead of faulting it in again every frame
+    # (about 12,000 minor faults per 8 frames with separate planes, measured).
+    block = np.zeros((5, cfg.n_chirps, cfg.n_samples))
+    power, along, across = block[:3]
+    plane = block[3:].reshape(-1).view(complex).reshape(power.shape)[1:]
+    antenna, doppler, fast = _spectral_factors(scene, cfg)
+    echo = power[1:]                                       # Doppler bin 0 stays 0
+    slow = doppler[:, 1:].T
+    parts = plane.view(float)                              # re, im interleaved
+    for a in antenna.T:                                    # one antenna plane at a time
+        np.matmul(slow * a, fast, out=plane)
+        np.multiply(parts, parts, out=parts)
+        echo += parts[:, 0::2]
+        echo += parts[:, 1::2]
+
+    def echo_cells(d, r):
+        return antenna.T @ (doppler[:, d] * fast[:, r])
+
+    if cfg.noise_floor == 0:
+        return power, echo_cells
+
+    rng = child_rng(seed, "frame-noise")
+    var = cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0     # sigma^2 per real axis
+    rng.standard_normal(out=along[1:])                     # along: |s| + sigma z
+    along *= math.sqrt(var)
+    along += np.sqrt(power, out=block[3])
+    rng.standard_gamma(cfg.n_rx - 0.5, out=across[1:])     # across: sigma^2 q, q / 2 ~ Gamma(n_rx - 1/2)
+    across *= 2.0 * var
+    np.multiply(along, along, out=power)
+    power += across
+
+    def read_cells(d, r):
+        # (N, 2 n_rx) real vectors: re and im of each antenna in turn
+        x = np.ascontiguousarray(echo_cells(d, r).T).view(float)
+        norm = np.hypot.reduce(x, axis=1, keepdims=True)   # |s|, without underflow
+        s_hat = np.zeros_like(x)
+        s_hat[:, 0] = 1.0
+        np.divide(x, norm, out=s_hat, where=norm > 0)
+        v = rng.standard_normal(x.shape)
+        v -= s_hat * (v * s_hat).sum(axis=1, keepdims=True)
+        v /= np.sqrt((v * v).sum(axis=1, keepdims=True))
+        v *= np.sqrt(across[d, r])[:, None]
+        v += along[d, r][:, None] * s_hat
+        return v.view(complex).T
+
+    return power, read_cells
 
 
 def save_cube(cube: RadarCube, path) -> None:

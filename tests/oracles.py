@@ -5,12 +5,14 @@ plain-python loops and brute-force scans that the fast implementations
 are checked against.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from isac_ident.mlp import ModelWidths, NormBounds, init_weights, loss_and_grad_arrays
 from isac_ident.radar_detect import cfar_threshold_factor
+from isac_ident.radar_frontend import synthesize_frame
 from isac_ident.seeding import child_rng
 
 
@@ -206,8 +208,9 @@ def reference_power(data, angle_fft_size, clutter_clean=True):
     return np.abs(x) ** 2
 
 
-def reference_cfar(power, cfg, n_looks=1):
-    """Whole-cube CA-CFAR: cumulative sums gathered at clipped window edges."""
+def reference_cfar_threshold(power, cfg, n_looks=1):
+    """Whole-cube CA-CFAR threshold as allocating array expressions: cumulative
+    sums gathered at clipped window edges, alpha * max(window mean, floor)."""
     n = power.shape[-1]
     train, guard = cfg.cfar_train, cfg.cfar_guard
     cs = np.concatenate([np.zeros(power.shape[:-1] + (1,)), np.cumsum(power, axis=-1)],
@@ -221,7 +224,30 @@ def reference_cfar(power, cfg, n_looks=1):
     noise = sums / ((lo_b - lo_a) + (hi_b - hi_a))
     alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * power.max()
-    return np.argwhere(power > alpha * np.maximum(noise, floor))
+    return alpha * np.maximum(noise, floor)
+
+
+def reference_cfar(power, cfg, n_looks=1):
+    """Whole-cube CA-CFAR: the cells above `reference_cfar_threshold`."""
+    return np.argwhere(power > reference_cfar_threshold(power, cfg, n_looks))
+
+
+def reference_spectra(scene, cfg, seed):
+    """Dense per-antenna range-Doppler spectra of a noisy frame, shape
+    (n_rx, n_chirps, n_samples), Doppler in FFT order: the noise-free cube's
+    range FFT, clutter removal and Doppler FFT, plus white circular Gaussian
+    noise of power noise_floor * n_chirps * n_samples drawn into every cell
+    (real parts, then imaginary parts, from `np.random.default_rng(seed)`),
+    then Doppler bin 0 set to 0."""
+    data = synthesize_frame(scene, dataclasses.replace(cfg, noise_floor=0.0)).data
+    x = np.fft.fft(data, axis=2)
+    x = x - x.mean(axis=1, keepdims=True)
+    x = np.fft.fft(x, axis=1)
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0)
+    x = x + scale * rng.standard_normal(x.shape) + 1j * scale * rng.standard_normal(x.shape)
+    x[:, 0] = 0.0
+    return x
 
 
 def reference_n_look_pfa(alpha, n_train, n_looks):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from isac_ident.cli import main
 from isac_ident.config import (
     ConfigError,
     RunConfig,
@@ -78,3 +79,36 @@ def test_with_seed_rewrites_derived_seeds():
     assert bumped.seed == 42
     assert bumped.scenario.seed == 42
     assert bumped.training.seed == 42
+
+
+FLOAT_FIELDS = [
+    ("radar", "carrier_hz"), ("radar", "slope_hz_per_s"), ("radar", "chirp_duration_s"),
+    ("radar", "inter_chirp_wait_s"), ("radar", "sample_rate_hz"), ("radar", "rx_spacing"),
+    ("radar", "noise_floor"),
+    ("detect", "cfar_pfa"), ("detect", "dbscan_eps"), ("detect", "cfar_floor_frac"),
+]
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+def test_non_finite_float_is_rejected_by_name(tmp_path, section, key, value):
+    # a NaN passes every range check (its comparisons are all False), so
+    # noise_floor: .nan once ran full mode noise-free and exited 0
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{section}:\n  {key}: {value}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith(f"invalid {section} section: {key} must be finite, got ")
+
+
+def test_non_finite_noise_floor_exits_2_in_one_line(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text("radar:\n  noise_floor: .nan\n")
+    code = main(["simulate", "--mode", "full", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err == "error: invalid radar section: noise_floor must be finite, got nan\n"
+    assert not (tmp_path / "out").exists()

@@ -99,17 +99,17 @@ def test_full_mode_stats_count_each_drop_reason(monkeypatch):
     # frames cycle through detecting nothing, detecting only a far-off
     # object, and detecting the real scene
     calls = []
-    real_detect = dataset.detect_spectra
+    real_detect = dataset.detect_map
 
-    def detect(spectra, radar_cfg, cfg):
+    def detect(power, read_cells, radar_cfg, cfg):
         calls.append(None)
         if len(calls) % 3 == 1:
             return []
         if len(calls) % 3 == 2:
             return [Candidate(range_m=240.0, angle_deg=-80.0, vel_mps=-30.0)]
-        return real_detect(spectra, radar_cfg, cfg)
+        return real_detect(power, read_cells, radar_cfg, cfg)
 
-    monkeypatch.setattr(dataset, "detect_spectra", detect)
+    monkeypatch.setattr(dataset, "detect_map", detect)
     monkeypatch.delenv("ISAC_IDENT_THREADS", raising=False)  # frames in order
     radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=10.0)
     cfg = ScenarioConfig(n_sequences=2, samples_per_sequence=(3, 3),
@@ -125,20 +125,20 @@ def test_full_mode_matches_the_user_on_the_detection_angle_grid(monkeypatch):
     # at rx_spacing 0.25 an angle bin is 4 / angle_fft_size wide in sin(theta),
     # so a detection 1.5 bins off the user is within the 2-bin match gate
     scenes = []
-    real_synthesize = dataset.synthesize_spectra
+    real_sample = dataset.sample_frame
 
-    def synthesize(scene, radar, seed=None):
+    def sample(scene, radar, seed=None):
         scenes.append(scene)
-        return real_synthesize(scene, radar, seed=seed)
+        return real_sample(scene, radar, seed=seed)
 
-    def detect(spectra, radar_cfg, cfg):
+    def detect(power, read_cells, radar_cfg, cfg):
         user = scenes[-1][0]
         sin_off = 1.5 / (cfg.angle_fft_size * radar_cfg.rx_spacing)
         angle = math.degrees(math.asin(math.sin(math.radians(user.azimuth_deg)) + sin_off))
         return [Candidate(range_m=user.range_m, angle_deg=angle, vel_mps=user.radial_velocity)]
 
-    monkeypatch.setattr(dataset, "synthesize_spectra", synthesize)
-    monkeypatch.setattr(dataset, "detect_spectra", detect)
+    monkeypatch.setattr(dataset, "sample_frame", sample)
+    monkeypatch.setattr(dataset, "detect_map", detect)
     monkeypatch.delenv("ISAC_IDENT_THREADS", raising=False)
     radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=10.0, rx_spacing=0.25)
     cfg = ScenarioConfig(n_sequences=1, samples_per_sequence=(1, 1),

@@ -13,11 +13,13 @@ from isac_ident.radar_detect import (
     DetectConfigError,
     PowerCube,
     _range_doppler,
+    antenna_power,
     cfar_detect,
+    cfar_threshold,
     cfar_threshold_factor,
     dbscan,
+    detect_map,
     detect_objects,
-    detect_spectra,
     process_cube,
     range_doppler_map,
     summarize_clusters,
@@ -26,12 +28,18 @@ from isac_ident.radar_frontend import (
     C0,
     RadarConfig,
     RadarCube,
+    sample_frame,
     synthesize_frame,
-    synthesize_spectra,
 )
 from isac_ident.scene import SceneObject
 
-from oracles import reference_cfar, reference_n_look_pfa, reference_power
+from oracles import (
+    reference_cfar,
+    reference_cfar_threshold,
+    reference_n_look_pfa,
+    reference_power,
+    reference_spectra,
+)
 
 
 def moving_obj(oid, d, theta_deg, v_closing, refl=1.0):
@@ -201,6 +209,21 @@ def test_cfar_matches_reference_at_every_look_count(data, seed, planes, rows, tr
     assert hits.dtype == ref.dtype and np.array_equal(hits, ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+       train=st.integers(1, 8), guard=st.integers(0, 3),
+       floor=st.sampled_from([0.0, 1e-3, 0.05]), n_looks=st.sampled_from([1, 4]))
+def test_cfar_threshold_matches_the_allocating_reference_bit_for_bit(data, seed, rows, train,
+                                                                    guard, floor, n_looks):
+    # range axes from the shortest window that fits up: every cell's windows
+    # are truncated at one edge or both
+    n_range = data.draw(st.integers(2 * (train + guard) + 1, 4 * (train + guard) + 8))
+    power = np.random.default_rng(seed).exponential(1.0, size=(rows, n_range))
+    cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=floor)
+    got = cfar_threshold(power, cfg, n_looks)
+    assert np.array_equal(got, reference_cfar_threshold(power, cfg, n_looks))
+
+
 @pytest.mark.parametrize("power", [0.0, 3.7])
 def test_cfar_flat_cube_gives_empty_index_array(power):
     pc = PowerCube(power=np.full((3, 5, 64), power), angle_deg=np.zeros(3),
@@ -236,11 +259,13 @@ def test_cfar_threshold_factor_n_looks_meets_pfa(n, pfa, n_looks):
 def test_range_doppler_map_is_power_cube_summed_over_angle():
     cube = random_cube(13, 48, seed=5)
     spectra = _range_doppler(cube)
-    rd = range_doppler_map(spectra, cube.config)
+    rd = range_doppler_map(antenna_power(spectra), cube.config)
     pc = process_cube(cube, angle_fft_size=64)
     assert spectra.shape == cube.data.shape and rd.power.shape == (1, 13, 48)
-    assert np.allclose(rd.power[0], pc.power.sum(axis=0) / 64, rtol=1e-12, atol=0)
-    assert np.array_equal(rd.velocity_mps, pc.velocity_mps)
+    # the map keeps FFT Doppler order; process_cube centers it
+    assert np.allclose(np.fft.fftshift(rd.power[0], axes=0), pc.power.sum(axis=0) / 64,
+                       rtol=1e-12, atol=0)
+    assert np.array_equal(np.fft.fftshift(rd.velocity_mps), pc.velocity_mps)
     assert np.array_equal(rd.range_m, pc.range_m)
 
 
@@ -250,7 +275,7 @@ def test_cfar_on_range_doppler_map_of_noise_is_calibrated():
     hits = single_look_hits = cells = 0
     for seed in (11, 12):
         cube = random_cube(256, 1024, seed=seed)
-        rd = range_doppler_map(_range_doppler(cube), cube.config)
+        rd = range_doppler_map(antenna_power(_range_doppler(cube)), cube.config)
         hits += len(cfar_detect(rd, cfg, n_looks=4))
         single_look_hits += len(cfar_detect(rd, cfg))
         cells += rd.power.size
@@ -466,16 +491,18 @@ def test_single_object_gives_one_candidate_without_sidelobe_ghosts():
     assert abs(cand.angle_deg - obj.azimuth_deg) <= local_angle_bin
 
 
-def noise_spectra(n_chirps, n_samples, seed, n_rx=4):
-    """Noise-only spectra from `synthesize_spectra`: its one echo lies far below the noise."""
+def noise_frame(n_chirps, n_samples, seed, n_rx=4):
+    """A noise-only frame from `sample_frame` (its one echo lies far below the noise)
+    as `detect_map`'s first three arguments."""
     cfg = dataclasses.replace(small_radar(n_chirps, n_samples, n_rx), noise_floor=2.0)
-    return synthesize_spectra([moving_obj(0, 40.0, 0.0, 3.0, refl=1e-300)], cfg, seed=seed), cfg
+    return *sample_frame([moving_obj(0, 40.0, 0.0, 3.0, refl=1e-300)], cfg, seed=seed), cfg
 
 
 @pytest.mark.parametrize("source", ["cube", "spectra"])
 def test_detect_objects_on_noise_follows_the_calibrated_pfa(source):
     # with a 4-point angle FFT every flagged cell of a noise-only map is one
-    # cluster, so the candidate count follows the map's false-alarm rate
+    # cluster, so the candidate count follows the map's false-alarm rate;
+    # "spectra" is the statistic `sample_frame` draws without a cube
     pfa = 1e-3
     cfg = DetectConfig(cfar_pfa=pfa, dbscan_min_pts=1, angle_fft_size=4)
     found = cells = 0
@@ -483,7 +510,7 @@ def test_detect_objects_on_noise_follows_the_calibrated_pfa(source):
         if source == "cube":
             found += len(detect_objects(random_cube(128, 512, seed=20 + seed), cfg))
         else:
-            found += len(detect_spectra(*noise_spectra(128, 512, seed=20 + seed), cfg))
+            found += len(detect_map(*noise_frame(128, 512, seed=20 + seed), cfg))
         cells += 128 * 512
     assert 0.5 * pfa * cells <= found <= 2.0 * pfa * cells
 
@@ -495,21 +522,51 @@ def test_unfloored_cfar_flags_no_zero_doppler_cell(seed):
     cfg = dataclasses.replace(FULL_MODE_DETECT, cfar_floor_frac=0.0)
     cube = synthesize_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
     spectra = _range_doppler(cube)
-    rd = range_doppler_map(spectra, FULL_MODE_RADAR)
+    rd = range_doppler_map(antenna_power(spectra), FULL_MODE_RADAR)
     assert not spectra[:, 0].any()
     zero_row = int(np.flatnonzero(rd.velocity_mps == 0.0)[0])
     assert zero_row not in cfar_detect(rd, cfg, n_looks=len(spectra))[:, 1]
-    for cands in (detect_objects(cube, cfg),
-                  detect_spectra(synthesize_spectra([moving_obj(0, 40.0, 15.0, 6.0)],
-                                                    FULL_MODE_RADAR, seed=seed),
-                                 FULL_MODE_RADAR, cfg)):
+    power, read_cells = sample_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
+    assert not power[0].any()
+    for cands in (detect_objects(cube, cfg), detect_map(power, read_cells, FULL_MODE_RADAR, cfg)):
         assert cands and all(c.vel_mps != 0.0 for c in cands)
 
 
-def test_detect_spectra_rejects_spectra_of_another_shape():
-    spectra, cfg = noise_spectra(16, 64, seed=0)
-    with pytest.raises(ValueError, match="spectra shape"):
-        detect_spectra(spectra[:, :8], cfg, DetectConfig())
+def test_detect_map_rejects_a_map_of_another_shape():
+    power, read_cells, cfg = noise_frame(16, 64, seed=0)
+    with pytest.raises(ValueError, match="map shape"):
+        detect_map(power[:8], read_cells, cfg, DetectConfig())
+
+
+def test_one_object_frames_match_the_dense_oracle():
+    # frame-level check of the sampled statistic: one object, a full-mode
+    # detection profile, candidates per frame and points per candidate from
+    # sample_frame against dense per-antenna spectra; bounds are 5 standard
+    # errors of the frame count
+    radar = RadarConfig(n_chirps=64, n_samples=256, noise_floor=100.0,
+                        chirp_duration_s=256 / 16.666e6 + 1e-6)
+    obj = moving_obj(0, 45.0, 25.0, 6.0)
+    n = 40
+    counts, points = {}, {}
+    for source in ("sampled", "dense"):
+        per_frame, sizes = [], []
+        for seed in range(n):
+            if source == "sampled":
+                cands = detect_map(*sample_frame([obj], radar, seed=seed), radar, FULL_MODE_DETECT)
+            else:
+                spectra = reference_spectra([obj], radar, seed)
+                cands = detect_map(antenna_power(spectra), lambda d, r: spectra[:, d, r],
+                                   radar, FULL_MODE_DETECT)
+            per_frame.append(len(cands))
+            sizes += [c.n_points for c in cands]
+            # within the 2-bin gate that labels full-mode samples
+            best = min(cands, key=lambda c: abs(c.range_m - obj.range_m))
+            assert abs(best.range_m - obj.range_m) <= 2 * radar.range_bin_m
+            assert abs(best.vel_mps - obj.radial_velocity) <= 2 * radar.doppler_bin_mps
+        counts[source], points[source] = np.array(per_frame), np.array(sizes)
+    for got, dense in (counts.values(), points.values()):
+        se = math.sqrt(got.var() / len(got) + dense.var() / len(dense))
+        assert abs(got.mean() - dense.mean()) <= 5 * se + 1.0 / n
 
 
 def test_angle_fft_shorter_than_the_antenna_count_is_rejected():

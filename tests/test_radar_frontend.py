@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from isac_ident.radar_detect import _range_doppler
+from isac_ident.radar_detect import _angle_power, _range_doppler, antenna_power
 from isac_ident.radar_frontend import (
     C0,
     CubeFormatError,
@@ -12,9 +13,9 @@ from isac_ident.radar_frontend import (
     RadarCube,
     if_tone,
     load_cube,
+    sample_frame,
     save_cube,
     synthesize_frame,
-    synthesize_spectra,
 )
 from isac_ident.scene import SceneObject
 from isac_ident.seeding import child_rng
@@ -147,10 +148,10 @@ def test_empty_scene_rejected():
     with pytest.raises(ValueError):
         synthesize_frame([], SMALL)
     with pytest.raises(ValueError):
-        synthesize_spectra([], SMALL)
+        sample_frame([], SMALL)
 
 
-# ------------------------------------------------- spectra without a cube
+# ------------------------------------------------- frames without a cube
 
 SPECTRA_CASES = {
     # a static object's echo is all clutter, so only the moving one survives
@@ -172,39 +173,133 @@ SPECTRA_CASES = {
 
 @pytest.mark.parametrize("case", SPECTRA_CASES)
 def test_noise_free_spectra_equal_the_cube_path(case):
+    # without noise the map is the cube path's antenna-summed power and the
+    # cells are its per-antenna spectra, read here at every cell
     cfg, scene = SPECTRA_CASES[case]
     want = _range_doppler(synthesize_frame(scene, cfg, seed=0))
-    got = synthesize_spectra(scene, cfg, seed=0)
-    assert got.shape == want.shape == (cfg.n_rx, cfg.n_chirps, cfg.n_samples)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not got[:, 0].any()
+    power, read_cells = sample_frame(scene, cfg, seed=0)
+    assert power.shape == (cfg.n_chirps, cfg.n_samples)
+    assert not power[0].any()
+    want_power = antenna_power(want)
+    assert np.abs(power - want_power).max() <= 1e-12 * want_power.max()
+    d, r = np.indices(power.shape).reshape(2, -1)
+    cells = read_cells(d, r)
+    assert cells.shape == (cfg.n_rx, d.size)
+    assert np.abs(cells - want[:, d, r]).max() <= 1e-12 * np.abs(want).max()
 
 
 def faint_scene():
-    # one echo far below any noise draw: noisy spectra then hold the noise bits alone
+    # one echo far below any noise draw: its power underflows to 0, so the
+    # noisy map holds the noise bits alone
     return [moving_obj(40.0, 10.0, 3.0, refl=1e-300)]
 
 
 def test_spectra_noise_is_the_seeded_draws():
+    # draw order: z over Doppler bins 1 and up, then q, then 2 n_rx normals
+    # per cell read, in the order the cells are read
     cfg = RadarConfig(n_chirps=16, n_samples=64, n_rx=3, noise_floor=50.0,
                       chirp_duration_s=64 / 16.666e6 + 1e-6)
-    spectra = synthesize_spectra(faint_scene(), cfg, seed=9)
+    power, read_cells = sample_frame(faint_scene(), cfg, seed=9)
+    d, r = np.array([3, 15, 1, 3]), np.array([0, 63, 17, 40])
+    cells = read_cells(d, r)
+
     rng = child_rng(9, "frame-noise")
-    scale = math.sqrt(50.0 * 16 * 64 / 2.0)
-    real, imag = scale * rng.standard_normal((3, 16, 64)), scale * rng.standard_normal((3, 16, 64))
-    real[:, 0] = imag[:, 0] = 0.0
-    assert np.array_equal(spectra.real, real) and np.array_equal(spectra.imag, imag)
+    var = 50.0 * 16 * 64 / 2.0
+    along = np.zeros((16, 64))
+    along[1:] = rng.standard_normal((15, 64)) * math.sqrt(var)
+    across = np.zeros((16, 64))
+    across[1:] = rng.standard_gamma(2.5, (15, 64)) * (2.0 * var)
+    assert np.array_equal(power, along * along + across)
+
+    _, echo_cells = sample_frame(faint_scene(), dataclasses.replace(cfg, noise_floor=0.0))
+    x = np.ascontiguousarray(echo_cells(d, r).T).view(float)
+    s_hat = x / np.hypot.reduce(x, axis=1, keepdims=True)
+    v = rng.standard_normal((4, 6))
+    v -= s_hat * (v * s_hat).sum(axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    want = along[d, r][:, None] * s_hat + np.sqrt(across[d, r])[:, None] * v
+    assert np.allclose(cells, want.view(complex).T, rtol=1e-12, atol=1e-12 * math.sqrt(var))
 
 
 def test_spectra_noise_power_per_cell():
-    # white noise of power P per sample has power P * n_chirps * n_samples per
-    # cell of the unnormalized 2-D DFT; clutter removal leaves Doppler bin 0 at 0
+    # a noise-only map cell sums 2 n_rx squared N(0, sigma^2) axes, sigma^2 =
+    # noise_floor * n_chirps * n_samples / 2: mean 2 n_rx sigma^2, and
+    # variance over mean squared 2 / (2 n_rx) (chi^2 with 2 n_rx degrees);
+    # Doppler bin 0 is exactly 0
     cfg = RadarConfig(n_chirps=64, n_samples=256, n_rx=4, noise_floor=3.0,
                       chirp_duration_s=256 / 16.666e6 + 1e-6)
-    power = np.abs(synthesize_spectra(faint_scene(), cfg, seed=4)) ** 2
-    assert np.all(power[:, 0] == 0.0)
-    # 64512 exponential cells: the mean is within 2 % at 5 standard errors
-    assert power[:, 1:].mean() == pytest.approx(3.0 * 64 * 256, rel=0.02)
+    power, _ = sample_frame(faint_scene(), cfg, seed=4)
+    assert np.all(power[0] == 0.0)
+    mean = 2 * 4 * (3.0 * 64 * 256 / 2.0)
+    # 16128 cells of relative spread 1/2: the mean is within 2 % at 5 standard
+    # errors, the variance ratio within 10 % at 6.8 (chi^2(8) kurtosis 4.5)
+    assert power[1:].mean() == pytest.approx(mean, rel=0.02)
+    assert power[1:].var() / mean ** 2 == pytest.approx(2 / 8, rel=0.10)
+
+
+def dense_cells(s, sigma, n, rng):
+    """n draws of echo `s` (n_rx complex) plus white noise of variance sigma^2 per real axis."""
+    shape = (len(s), n)
+    return s[:, None] + sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def sampled_cells(scene, cfg, cell, seeds):
+    """The cell's antenna samples, one frame per seed, shape (n_rx, len(seeds))."""
+    d, r = np.array([cell[0]]), np.array([cell[1]])
+    return np.hstack([sample_frame(scene, cfg, seed=seed)[1](d, r) for seed in seeds])
+
+
+@pytest.mark.parametrize("snr", [0.0, 1.0, 12.0])
+def test_sampled_cell_matches_the_dense_draws(snr):
+    # a read cell is its echo plus white circular noise: the residual over
+    # sigma is N(0, I) in R^(2 n_rx), |x|^2 / sigma^2 is noncentral
+    # chi^2(2 n_rx, |s|^2 / sigma^2), and the angle-FFT peak lands where the
+    # dense draws' does; every bound is 5 standard errors of n draws
+    n, n_rx = 1500, 4
+    cfg = RadarConfig(n_chirps=16, n_samples=64, n_rx=n_rx, noise_floor=2.0,
+                      chirp_duration_s=64 / 16.666e6 + 1e-6)
+    sigma = math.sqrt(2.0 * 16 * 64 / 2.0)
+    quiet = dataclasses.replace(cfg, noise_floor=0.0)
+    if snr == 0.0:
+        scene = [static_obj(30.0, 20.0)]                   # all clutter: the echo is exactly 0
+        cell = (5, 20)
+    else:
+        obj = moving_obj(30.0, 20.0, 6.0)
+        echo_power, _ = sample_frame([obj], quiet)
+        cell = np.unravel_index(np.argmax(echo_power), echo_power.shape)
+        refl = snr * sigma / math.sqrt(echo_power[cell])
+        scene = [moving_obj(30.0, 20.0, 6.0, refl=refl)]
+    s = sample_frame(scene, quiet)[1](np.array([cell[0]]), np.array([cell[1]]))[:, 0]
+    assert np.linalg.norm(s) == pytest.approx(snr * sigma, rel=1e-9, abs=0.0)
+
+    got = sampled_cells(scene, cfg, cell, range(n))
+    dense = dense_cells(s, sigma, n, np.random.default_rng(99))
+    for x in (got, dense):
+        resid = np.ascontiguousarray(((x - s[:, None]) / sigma).T).view(float)  # (n, 2 n_rx)
+        assert np.abs(resid.mean(axis=0)).max() <= 5 / math.sqrt(n)
+        cov = resid.T @ resid / n
+        off = cov - np.eye(2 * n_rx)
+        assert np.abs(np.diag(off)).max() <= 5 * math.sqrt(2 / n)
+        assert np.abs(off - np.diag(np.diag(off))).max() <= 5 / math.sqrt(n)
+        energy = (np.abs(x) ** 2).sum(axis=0) / sigma ** 2
+        # cumulants of noncentral chi^2(k, lam): 2^(j-1) (j-1)! (k + j lam)
+        k, lam = 2 * n_rx, snr ** 2
+        var, kappa4 = 2 * (k + 2 * lam), 48 * (k + 4 * lam)
+        assert abs(energy.mean() - (k + lam)) <= 5 * math.sqrt(var / n)
+        assert abs(energy.var() - var) <= 5 * math.sqrt((kappa4 + 2 * var ** 2) / n)
+    peak_got = np.argmax(_angle_power(got, 64), axis=0)
+    peak_dense = np.argmax(_angle_power(dense, 64), axis=0)
+    if snr > 0:
+        # the share of draws whose angle peak sits on the echo's own peak bin
+        home = np.argmax(_angle_power(s[:, None], 64)[:, 0])
+        p_got, p_dense = np.mean(peak_got == home), np.mean(peak_dense == home)
+        p = (p_got + p_dense) / 2
+        assert abs(p_got - p_dense) <= 5 * math.sqrt(2 * p * (1 - p) / n) + 1e-12
+    # the peak bins spread alike: mean absolute distance to the dense draws' median bin
+    med = np.median(peak_dense)
+    spread_got, spread_dense = np.abs(peak_got - med), np.abs(peak_dense - med)
+    se = math.sqrt((spread_got.var() + spread_dense.var()) / n)
+    assert abs(spread_got.mean() - spread_dense.mean()) <= 5 * se + 1e-12
 
 
 # ------------------------------------------------- spectra land on the physics
