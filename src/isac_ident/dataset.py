@@ -30,6 +30,7 @@ from isac_ident.radar_frontend import RadarConfig, sample_frame
 from isac_ident.scene import (
     CommConfig,
     SceneObject,
+    check_finite_fields,
     dft_codebook,
     optimal_beam,
     sweep_beams,
@@ -74,6 +75,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.n_sequences < 1:
             raise ValueError("n_sequences must be >= 1")
         lo, hi = self.samples_per_sequence
@@ -242,10 +244,7 @@ def _decoy_state(gt: _GroundTruth, rng):
 
 
 def _serving_beam(gt: _GroundTruth, comm: CommConfig, codebook, seed: int) -> int:
-    a = math.radians(gt.theta_deg)
-    user = SceneObject(id=0, position=(gt.range_m * math.sin(a), gt.range_m * math.cos(a)),
-                       velocity=(0.0, 0.0), is_comm_user=True)
-    h = synthesize_channel([user], comm, seed=seed)
+    h = synthesize_channel(gt.theta_deg, gt.range_m, comm, seed=seed)
     return optimal_beam(sweep_beams(h, codebook, comm, seed=seed))
 
 

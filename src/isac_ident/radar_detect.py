@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isac_ident.radar_frontend import C0, RadarConfig, RadarCube, check_finite_fields
+from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
+from isac_ident.scene import check_finite_fields
 
 MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
 
@@ -139,19 +140,6 @@ def antenna_power(spectra: np.ndarray) -> np.ndarray:
         power += x.real ** 2
         power += x.imag ** 2
     return power
-
-
-def range_doppler_map(power: np.ndarray, cfg: RadarConfig) -> PowerCube:
-    """The antenna-summed range-Doppler power map as a one-plane `PowerCube`, without a copy.
-
-    `power` is shaped (D, R), Doppler in FFT order, and so are the cube's
-    plane and its velocity axis (its one angle is a placeholder 0). By
-    Parseval the map of `antenna_power` is 1/A times the A-point power cube
-    of `process_cube`, Doppler uncentered, summed over angle.
-    """
-    return PowerCube(power=power[None], angle_deg=np.zeros(1),
-                     velocity_mps=np.fft.ifftshift(_velocity_axis(cfg)),
-                     range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
 
 
 def _angle_power(x: np.ndarray, angle_fft_size: int) -> np.ndarray:
@@ -369,7 +357,8 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     samples at FFT Doppler bins `d` and range bins `r`, and is called once,
     with the flagged cells in CFAR order: row-major on the map with Doppler
     zero centered.
-    CFAR runs on the map as a one-plane `PowerCube`. At each flagged cell
+    CFAR runs along the range axis of the map itself, its threshold
+    calibrated for `n_rx` looks (`cfar_threshold`). At each flagged cell
     the zero-padded angle FFT of its antenna samples gives an angle
     spectrum, and the bins within MAIN_LOBE_DB of its peak become (angle,
     Doppler, range) points carrying that spectrum's power. Keeping the main
@@ -379,8 +368,7 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     expected = (radar_cfg.n_chirps, radar_cfg.n_samples)
     if power.shape != expected:
         raise ValueError(f"map shape {power.shape} != config shape {expected}")
-    rd_map = range_doppler_map(power, radar_cfg)
-    _, d, r = cfar_detect(rd_map, cfg, n_looks=radar_cfg.n_rx).T
+    d, r = np.nonzero(power > cfar_threshold(power, cfg, n_looks=radar_cfg.n_rx))
     # CFAR rows are independent, so the flags of the zero-centered map are
     # these; put them in its row-major order, Doppler as centered bins
     centered = (d + len(power) // 2) % len(power)
@@ -393,7 +381,8 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
     return summarize_clusters(points, labels, spec[k, a],
                               _angle_axis(radar_cfg, cfg.angle_fft_size),
-                              _velocity_axis(radar_cfg), rd_map.range_m)
+                              _velocity_axis(radar_cfg),
+                              np.arange(radar_cfg.n_samples) * radar_cfg.range_bin_m)
 
 
 def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from isac_ident.scene import C0, SceneObject
+from isac_ident.scene import C0, SceneObject, check_finite_fields
 from isac_ident.seeding import child_rng
 
 _CUBE_MAGIC = b"RCUB"
@@ -35,18 +35,6 @@ _CUBE_VERSION = 1
 
 class CubeFormatError(ValueError):
     """Radar cube file is malformed."""
-
-
-def check_finite_fields(obj) -> None:
-    """Raise ValueError naming the first field of the dataclass `obj` that is NaN or infinite.
-
-    A NaN passes every range check (each comparison is False), so it must be
-    rejected by name before them.
-    """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

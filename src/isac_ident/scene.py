@@ -10,7 +10,7 @@ index found by sweeping the codebook.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,8 +19,17 @@ from isac_ident.seeding import child_rng
 C0 = 299_792_458.0  # speed of light, m/s
 
 
-class SceneError(ValueError):
-    """Scene contents violate an invariant (e.g. no communication user)."""
+def check_finite_fields(obj) -> None:
+    """Raise ValueError naming the first float field of the dataclass `obj` that is NaN or infinite.
+
+    A NaN passes every range check (each comparison is False), so it must be
+    rejected by name before them. Fields that are not floats (counts, tuples)
+    are left to the caller's own checks.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,7 @@ class CommConfig:
     element_spacing: float = 0.5  # wavelengths
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.n_antennas < 1 or self.n_beams < 1 or self.n_paths < 1:
             raise ValueError("antenna, beam and path counts must be >= 1")
         if self.tx_gain <= 0:
@@ -140,29 +150,20 @@ def path_loss_amplitude(range_m: float) -> float:
     return 1.0 / range_m
 
 
-def comm_user(scene) -> SceneObject:
-    """The unique communication user in the scene."""
-    users = [o for o in scene if o.is_comm_user]
-    if len(users) != 1:
-        raise SceneError(f"scene must contain exactly one comm user, found {len(users)}")
-    return users[0]
-
-
-def synthesize_channel(scene, cfg: CommConfig, seed: int = 0) -> np.ndarray:
-    """Geometric channel to the comm user.
+def synthesize_channel(azimuth_deg: float, range_m: float, cfg: CommConfig,
+                       seed: int = 0) -> np.ndarray:
+    """Geometric channel to the comm user at `azimuth_deg` and `range_m`.
 
     Path 1 is line of sight: free-space amplitude at the user's range and
     a uniformly random phase. Additional paths (n_paths > 1) are scatter
     paths at random azimuths, 10 dB below the direct path.
     """
-    user = comm_user(scene)
-    theta = user.azimuth_deg
-    if not -90.0 <= theta <= 90.0:
-        raise SceneError(f"comm user at azimuth {theta:.1f} deg is behind the array")
+    if not -90.0 <= azimuth_deg <= 90.0:
+        raise ValueError(f"comm user at azimuth {azimuth_deg:.1f} deg is behind the array")
     rng = child_rng(seed, "channel")
-    amp = path_loss_amplitude(user.range_m)
+    amp = path_loss_amplitude(range_m)
     alphas = [amp * np.exp(2j * np.pi * rng.random())]
-    thetas = [theta]
+    thetas = [azimuth_deg]
     for _ in range(cfg.n_paths - 1):
         alphas.append(amp * 10 ** (-10 / 20) * np.exp(2j * np.pi * rng.random()))
         thetas.append(rng.uniform(-90.0, 90.0))

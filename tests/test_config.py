@@ -81,17 +81,27 @@ def test_with_seed_rewrites_derived_seeds():
     assert bumped.training.seed == 42
 
 
+# (section, config key, the field name the error message carries)
 FLOAT_FIELDS = [
-    ("radar", "carrier_hz"), ("radar", "slope_hz_per_s"), ("radar", "chirp_duration_s"),
-    ("radar", "inter_chirp_wait_s"), ("radar", "sample_rate_hz"), ("radar", "rx_spacing"),
-    ("radar", "noise_floor"),
-    ("detect", "cfar_pfa"), ("detect", "dbscan_eps"), ("detect", "cfar_floor_frac"),
+    ("radar", "carrier_hz", "carrier_hz"), ("radar", "slope_hz_per_s", "slope_hz_per_s"),
+    ("radar", "chirp_duration_s", "chirp_duration_s"),
+    ("radar", "inter_chirp_wait_s", "inter_chirp_wait_s"),
+    ("radar", "sample_rate_hz", "sample_rate_hz"), ("radar", "rx_spacing", "rx_spacing"),
+    ("radar", "noise_floor", "noise_floor"),
+    ("detect", "cfar_pfa", "cfar_pfa"), ("detect", "dbscan_eps", "dbscan_eps"),
+    ("detect", "cfar_floor_frac", "cfar_floor_frac"),
+    ("scenario", "misalignment_deg", "misalignment_deg"),
+    ("scenario", "angle_noise_deg", "angle_noise_deg"),
+    ("scenario", "distortion_deg", "distortion_deg"), ("scenario", "frame_rate", "frame_rate_hz"),
+    ("comm", "tx_gain", "tx_gain"), ("comm", "noise", "noise_var"),
+    ("comm", "spacing", "element_spacing"),
 ]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-@pytest.mark.parametrize("section,key", FLOAT_FIELDS)
-def test_non_finite_float_is_rejected_by_name(tmp_path, section, key, value):
+@pytest.mark.parametrize("section,key,name", FLOAT_FIELDS,
+                         ids=[f"{section}-{key}" for section, key, _ in FLOAT_FIELDS])
+def test_non_finite_float_is_rejected_by_name(tmp_path, section, key, name, value):
     # a NaN passes every range check (its comparisons are all False), so
     # noise_floor: .nan once ran full mode noise-free and exited 0
     path = tmp_path / "run.yaml"
@@ -100,7 +110,7 @@ def test_non_finite_float_is_rejected_by_name(tmp_path, section, key, value):
         load_config(path)
     message = str(info.value)
     assert "\n" not in message
-    assert message.startswith(f"invalid {section} section: {key} must be finite, got ")
+    assert message.startswith(f"invalid {section} section: {name} must be finite, got ")
 
 
 def test_non_finite_noise_floor_exits_2_in_one_line(tmp_path, capsys):

@@ -13,6 +13,7 @@ from isac_ident.radar_detect import (
     DetectConfigError,
     PowerCube,
     _range_doppler,
+    _velocity_axis,
     antenna_power,
     cfar_detect,
     cfar_threshold,
@@ -21,7 +22,6 @@ from isac_ident.radar_detect import (
     detect_map,
     detect_objects,
     process_cube,
-    range_doppler_map,
     summarize_clusters,
 )
 from isac_ident.radar_frontend import (
@@ -259,7 +259,12 @@ def test_cfar_threshold_factor_n_looks_meets_pfa(n, pfa, n_looks):
 def test_range_doppler_map_is_power_cube_summed_over_angle():
     cube = random_cube(13, 48, seed=5)
     spectra = _range_doppler(cube)
-    rd = range_doppler_map(antenna_power(spectra), cube.config)
+    cfg = cube.config
+    # the map as detect_map reads it: FFT Doppler order, velocity from the
+    # centered bins of _velocity_axis, and its own range axis
+    rd = PowerCube(power=antenna_power(spectra)[None], angle_deg=np.zeros(1),
+                   velocity_mps=np.fft.ifftshift(_velocity_axis(cfg)),
+                   range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
     pc = process_cube(cube, angle_fft_size=64)
     assert spectra.shape == cube.data.shape and rd.power.shape == (1, 13, 48)
     # the map keeps FFT Doppler order; process_cube centers it
@@ -275,10 +280,10 @@ def test_cfar_on_range_doppler_map_of_noise_is_calibrated():
     hits = single_look_hits = cells = 0
     for seed in (11, 12):
         cube = random_cube(256, 1024, seed=seed)
-        rd = range_doppler_map(antenna_power(_range_doppler(cube)), cube.config)
-        hits += len(cfar_detect(rd, cfg, n_looks=4))
-        single_look_hits += len(cfar_detect(rd, cfg))
-        cells += rd.power.size
+        power = antenna_power(_range_doppler(cube))
+        hits += np.count_nonzero(power > cfar_threshold(power, cfg, n_looks=4))
+        single_look_hits += np.count_nonzero(power > cfar_threshold(power, cfg))
+        cells += power.size
     assert cells >= 5 * 10**5
     assert 0.5 * pfa <= hits / cells <= 2.0 * pfa
     # the single-look factor is far too strict on a four-antenna sum
@@ -522,10 +527,10 @@ def test_unfloored_cfar_flags_no_zero_doppler_cell(seed):
     cfg = dataclasses.replace(FULL_MODE_DETECT, cfar_floor_frac=0.0)
     cube = synthesize_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
     spectra = _range_doppler(cube)
-    rd = range_doppler_map(antenna_power(spectra), FULL_MODE_RADAR)
+    rd = antenna_power(spectra)
     assert not spectra[:, 0].any()
-    zero_row = int(np.flatnonzero(rd.velocity_mps == 0.0)[0])
-    assert zero_row not in cfar_detect(rd, cfg, n_looks=len(spectra))[:, 1]
+    # row 0 of the FFT-ordered map is zero velocity
+    assert 0 not in np.nonzero(rd > cfar_threshold(rd, cfg, n_looks=len(spectra)))[0]
     power, read_cells = sample_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
     assert not power[0].any()
     for cands in (detect_objects(cube, cfg), detect_map(power, read_cells, FULL_MODE_RADAR, cfg)):

@@ -7,22 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isac_ident.scene import (
-    SceneError,
-    SceneObject,
     CommConfig,
     array_response,
     channel_from_paths,
-    comm_user,
     dft_codebook,
     optimal_beam,
     path_loss_amplitude,
     sweep_beams,
     synthesize_channel,
 )
-
-
-def make_user(x, y, vx=0.0, vy=0.0):
-    return SceneObject(id=0, position=(x, y), velocity=(vx, vy), is_comm_user=True)
 
 
 # ---------------------------------------------------------------- array response
@@ -110,8 +103,8 @@ def test_channel_two_paths_hand_summed():
 
 def test_synthesized_channel_free_space_law():
     cfg = CommConfig(n_antennas=8)
-    h_near = synthesize_channel([make_user(0.0, 25.0)], cfg, seed=3)
-    h_far = synthesize_channel([make_user(0.0, 50.0)], cfg, seed=3)
+    h_near = synthesize_channel(0.0, 25.0, cfg, seed=3)
+    h_far = synthesize_channel(0.0, 50.0, cfg, seed=3)
     # amplitude halves when the range doubles, so power gain is quartered
     ratio = np.linalg.norm(h_far) / np.linalg.norm(h_near)
     assert np.isclose(ratio, 0.5)
@@ -122,22 +115,16 @@ def test_free_space_amplitude_exact():
         assert path_loss_amplitude(2 * d) / path_loss_amplitude(d) == 0.5
 
 
-def test_synthesize_channel_requires_comm_user():
-    bystander = SceneObject(id=1, position=(5.0, 20.0), velocity=(0.0, 0.0))
-    with pytest.raises(SceneError):
-        synthesize_channel([bystander], CommConfig())
-
-
-def test_comm_user_rejects_multiple_users():
-    with pytest.raises(SceneError):
-        comm_user([make_user(1.0, 10.0), make_user(2.0, 10.0)])
+@pytest.mark.parametrize("azimuth", [-90.5, 90.5, 180.0])
+def test_synthesize_channel_rejects_user_behind_array(azimuth):
+    with pytest.raises(ValueError, match="behind the array"):
+        synthesize_channel(azimuth, 20.0, CommConfig())
 
 
 def test_synthesize_channel_deterministic():
-    scene = [make_user(10.0, 40.0)]
     cfg = CommConfig(n_antennas=16, n_paths=3)
-    assert np.array_equal(synthesize_channel(scene, cfg, seed=9),
-                          synthesize_channel(scene, cfg, seed=9))
+    assert np.array_equal(synthesize_channel(14.0, 41.2, cfg, seed=9),
+                          synthesize_channel(14.0, 41.2, cfg, seed=9))
 
 
 # ---------------------------------------------------------------- beam gains
