@@ -11,10 +11,11 @@ matrix product, so its values are the closed-form tones up to the last-bit
 rounding of BLAS's complex multiply-add. `sample_frame` draws what
 detection reads of a noisy frame and nothing else: the antenna-summed
 range-Doppler power map, two draws per cell, and the per-antenna samples
-of the cells CFAR flags, on demand. `simulate --mode full` uses it; no
-cube, and no array of per-antenna spectra, is built. A test checks that
-the samples `simulate` derives from it do not depend on the BLAS thread
-count.
+of the cells CFAR flags, on demand. Its echo power is one real matrix
+product over pairs of objects, through their Gram matrix over the
+antennas. `simulate --mode full` uses it; no cube, and no array of
+per-antenna spectra, is built. A test checks that the samples `simulate`
+derives from it do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -230,27 +231,38 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     The draws come from `child_rng(seed, "frame-noise")`: z over Doppler
     bins 1 and up in C order, then q, then 2 n_rx normals per cell read. With
     `noise_floor` 0 nothing is drawn: the map is the echo power and the
-    cells are the echo. The echo power is summed one antenna plane at a
-    time, and the echo at a cell comes from the per-object factors.
+    cells are the echo.
+
+    The echo power sum_m |sum_k a_km D_kd F_kr|^2 is the real part of
+    sum_kk' G_kk' D_kd D*_k'd F_kr F*_k'r with G = A A^H, the objects' Gram
+    matrix over the antennas, so it is one real (n_chirps - 1, 2 K^2) x
+    (2 K^2, n_samples) matrix product, clamped at 0 against rounding. The
+    echo at a cell comes from the per-object factors.
     """
     # Every plane of the frame lives in one block, allocated first: the map,
-    # |s| + sigma z, sigma^2 q and a complex work plane. Freed as one chunk
-    # larger than the rest of the frame's arrays together (CFAR's included),
-    # it keeps glibc's trim threshold above what a frame frees, so a frame
-    # thread reuses its heap instead of faulting it in again every frame
-    # (about 12,000 minor faults per 8 frames with separate planes, measured).
-    block = np.zeros((5, cfg.n_chirps, cfg.n_samples))
+    # |s| + sigma z, sigma^2 q and a plane for the map's square root. Freed as
+    # one chunk larger than the rest of the frame's arrays together (CFAR's
+    # included), it keeps glibc's trim threshold above what a frame frees, so
+    # a frame thread reuses its heap instead of faulting it in again every
+    # frame (about 12,000 minor faults per 8 frames with separate planes,
+    # measured).
+    block = np.zeros((4, cfg.n_chirps, cfg.n_samples))
     power, along, across = block[:3]
-    plane = block[3:].reshape(-1).view(complex).reshape(power.shape)[1:]
     antenna, doppler, fast = _spectral_factors(scene, cfg)
-    echo = power[1:]                                       # Doppler bin 0 stays 0
-    slow = doppler[:, 1:].T
-    parts = plane.view(float)                              # re, im interleaved
-    for a in antenna.T:                                    # one antenna plane at a time
-        np.matmul(slow * a, fast, out=plane)
-        np.multiply(parts, parts, out=parts)
-        echo += parts[:, 0::2]
-        echo += parts[:, 1::2]
+    k = len(antenna)
+    slow = doppler[:, 1:].T                                # Doppler bin 0 stays 0
+    p = slow[:, :, None] * slow.conj()[:, None, :]         # P_kk'(d) = G_kk' D_kd D*_k'd
+    p *= antenna @ antenna.conj().T
+    q = fast[:, None, :] * fast.conj()[None, :, :]         # Q_kk'(r) = F_kr F*_k'r
+    lhs = np.empty((len(slow), 2, k, k))                   # [Re P, -Im P]
+    lhs[:, 0] = p.real
+    np.negative(p.imag, out=lhs[:, 1])
+    rhs = np.empty((2, k, k, cfg.n_samples))               # [Re Q; Im Q]
+    rhs[0] = q.real
+    rhs[1] = q.imag
+    echo = power[1:]
+    np.matmul(lhs.reshape(len(slow), -1), rhs.reshape(-1, cfg.n_samples), out=echo)
+    np.maximum(echo, 0.0, out=echo)                        # no rounding-negative cell for sqrt
 
     def echo_cells(d, r):
         return antenna.T @ (doppler[:, d] * fast[:, r])

@@ -364,8 +364,10 @@ class DnnSolver:
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:
             raise ValueError("candidate list must be non-empty")
+        _require_in_codebook(b_star, len(self._beam_table))
         feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in candidates]
-        return int(self.score_rows(feats, np.full(len(feats), b_star)).argmax())
+        return int(score_with_beam_table(self.model, self._beam_table, feats,
+                                         [b_star] * len(feats)).argmax())
 
 
 def make_solver(name: str, pointing_angles,

@@ -388,11 +388,17 @@ def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):
     assert versions["unset"]["blas"]
 
 
+# scenes of 4 to 6 objects: six of the 12 frames hold 6, the most a default scene has
+SIX_OBJECT_FULL_YAML = SMALL_FULL_YAML.replace("seed: 4", "seed: 7").replace(
+    "candidates: [1, 3]", "candidates: [4, 6]")
+
+
 def test_simulate_full_identical_for_any_blas_thread_count(tmp_path):
-    # each frame's echo sum is one BLAS matrix product; BLAS reads the
-    # variable when numpy loads, so each count needs its own process
+    # each frame's echo power is one BLAS matrix product over pairs of
+    # objects; BLAS reads the variable when numpy loads, so each count needs
+    # its own process
     cfg = tmp_path / "full.yaml"
-    cfg.write_text(SMALL_FULL_YAML)
+    cfg.write_text(SIX_OBJECT_FULL_YAML)
     src = str(Path(isac_ident.__file__).parents[1])
     base = {k: v for k, v in os.environ.items() if k not in isac_ident.BLAS_THREADS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))

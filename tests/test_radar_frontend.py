@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from isac_ident import radar_frontend
 from isac_ident.radar_detect import _angle_power, _range_doppler, antenna_power
 from isac_ident.radar_frontend import (
     C0,
@@ -168,6 +170,12 @@ SPECTRA_CASES = {
                         [moving_obj(240.0, -35.0, 12.0, refl=0.8),
                          moving_obj(5.5, 60.0, -14.0, refl=1.3), moving_obj(123.4, 8.0, 3.3),
                          static_obj(199.9, -70.0, refl=0.7)]),
+    # six objects, the most a default scene holds: a 72-column echo product
+    "six-objects": (RadarConfig(),
+                    [moving_obj(240.0, -35.0, 12.0, refl=0.8),
+                     moving_obj(5.5, 60.0, -14.0, refl=1.3), moving_obj(123.4, 8.0, 3.3),
+                     moving_obj(124.0, 9.5, 3.1, refl=0.9), moving_obj(61.7, -12.0, -6.5),
+                     static_obj(199.9, -70.0, refl=0.7)]),
 }
 
 
@@ -186,6 +194,25 @@ def test_noise_free_spectra_equal_the_cube_path(case):
     cells = read_cells(d, r)
     assert cells.shape == (cfg.n_rx, d.size)
     assert np.abs(cells - want[:, d, r]).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_echo_power_is_clamped_at_zero(monkeypatch):
+    # an object and its negated copy cancel exactly, so the true echo is 0
+    # everywhere; the pairwise product leaves rounding residue of either sign,
+    # which must not reach the map (or the sqrt of a noisy frame) below 0
+    cfg = RadarConfig()
+    scene = [moving_obj(80.0, 15.0, 6.0, refl=1.2)]
+    antenna, doppler, fast = radar_frontend._spectral_factors(scene, cfg)
+    peak = sample_frame(scene, cfg)[0].max()
+    monkeypatch.setattr(radar_frontend, "_spectral_factors", lambda scene, cfg: (
+        np.vstack([antenna, -antenna]), np.vstack([doppler, doppler]), np.vstack([fast, fast])))
+    power, _ = sample_frame(scene, cfg)
+    assert power.min() >= 0.0
+    assert power.max() <= 1e-12 * peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        power, _ = sample_frame(scene, dataclasses.replace(cfg, noise_floor=1.0))
+    assert np.isfinite(power).all()
 
 
 def faint_scene():
