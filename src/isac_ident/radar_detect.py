@@ -8,12 +8,13 @@ per-antenna samples only at the cells CFAR flags: `detect_objects` feeds it
 the map and the spectra of an ADC cube, and full-mode datasets feed it what
 `radar_frontend.sample_frame` draws, so that path runs no FFT over a cube.
 Cell-averaging CFAR runs along the range axis of the map, with its
-threshold calibrated for a sum of `n_rx` exponentials. The zero-padded
-angle FFT runs only at the flagged cells, over their `n_rx` antenna
-samples, and each cell keeps the angle bins of its main lobe. The resulting
-(angle, Doppler, range) cells are clustered with DBSCAN in bin units and
-each cluster becomes one candidate object summarized by the mean of its
-members.
+threshold calibrated for a sum of `n_rx` exponentials, CFAR_BLOCK_ROWS
+Doppler rows at a time, so no array the size of the map is allocated beside
+it. The zero-padded angle FFT runs only at the flagged cells, over their
+`n_rx` antenna samples, and each cell keeps the angle bins of its main
+lobe. The resulting (angle, Doppler, range) cells are clustered with DBSCAN
+in bin units and each cluster becomes one candidate object summarized by
+the mean of its members.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
 from isac_ident.scene import check_finite_fields
 
 MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
+# CFAR thresholds this many range rows per pass, so its buffers stay small
+CFAR_BLOCK_ROWS = 32
+# DBSCAN pairs this many points with all the others per pass of its distance buffer
+DBSCAN_CHUNK_ROWS = 64
 
 
 class DetectConfigError(ValueError):
@@ -208,14 +213,14 @@ def cfar_threshold_factor(n_train: int, pfa: float, n_looks: int = 1) -> float:
             hi = mid
 
 
-def cfar_threshold(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
-    """The CA-CFAR threshold of every cell of `power`, along its last (range) axis.
+def _cfar_blocks(power: np.ndarray, cfg: DetectConfig, n_looks: int):
+    """Yield (first row, threshold) for each CFAR_BLOCK_ROWS range rows of `power`.
 
-    alpha * max(mean of the training cells, cfar_floor_frac * peak), with
-    alpha from `cfar_threshold_factor`. Training windows are
-    [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train], truncated at
-    the edges (one-sided at the extremes). Besides the result, the working
-    set is the padded cumulative sum and one map-sized temporary.
+    The rows are those of `power` flattened to (rows, range bins). Every
+    block's threshold is computed into the same buffers, so a caller reads
+    one before asking for the next, and the working set is three buffers of
+    CFAR_BLOCK_ROWS rows however large `power` is. The floor is taken from
+    the whole of `power`.
     """
     train, guard = cfg.cfar_train, cfg.cfar_guard
     n = power.shape[-1]
@@ -226,22 +231,47 @@ def cfar_threshold(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np
         )
     alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * power.max()
-    # cs[..., pad + k] holds the sum of the first k cells, k clamped to [0, n],
-    # so each window edge is a shifted slice and truncation needs no clipping
-    cs = np.zeros(power.shape[:-1] + (n + 1 + 2 * pad,))
-    np.cumsum(power, axis=-1, out=cs[..., pad + 1:pad + 1 + n])
-    cs[..., pad + 1 + n:] = cs[..., pad + n:pad + n + 1]
-    lo_a, lo_b, hi_a, hi_b = (cs[..., k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
+    rows = power.reshape(-1, n)
+    # cs[:, pad + k] holds the sum of a row's first k cells, k clamped to
+    # [0, n], so each window edge is a shifted slice and truncation needs no
+    # clipping; its first pad + 1 columns stay 0 for every block
+    cs_buf = np.zeros((min(CFAR_BLOCK_ROWS, len(rows)), n + 1 + 2 * pad))
+    threshold_buf = np.empty((len(cs_buf), n))
+    temp_buf = np.empty((len(cs_buf), n))
     idx = np.arange(n)
     counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
               + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
-    # ((lo_b - lo_a) + (hi_b - hi_a)) / counts, floored, times alpha
-    threshold = np.subtract(lo_b, lo_a)
-    threshold += np.subtract(hi_b, hi_a)
-    np.divide(threshold, counts, out=threshold)
-    np.maximum(threshold, floor, out=threshold)
-    threshold *= alpha
-    return threshold
+    for start in range(0, len(rows), CFAR_BLOCK_ROWS):
+        block = rows[start:start + CFAR_BLOCK_ROWS]
+        m = len(block)
+        cs, threshold, temp = cs_buf[:m], threshold_buf[:m], temp_buf[:m]
+        np.cumsum(block, axis=-1, out=cs[:, pad + 1:pad + 1 + n])
+        cs[:, pad + 1 + n:] = cs[:, pad + n:pad + n + 1]
+        lo_a, lo_b, hi_a, hi_b = (cs[:, k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
+        # ((lo_b - lo_a) + (hi_b - hi_a)) / counts, floored, times alpha
+        np.subtract(lo_b, lo_a, out=threshold)
+        threshold += np.subtract(hi_b, hi_a, out=temp)
+        np.divide(threshold, counts, out=threshold)
+        np.maximum(threshold, floor, out=threshold)
+        threshold *= alpha
+        yield start, threshold
+
+
+def cfar_threshold(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
+    """The CA-CFAR threshold of every cell of `power`, along its last (range) axis.
+
+    alpha * max(mean of the training cells, cfar_floor_frac * peak), with
+    alpha from `cfar_threshold_factor`. Training windows are
+    [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train], truncated at
+    the edges (one-sided at the extremes). It is computed in blocks of
+    CFAR_BLOCK_ROWS range rows (`_cfar_blocks`), so besides the result the
+    working set is three block-sized buffers.
+    """
+    out = np.empty(power.shape)
+    rows = out.reshape(-1, power.shape[-1])
+    for start, threshold in _cfar_blocks(power, cfg, n_looks):
+        rows[start:start + len(threshold)] = threshold
+    return out
 
 
 def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
@@ -275,13 +305,15 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     if n == 0:
         return labels
 
-    # Neighbour pairs (i, j), both directions, chunked to bound memory. The
-    # squared differences are summed coordinate by coordinate, in order.
+    # Neighbour pairs (i, j), both directions, DBSCAN_CHUNK_ROWS rows of i at
+    # a time in one reused buffer. The squared differences are summed
+    # coordinate by coordinate, in order.
     cols = np.ascontiguousarray(pts.T)
+    d2_buf = np.empty((len(cols), min(n, DBSCAN_CHUNK_ROWS), n))
     src, dst = [], []
-    chunk = 1024
-    for start in range(0, n, chunk):
-        d2 = cols[:, start:start + chunk, None] - cols[:, None, :]
+    for start in range(0, n, DBSCAN_CHUNK_ROWS):
+        rows = cols[:, start:start + DBSCAN_CHUNK_ROWS]
+        d2 = np.subtract(rows[:, :, None], cols[:, None, :], out=d2_buf[:, :rows.shape[1]])
         d2 *= d2
         i, j = np.nonzero(d2.sum(axis=0) <= eps * eps)
         src.append(i + start)
@@ -358,7 +390,8 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     with the flagged cells in CFAR order: row-major on the map with Doppler
     zero centered.
     CFAR runs along the range axis of the map itself, its threshold
-    calibrated for `n_rx` looks (`cfar_threshold`). At each flagged cell
+    calibrated for `n_rx` looks and the map compared with it one block of
+    Doppler rows at a time (`_cfar_blocks`). At each flagged cell
     the zero-padded angle FFT of its antenna samples gives an angle
     spectrum, and the bins within MAIN_LOBE_DB of its peak become (angle,
     Doppler, range) points carrying that spectrum's power. Keeping the main
@@ -368,7 +401,11 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     expected = (radar_cfg.n_chirps, radar_cfg.n_samples)
     if power.shape != expected:
         raise ValueError(f"map shape {power.shape} != config shape {expected}")
-    d, r = np.nonzero(power > cfar_threshold(power, cfg, n_looks=radar_cfg.n_rx))
+    flags = []
+    for start, threshold in _cfar_blocks(power, cfg, radar_cfg.n_rx):
+        d, r = np.nonzero(power[start:start + len(threshold)] > threshold)
+        flags.append((d + start, r))
+    d, r = (np.concatenate(x) for x in zip(*flags))
     # CFAR rows are independent, so the flags of the zero-centered map are
     # these; put them in its row-major order, Doppler as centered bins
     centered = (d + len(power) // 2) % len(power)

@@ -14,8 +14,9 @@ range-Doppler power map, two draws per cell, and the per-antenna samples
 of the cells CFAR flags, on demand. Its echo power is one real matrix
 product over pairs of objects, through their Gram matrix over the
 antennas. `simulate --mode full` uses it; no cube, and no array of
-per-antenna spectra, is built. A test checks that the samples `simulate`
-derives from it do not depend on the BLAS thread count.
+per-antenna spectra, is built: a frame's map-sized arrays are the three
+planes of one block. A test checks that the samples `simulate` derives
+from it do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -235,33 +236,33 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
 
     The echo power sum_m |sum_k a_km D_kd F_kr|^2 is the real part of
     sum_kk' G_kk' D_kd D*_k'd F_kr F*_k'r with G = A A^H, the objects' Gram
-    matrix over the antennas, so it is one real (n_chirps - 1, 2 K^2) x
-    (2 K^2, n_samples) matrix product, clamped at 0 against rounding. The
-    echo at a cell comes from the per-object factors.
+    matrix over the antennas. The sum is Hermitian in (k, k'), so it is
+    sum_k G_kk |D_kd|^2 |F_kr|^2 plus 2 Re of the k < k' terms: one real
+    (n_chirps - 1, K^2) x (K^2, n_samples) matrix product, clamped at 0
+    against rounding. The echo at a cell comes from the per-object factors.
     """
     # Every plane of the frame lives in one block, allocated first: the map,
-    # |s| + sigma z, sigma^2 q and a plane for the map's square root. Freed as
-    # one chunk larger than the rest of the frame's arrays together (CFAR's
-    # included), it keeps glibc's trim threshold above what a frame frees, so
-    # a frame thread reuses its heap instead of faulting it in again every
-    # frame (about 12,000 minor faults per 8 frames with separate planes,
-    # measured).
-    block = np.zeros((4, cfg.n_chirps, cfg.n_samples))
-    power, along, across = block[:3]
+    # |s| + sigma z and sigma^2 q. Freed as one chunk larger than the rest of
+    # the frame's arrays together (CFAR's row blocks included), it keeps
+    # glibc's trim threshold above what a frame frees, so a frame thread
+    # reuses its heap instead of faulting it in again every frame (about
+    # 12,000 minor faults per 8 frames with separate planes, measured). Every
+    # cell of it is written before it is read: Doppler row 0 is zeroed here,
+    # the rest by the echo product and the draws.
+    block = np.empty((3, cfg.n_chirps, cfg.n_samples))
+    block[:, 0] = 0.0                                      # Doppler bin 0 stays 0
+    power, along, across = block
     antenna, doppler, fast = _spectral_factors(scene, cfg)
-    k = len(antenna)
-    slow = doppler[:, 1:].T                                # Doppler bin 0 stays 0
-    p = slow[:, :, None] * slow.conj()[:, None, :]         # P_kk'(d) = G_kk' D_kd D*_k'd
-    p *= antenna @ antenna.conj().T
-    q = fast[:, None, :] * fast.conj()[None, :, :]         # Q_kk'(r) = F_kr F*_k'r
-    lhs = np.empty((len(slow), 2, k, k))                   # [Re P, -Im P]
-    lhs[:, 0] = p.real
-    np.negative(p.imag, out=lhs[:, 1])
-    rhs = np.empty((2, k, k, cfg.n_samples))               # [Re Q; Im Q]
-    rhs[0] = q.real
-    rhs[1] = q.imag
+    g = antenna @ antenna.conj().T                         # G = A A^H
+    i, j = np.triu_indices(len(antenna), 1)                # the pairs k < k'
+    slow = doppler[:, 1:].T
+    p = g[i, j] * slow[:, i] * slow[:, j].conj()           # P_kk'(d) = G_kk' D_kd D*_k'd
+    q = fast[i] * fast[j].conj()                           # Q_kk'(r) = F_kr F*_k'r
+    lhs = np.hstack([g.diagonal().real * (slow.real ** 2 + slow.imag ** 2),
+                     2.0 * p.real, -2.0 * p.imag])
+    rhs = np.vstack([fast.real ** 2 + fast.imag ** 2, q.real, q.imag])
     echo = power[1:]
-    np.matmul(lhs.reshape(len(slow), -1), rhs.reshape(-1, cfg.n_samples), out=echo)
+    np.matmul(lhs, rhs, out=echo)
     np.maximum(echo, 0.0, out=echo)                        # no rounding-negative cell for sqrt
 
     def echo_cells(d, r):
@@ -274,7 +275,7 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     var = cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0     # sigma^2 per real axis
     rng.standard_normal(out=along[1:])                     # along: |s| + sigma z
     along *= math.sqrt(var)
-    along += np.sqrt(power, out=block[3])
+    along += np.sqrt(power, out=power)                     # the map is rebuilt below
     rng.standard_gamma(cfg.n_rx - 0.5, out=across[1:])     # across: sigma^2 q, q / 2 ~ Gamma(n_rx - 1/2)
     across *= 2.0 * var
     np.multiply(along, along, out=power)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR
 from isac_ident.radar_detect import (
+    CFAR_BLOCK_ROWS,
+    DBSCAN_CHUNK_ROWS,
     Candidate,
     DetectConfig,
     DetectConfigError,
@@ -181,10 +184,13 @@ def test_cfar_false_alarm_rate_calibrated():
     assert 0.5e-3 <= rate <= 2e-3
 
 
-@pytest.mark.parametrize("n_chirps", SLAB_CHIRPS)
+@pytest.mark.parametrize("n_chirps", SLAB_CHIRPS + [CFAR_BLOCK_ROWS // 2 + 5])
 @pytest.mark.parametrize("n_range,train,guard", [(96, 8, 2), (21, 8, 2), (9, 3, 1)])
 def test_cfar_matches_whole_cube_reference(n_chirps, n_range, train, guard):
-    # (21, 8, 2) and (9, 3, 1): the window spans the whole range axis
+    # (21, 8, 2) and (9, 3, 1): the window spans the whole range axis. The
+    # cube's 8 angle planes give CFAR 8 * n_chirps rows: 3 chirps fit in one
+    # row block, 8 fill two, and 13 and the last case end in a partial block
+    # after several full ones
     pc = process_cube(random_cube(n_chirps, n_range, seed=n_range), angle_fft_size=8)
     cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=1e-3)
     hits = cfar_detect(pc, cfg)
@@ -210,13 +216,15 @@ def test_cfar_matches_reference_at_every_look_count(data, seed, planes, rows, tr
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 2 * CFAR_BLOCK_ROWS + CFAR_BLOCK_ROWS // 2),
        train=st.integers(1, 8), guard=st.integers(0, 3),
        floor=st.sampled_from([0.0, 1e-3, 0.05]), n_looks=st.sampled_from([1, 4]))
 def test_cfar_threshold_matches_the_allocating_reference_bit_for_bit(data, seed, rows, train,
                                                                     guard, floor, n_looks):
     # range axes from the shortest window that fits up: every cell's windows
-    # are truncated at one edge or both
+    # are truncated at one edge or both; up to two full row blocks and a
+    # partial one
     n_range = data.draw(st.integers(2 * (train + guard) + 1, 4 * (train + guard) + 8))
     power = np.random.default_rng(seed).exponential(1.0, size=(rows, n_range))
     cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=floor)
@@ -388,6 +396,16 @@ def test_dbscan_labels_equal_the_reference_beyond_one_chunk():
     assert np.array_equal(dbscan(pts, 3.0, 5), reference_dbscan(pts, 3.0, 5))
 
 
+@pytest.mark.parametrize("n", [DBSCAN_CHUNK_ROWS - 1, DBSCAN_CHUNK_ROWS, DBSCAN_CHUNK_ROWS + 1,
+                               3 * DBSCAN_CHUNK_ROWS + 7])
+def test_dbscan_labels_equal_the_reference_across_chunk_edges(n):
+    # neighbour pairs are found DBSCAN_CHUNK_ROWS points at a time; a partial
+    # last chunk reuses the first rows of the distance buffer
+    pts = detector_like_points(np.random.default_rng(n), 200, n_blobs=3)[:n]
+    assert len(pts) == n
+    assert np.array_equal(dbscan(pts, 3.0, 5), reference_dbscan(pts, 3.0, 5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), min_pts=st.integers(1, 5))
 def test_dbscan_partition_is_valid(seed, min_pts):
@@ -541,6 +559,27 @@ def test_detect_map_rejects_a_map_of_another_shape():
     power, read_cells, cfg = noise_frame(16, 64, seed=0)
     with pytest.raises(ValueError, match="map shape"):
         detect_map(power[:8], read_cells, cfg, DetectConfig())
+
+
+def test_full_mode_frame_working_set_is_one_block():
+    # a six-object default-profile frame holds its 3-plane block (3,072,000
+    # bytes) and nothing map-sized beside it: CFAR runs in row blocks and
+    # DBSCAN pairs points in chunks, so every other buffer is small
+    scene = [moving_obj(0, 40.0, -20.0, 8.0, refl=1.1), moving_obj(1, 25.5, 30.0, -5.0, refl=1.3),
+             moving_obj(2, 63.4, 8.0, 3.3), moving_obj(3, 64.0, 9.5, 3.1, refl=0.9),
+             moving_obj(4, 31.7, -12.0, -6.5), moving_obj(5, 79.9, -50.0, 2.0, refl=0.7)]
+    # a first frame fills the caches that outlive it (FFT plans, the CFAR factor)
+    detect_map(*sample_frame(scene, FULL_MODE_RADAR, seed=1), FULL_MODE_RADAR, FULL_MODE_DETECT)
+    tracemalloc.start()
+    try:
+        power, read_cells = sample_frame(scene, FULL_MODE_RADAR, seed=1)
+        cands = detect_map(power, read_cells, FULL_MODE_RADAR, FULL_MODE_DETECT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert power.nbytes == 1_024_000
+    assert len(cands) >= 5
+    assert peak <= 4_000_000
 
 
 def test_one_object_frames_match_the_dense_oracle():

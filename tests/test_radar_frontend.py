@@ -215,6 +215,33 @@ def test_echo_power_is_clamped_at_zero(monkeypatch):
     assert np.isfinite(power).all()
 
 
+@pytest.mark.parametrize("noise_floor", [0.0, 1000.0])
+def test_frame_block_needs_no_zeroed_memory(monkeypatch, noise_floor):
+    # the frame's block comes from np.empty: every cell that the map or the
+    # cell reader reads is written first, so memory full of NaN gives the
+    # same bits; the cells read include Doppler bin 0
+    cfg, scene = SPECTRA_CASES["six-objects"]
+    cfg = dataclasses.replace(cfg, noise_floor=noise_floor)
+    d, r = np.array([0, 0, 1, 17, 125, 249]), np.array([0, 511, 3, 200, 64, 511])
+    want_power, want_read = sample_frame(scene, cfg, seed=5)
+    want_cells = want_read(d, r)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    power, read_cells = sample_frame(scene, cfg, seed=5)
+    cells = read_cells(d, r)
+    monkeypatch.undo()
+    assert not power[0].any()
+    assert np.array_equal(power, want_power)
+    assert np.array_equal(cells, want_cells)
+
+
 def faint_scene():
     # one echo far below any noise draw: its power underflows to 0, so the
     # noisy map holds the noise bits alone
