@@ -8,8 +8,9 @@ train/test sample counts and mean candidates per sample, the DNN's loss
 spikes (epoch-to-epoch rises of more than 3x, and the last epoch loss over
 the lowest), then, from the `simulate` manifest, the frames, the samples
 kept and the frames dropped per reason, with the count of test samples that
-hold more candidates than a scene has objects; last, the mean
-accuracy of every solver.
+hold more candidates than a scene has objects and `simulate`'s speed (its
+frames over the manifest's `elapsed_s`); last, the mean accuracy of every
+solver.
 
 Usage:
     python scripts/run_benchmark.py [--seeds 0 1 2] [--epochs 100] [--mode fast|full]
@@ -59,11 +60,13 @@ def run_seed(seed: int, mode: str, epochs: int, work: Path):
     lines = (scores / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]
     rows = [(name, float(acc)) for name, acc in (line.split(",") for line in lines)]
     manifest = json.loads((scores / "manifest.json").read_text(encoding="utf-8"))
-    sim = json.loads((data / "manifest.json").read_text(encoding="utf-8"))["stats"]
+    sim_manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    sim = sim_manifest["stats"]
     crowded = sum(len(s.candidates) > MAX_OBJECTS for s in test)
     dropped = " ".join(f"{reason}={n}" for reason, n in sim["dropped"].items())
     sim_line = (f"  frames {sim['frames']}, kept {sim['kept']}, dropped {dropped}, "
-                f"test samples with > {MAX_OBJECTS} candidates {crowded}/{len(test)}")
+                f"test samples with > {MAX_OBJECTS} candidates {crowded}/{len(test)}, "
+                f"simulate {sim['frames'] / sim_manifest['elapsed_s']:.1f} frames/s")
     return ((len(train), len(test)), per_sample, rows, manifest["stats"]["dnn_epoch_losses"],
             sim_line)
 

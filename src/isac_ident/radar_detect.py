@@ -138,6 +138,20 @@ def _velocity_axis(cfg: RadarConfig) -> np.ndarray:
     return doppler_hz * C0 / (2.0 * cfg.carrier_hz)
 
 
+@functools.lru_cache(maxsize=16)
+def _map_axes(cfg: RadarConfig, angle_fft_size: int):
+    """Angle, velocity and range axes of `detect_map`'s points, built once per profile.
+
+    Every frame of a dataset asks for the same axes, so they are cached, and
+    read-only so that no caller can change them for the next.
+    """
+    axes = (_angle_axis(cfg, angle_fft_size), _velocity_axis(cfg),
+            np.arange(cfg.n_samples) * cfg.range_bin_m)
+    for axis in axes:
+        axis.flags.writeable = False
+    return axes
+
+
 def antenna_power(spectra: np.ndarray) -> np.ndarray:
     """The sum over antennas of |x|^2 of per-antenna spectra (n_rx, D, R), one plane at a time."""
     power = np.zeros(spectra.shape[1:])
@@ -315,7 +329,7 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
         rows = cols[:, start:start + DBSCAN_CHUNK_ROWS]
         d2 = np.subtract(rows[:, :, None], cols[:, None, :], out=d2_buf[:, :rows.shape[1]])
         d2 *= d2
-        i, j = np.nonzero(d2.sum(axis=0) <= eps * eps)
+        i, j = np.divmod(np.flatnonzero(d2.sum(axis=0) <= eps * eps), n)
         src.append(i + start)
         dst.append(j)
     src, dst = np.concatenate(src), np.concatenate(dst)
@@ -401,9 +415,12 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     expected = (radar_cfg.n_chirps, radar_cfg.n_samples)
     if power.shape != expected:
         raise ValueError(f"map shape {power.shape} != config shape {expected}")
+    # flags as flat indices, split into (row, column) with one divmod: the
+    # same indices in the same order as np.nonzero, which is slower on 2-D
     flags = []
+    n = power.shape[1]
     for start, threshold in _cfar_blocks(power, cfg, radar_cfg.n_rx):
-        d, r = np.nonzero(power[start:start + len(threshold)] > threshold)
+        d, r = np.divmod(np.flatnonzero(power[start:start + len(threshold)] > threshold), n)
         flags.append((d + start, r))
     d, r = (np.concatenate(x) for x in zip(*flags))
     # CFAR rows are independent, so the flags of the zero-centered map are
@@ -413,13 +430,11 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     d, centered, r = d[order], centered[order], r[order]
     spec = _angle_power(read_cells(d, r), cfg.angle_fft_size).T  # (cells, angle bins)
     lobe = spec >= spec.max(axis=1, keepdims=True) * 10.0 ** (-MAIN_LOBE_DB / 10.0)
-    k, a = np.nonzero(lobe)
+    k, a = np.divmod(np.flatnonzero(lobe), lobe.shape[1])
     points = np.column_stack((a, centered[k], r[k]))
     labels = dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
     return summarize_clusters(points, labels, spec[k, a],
-                              _angle_axis(radar_cfg, cfg.angle_fft_size),
-                              _velocity_axis(radar_cfg),
-                              np.arange(radar_cfg.n_samples) * radar_cfg.range_bin_m)
+                              *_map_axes(radar_cfg, cfg.angle_fft_size))
 
 
 def detect_objects(cube: RadarCube, cfg: DetectConfig) -> list[Candidate]:

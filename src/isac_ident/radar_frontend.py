@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from isac_ident.scene import C0, SceneObject, check_finite_fields
-from isac_ident.seeding import child_rng
+from isac_ident.seeding import child_rng, child_seed
 
 _CUBE_MAGIC = b"RCUB"
 _CUBE_VERSION = 1
@@ -125,28 +125,27 @@ def _phasors(scene, cfg: RadarConfig):
     Returns (K, n_rx), (K, n_chirps) and (K, n_samples) arrays; the
     reflectivity rides on the antenna phasor. The phase of `if_tone` is a sum
     of an antenna, a chirp and a fast-time term, so object k's tone at
-    (m, l, i) is antenna[k, m] * chirp[k, l] * fast[k, i].
+    (m, l, i) is antenna[k, m] * chirp[k, l] * fast[k, i]. Each factor is one
+    `np.exp` over all objects, with the per-object scalars computed as
+    `if_tone` computes them.
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
+    if any(obj.range_m <= 0 for obj in scene):
+        raise ValueError("object range must be positive")
     m = np.arange(cfg.n_rx)
     l = np.arange(cfg.n_chirps)
     i = np.arange(cfg.n_samples)
-    antenna = np.empty((len(scene), cfg.n_rx), dtype=complex)
-    chirp = np.empty((len(scene), cfg.n_chirps), dtype=complex)
-    fast = np.empty((len(scene), cfg.n_samples), dtype=complex)
-    for k, obj in enumerate(scene):
-        d = obj.range_m
-        if d <= 0:
-            raise ValueError("object range must be positive")
-        tau = 2.0 * d / C0
-        f_doppler = 2.0 * obj.radial_velocity * cfg.carrier_hz / C0
-        fast[k] = np.exp(1j * (2.0 * math.pi * (
-            cfg.slope_hz_per_s * tau * (i / cfg.sample_rate_hz) + cfg.carrier_hz * tau
-            - 0.5 * cfg.slope_hz_per_s * tau * tau)))
-        chirp[k] = np.exp(1j * (2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s))
-        antenna[k] = obj.reflectivity * np.exp(
-            1j * (2.0 * math.pi * cfg.rx_spacing * m * math.sin(math.radians(obj.azimuth_deg))))
+    tau = np.array([2.0 * obj.range_m / C0 for obj in scene])[:, None]
+    f_doppler = np.array([2.0 * obj.radial_velocity * cfg.carrier_hz / C0
+                          for obj in scene])[:, None]
+    sin_az = np.array([math.sin(math.radians(obj.azimuth_deg)) for obj in scene])[:, None]
+    reflectivity = np.array([obj.reflectivity for obj in scene])[:, None]
+    fast = np.exp(1j * (2.0 * math.pi * (
+        cfg.slope_hz_per_s * tau * (i / cfg.sample_rate_hz) + cfg.carrier_hz * tau
+        - 0.5 * cfg.slope_hz_per_s * tau * tau)))
+    chirp = np.exp(1j * (2.0 * math.pi * f_doppler * l * cfg.chirp_interval_s))
+    antenna = reflectivity * np.exp(1j * (2.0 * math.pi * cfg.rx_spacing * m * sin_az))
     return antenna, chirp, fast
 
 
@@ -229,10 +228,11 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     is drawn only at the cells read. Where |s| = 0, s_hat is the first axis
     (the real part of antenna 0).
 
-    The draws come from `child_rng(seed, "frame-noise")`: z over Doppler
-    bins 1 and up in C order, then q, then 2 n_rx normals per cell read. With
-    `noise_floor` 0 nothing is drawn: the map is the echo power and the
-    cells are the echo.
+    The draws come from an SFC64 generator on `child_seed(seed,
+    "frame-noise")`, a cheaper bit generator than `child_rng`'s PCG64 for
+    the two map-sized draws: z over Doppler bins 1 and up in C order, then
+    q, then 2 n_rx normals per cell read. With `noise_floor` 0 nothing is
+    drawn: the map is the echo power and the cells are the echo.
 
     The echo power sum_m |sum_k a_km D_kd F_kr|^2 is the real part of
     sum_kk' G_kk' D_kd D*_k'd F_kr F*_k'r with G = A A^H, the objects' Gram
@@ -271,7 +271,7 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     if cfg.noise_floor == 0:
         return power, echo_cells
 
-    rng = child_rng(seed, "frame-noise")
+    rng = np.random.Generator(np.random.SFC64(child_seed(seed, "frame-noise")))
     var = cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0     # sigma^2 per real axis
     rng.standard_normal(out=along[1:])                     # along: |s| + sigma z
     along *= math.sqrt(var)
@@ -336,6 +336,6 @@ def load_cube(path, cfg: RadarConfig) -> RadarCube:
     n_bad = payload.size - int(np.isfinite(payload).sum())
     if n_bad:
         raise CubeFormatError(f"{path}: {n_bad} non-finite sample values")
-    pairs = payload.reshape(n_rx, n_chirps, n_samples, 2).astype(float)
-    data = pairs[..., 0] + 1j * pairs[..., 1]
+    # each re/im pair is one complex64, widened exactly in one pass
+    data = payload.view("<c8").reshape(n_rx, n_chirps, n_samples).astype(complex)
     return RadarCube(data=data, config=cfg)

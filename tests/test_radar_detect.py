@@ -15,6 +15,8 @@ from isac_ident.radar_detect import (
     DetectConfig,
     DetectConfigError,
     PowerCube,
+    _angle_axis,
+    _map_axes,
     _range_doppler,
     _velocity_axis,
     antenna_power,
@@ -559,6 +561,51 @@ def test_detect_map_rejects_a_map_of_another_shape():
     power, read_cells, cfg = noise_frame(16, 64, seed=0)
     with pytest.raises(ValueError, match="map shape"):
         detect_map(power[:8], read_cells, cfg, DetectConfig())
+
+
+def flags_read(power, read_cells, radar, cfg):
+    """The (Doppler, range) cells that `detect_map` reads, in the order it reads them."""
+    seen = []
+
+    def record(d, r):
+        seen.append((d, r))
+        return read_cells(d, r)
+
+    detect_map(power, record, radar, cfg)
+    (cells,) = seen
+    return cells
+
+
+@pytest.mark.parametrize("n_chirps", [249, 16])
+def test_detect_map_reads_the_cfar_flags_in_centered_row_major_order(n_chirps):
+    # 249 rows are seven 32-row CFAR blocks and a partial one of 25
+    power, read_cells, radar = noise_frame(n_chirps, 128, seed=3)
+    cfg = DetectConfig(cfar_pfa=1e-2)
+    d, r = np.nonzero(power > cfar_threshold(power, cfg, radar.n_rx))
+    centered = (d + n_chirps // 2) % n_chirps
+    order = np.lexsort((r, centered))
+    got_d, got_r = flags_read(power, read_cells, radar, cfg)
+    assert np.array_equal(got_d, d[order]) and np.array_equal(got_r, r[order])
+    if n_chirps == 249:
+        assert (d >= 7 * CFAR_BLOCK_ROWS).sum() >= 5
+
+
+def test_detect_map_reads_no_cell_of_a_map_without_flags():
+    radar = small_radar(249, 128)
+    d, r = flags_read(np.zeros((249, 128)), lambda d, r: np.zeros((4, len(d)), dtype=complex),
+                      radar, DetectConfig())
+    assert d.shape == r.shape == (0,)
+
+
+def test_detect_map_axes_are_cached_read_only_and_fresh():
+    axes = _map_axes(FULL_MODE_RADAR, 64)
+    assert _map_axes(dataclasses.replace(FULL_MODE_RADAR), 64) is axes
+    for radar, size in ((FULL_MODE_RADAR, 64), (small_radar(249, 128), 16)):
+        fresh = (_angle_axis(radar, size), _velocity_axis(radar),
+                 np.arange(radar.n_samples) * radar.range_bin_m)
+        for cached, want in zip(_map_axes(radar, size), fresh):
+            assert not cached.flags.writeable
+            assert cached.tobytes() == want.tobytes()
 
 
 def test_full_mode_frame_working_set_is_one_block():

@@ -20,7 +20,7 @@ from isac_ident.radar_frontend import (
     synthesize_frame,
 )
 from isac_ident.scene import SceneObject
-from isac_ident.seeding import child_rng
+from isac_ident.seeding import child_rng, child_seed
 
 SMALL = RadarConfig(n_chirps=16, n_samples=64, n_rx=2,
                     chirp_duration_s=64 / 16.666e6 + 1e-6)
@@ -257,7 +257,7 @@ def test_spectra_noise_is_the_seeded_draws():
     d, r = np.array([3, 15, 1, 3]), np.array([0, 63, 17, 40])
     cells = read_cells(d, r)
 
-    rng = child_rng(9, "frame-noise")
+    rng = np.random.Generator(np.random.SFC64(child_seed(9, "frame-noise")))
     var = 50.0 * 16 * 64 / 2.0
     along = np.zeros((16, 64))
     along[1:] = rng.standard_normal((15, 64)) * math.sqrt(var)
@@ -409,6 +409,22 @@ def test_cube_header_layout(tmp_path):
     dims = [int.from_bytes(raw[8 + 4 * k:12 + 4 * k], "little") for k in range(3)]
     assert dims == [SMALL.n_rx, SMALL.n_chirps, SMALL.n_samples]
     assert len(raw) == 20 + SMALL.n_rx * SMALL.n_chirps * SMALL.n_samples * 8
+
+
+def test_load_cube_keeps_every_bit_of_the_file(tmp_path):
+    # each float32 of the file widens exactly, signed zeros included (re +
+    # 1j * im turned a -0.0 imaginary part into +0.0)
+    cube = synthesize_frame([static_obj(20.0)], SMALL, seed=0)
+    cube.data[0, 0, :4] = [complex(0.0, -0.0), complex(-0.0, 0.0),
+                           complex(1.5, -0.0), complex(-0.0, 3.0e-38)]
+    path = tmp_path / "frame.rcub"
+    save_cube(cube, path)
+    loaded = load_cube(path, SMALL).data
+    want = cube.data.astype(np.complex64).astype(complex)
+    assert loaded.dtype == complex and loaded.flags.c_contiguous
+    assert loaded.tobytes() == want.tobytes()
+    assert list(np.signbit(loaded[0, 0, :4].real)) == [False, True, False, True]
+    assert list(np.signbit(loaded[0, 0, :4].imag)) == [True, False, True, False]
 
 
 def test_load_cube_rejects_bad_magic(tmp_path):
