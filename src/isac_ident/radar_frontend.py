@@ -10,19 +10,23 @@ antenna phase encodes azimuth (stop-and-hop approximation).
 matrix product, so its values are the closed-form tones up to the last-bit
 rounding of BLAS's complex multiply-add. `sample_frame` draws what
 detection reads of a noisy frame and nothing else: the antenna-summed
-range-Doppler power map, two draws per cell, and the per-antenna samples
-of the cells CFAR flags, on demand. Its echo power is one real matrix
-product over pairs of objects, through their Gram matrix over the
-antennas. `simulate --mode full` uses it; no cube, and no array of
-per-antenna spectra, is built: a frame's map-sized arrays are the three
-planes of one block. A test checks that the samples `simulate` derives
-from it do not depend on the BLAS thread count.
+range-Doppler power map, one exact noncentral chi^2 draw per cell (a
+Poisson mixture of central ones built from uniforms where the echo is
+weak), and the per-antenna samples of the cells CFAR flags, on demand,
+split along and across the echo by a von Mises-Fisher draw given the
+map's value. Its echo power is one real matrix product over pairs of
+objects, through their Gram matrix over the antennas. `simulate --mode
+full` uses it; no cube, and no array of per-antenna spectra, is built: a
+frame's map-sized arrays are the two planes of one block. A test checks
+that the samples `simulate` derives from it do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +73,15 @@ class RadarConfig:
             raise ValueError("sampling window exceeds the chirp duration")
         if self.noise_floor < 0:
             raise ValueError("noise_floor must be non-negative")
+        # sigma^2 and CFAR's row sums of the map must stay finite: a row sums
+        # n_samples cells of mean noise power n_rx * noise_floor * n_chirps *
+        # n_samples, which stays 2^10 below the largest float for the draws'
+        # tails and the sums after CFAR
+        limit = sys.float_info.max / 2 ** 10 / (float(self.n_rx) * self.n_chirps
+                                                * self.n_samples * self.n_samples)
+        if self.noise_floor > limit:
+            raise ValueError(f"noise_floor {self.noise_floor!r} overflows the map's noise power "
+                             f"at this profile (at most {limit!r})")
 
     @property
     def chirp_interval_s(self) -> float:
@@ -208,6 +221,57 @@ def _spectral_factors(scene, cfg: RadarConfig):
     return antenna, np.fft.fft(chirp, axis=1), np.fft.fft(fast, axis=1)
 
 
+# A map cell whose echo is at most _WEAK_ECHO sigma^2 is drawn as a Poisson
+# mixture of central chi^2 laws, a stronger one as (|s| + sigma z)^2 +
+# sigma^2 q. At 2, 2 sigma^2 U0 < 2 sigma^2 for every uniform U0 in [0, 1),
+# so the cells whose echo exceeds 2 sigma^2 U0 (those that may need a
+# Poisson count above 0) include every strong cell.
+_WEAK_ECHO = 2.0
+# Up to this many antennas a map cell's central chi^2 is -2 ln of a product
+# of n_rx uniforms in (0, 1], no dearer than one `standard_gamma` draw
+# (about 0.3 ms a factor against 2.5 ms on a 249 x 512 plane); each factor
+# is at least 2^-53, so the product cannot underflow to 0.
+_MAX_UNIFORM_FACTORS = 8
+
+
+def _vmf_cosine(a: np.ndarray, var: float, p: int, rng):
+    """Cosines w of von Mises-Fisher directions on the unit sphere of R^p, and 1 - w^2.
+
+    Cell i's concentration is kappa = a[i] / var. Wood's sampler (Commun.
+    Stat. Simul. Comput. 23, 1994) proposes W = (1 - (1 + b) Z) / (1 - (1 -
+    b) Z) from Z ~ Beta((p - 1) / 2, (p - 1) / 2), with b = (p - 1) / (2
+    kappa + sqrt(4 kappa^2 + (p - 1)^2)), and accepts it when kappa (W - x0)
+    + (p - 1) ln((1 - x0 W) / (1 - x0^2)) >= ln U, x0 = (1 - b) / (1 + b).
+    With Z = X / (X + Y), X and Y ~ Gamma((p - 1) / 2), that is
+
+        W = (Y - b X) / (Y + b X),   1 - W^2 = 4 b X Y / (Y + b X)^2,
+        2 kappa b (Y - X) / ((1 + b)(Y + b X))
+            + (p - 1) ln((1 + b)(X + Y) / (2 (Y + b X))) >= ln U.
+
+    b and kappa b are taken with var multiplied through, so neither
+    overflows at huge kappa (tiny noise floors) nor divides by 0 at kappa =
+    0, where b = 1 and W is the cosine of a uniform direction. Each round
+    draws X, Y and then U for the cells still pending, in order.
+    """
+    m = p - 1.0
+    den = 2.0 * a + np.hypot(2.0 * a, m * var)
+    b, kb = m * var / den, m * a / den
+    w, sin2 = np.empty(len(a)), np.empty(len(a))
+    pending = np.arange(len(a))
+    while pending.size:
+        x = rng.standard_gamma(m / 2.0, pending.size)
+        y = rng.standard_gamma(m / 2.0, pending.size)
+        log_u = np.log1p(-rng.random(pending.size))       # ln U, U in (0, 1]
+        bp = b[pending]
+        yb = y + bp * x
+        ok = (2.0 * kb[pending] * (y - x) / ((1.0 + bp) * yb)
+              + m * np.log((1.0 + bp) * (x + y) / (2.0 * yb)) >= log_u)
+        w[pending[ok]] = ((y - bp * x) / yb)[ok]
+        sin2[pending[ok]] = (4.0 * bp * x * y / yb / yb)[ok]
+        pending = pending[~ok]
+    return w, sin2
+
+
 def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     """A noisy frame as detection reads it: the power map and a reader of its cells.
 
@@ -216,23 +280,36 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     Doppler bin 0 exactly 0 (as static clutter removal leaves it).
     `read_cells(d, r)` returns the complex antenna samples, shape (n_rx, N),
     at FFT Doppler bins `d` and range bins `r`; call it once, with the cells
-    CFAR flags in CFAR order.
+    CFAR flags in CFAR order, and with `power` unchanged, since it splits
+    the map's values.
 
     White noise stays white under the unnormalized DFT, so a cell is its
     echo s plus circular Gaussian noise of power P = noise_floor * n_chirps
-    * n_samples. As a vector in R^(2 n_rx), with sigma^2 = P / 2, that is
-    exactly (|s| + sigma z) s_hat + sigma sqrt(q) v, with z ~ N(0, 1),
-    q ~ chi^2(2 n_rx - 1) and v uniform on the unit sphere orthogonal to
-    s_hat, since an isotropic Gaussian is rotation-invariant. The map cell is
-    (|s| + sigma z)^2 + sigma^2 q, so the map costs two draws per cell, and v
-    is drawn only at the cells read. Where |s| = 0, s_hat is the first axis
-    (the real part of antenna 0).
+    * n_samples: a vector x in R^(2 n_rx) ~ N(s, sigma^2 I), sigma^2 = P / 2.
+    The map cell |x|^2 / sigma^2 is noncentral chi^2(2 n_rx, lambda), lambda
+    = |s|^2 / sigma^2, and each cell takes one exact draw of it:
+    - a weak cell, |s|^2 <= 2 sigma^2, as the Poisson mixture
+      sigma^2 (chi^2(2 n_rx) + 2 Gamma(J)), J ~ Poisson(lambda / 2). A
+      uniform U0 gives J by inversion (J > j exactly when U0 < P(J > j)),
+      and chi^2(2 n_rx) is -2 ln of a product of n_rx uniforms in (0, 1]
+      (one Gamma(n_rx) draw, doubled, above _MAX_UNIFORM_FACTORS antennas);
+    - a strong cell as (|s| + sigma z)^2 + sigma^2 q, z ~ N(0, 1), q ~
+      chi^2(2 n_rx - 1).
+    The partition reads only the echo, compared with 2 sigma^2 in absolute
+    units. `read_cells` splits a read cell of map value M into its part
+    along s_hat = s / |s| and across it: given |x| = sqrt(M), the direction
+    of x is von Mises-Fisher about s_hat with kappa = |s| sqrt(M) / sigma^2,
+    so x = sqrt(M) w s_hat + sqrt(M (1 - w^2)) v, w the direction's cosine
+    (`_vmf_cosine`) and v uniform on the unit sphere orthogonal to s_hat.
+    Where |s| = 0, s_hat is the first axis (the real part of antenna 0).
 
     The draws come from an SFC64 generator on `child_seed(seed,
-    "frame-noise")`, a cheaper bit generator than `child_rng`'s PCG64 for
-    the two map-sized draws: z over Doppler bins 1 and up in C order, then
-    q, then 2 n_rx normals per cell read. With `noise_floor` 0 nothing is
-    drawn: the map is the echo power and the cells are the echo.
+    "frame-noise")`, in this order: U0 over Doppler bins 1 and up in C
+    order; the n_rx uniform planes (or the one Gamma(n_rx) plane); Gamma(J)
+    at the weak cells with J > 0, z and then q at the strong cells, each in
+    C order; and per `read_cells` call the vMF draws, then 2 n_rx normals
+    per cell read. With `noise_floor` 0 nothing is drawn: the map is the
+    echo power and the cells are the echo.
 
     The echo power sum_m |sum_k a_km D_kd F_kr|^2 is the real part of
     sum_kk' G_kk' D_kd D*_k'd F_kr F*_k'r with G = A A^H, the objects' Gram
@@ -241,17 +318,18 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     (n_chirps - 1, K^2) x (K^2, n_samples) matrix product, clamped at 0
     against rounding. The echo at a cell comes from the per-object factors.
     """
-    # Every plane of the frame lives in one block, allocated first: the map,
-    # |s| + sigma z and sigma^2 q. Freed as one chunk larger than the rest of
-    # the frame's arrays together (CFAR's row blocks included), it keeps
+    # Every plane of the frame lives in one block, allocated first: the map
+    # and a work plane for the draws. Freed as one chunk larger than the rest
+    # of the frame's arrays together (CFAR's row blocks included), it keeps
     # glibc's trim threshold above what a frame frees, so a frame thread
     # reuses its heap instead of faulting it in again every frame (about
     # 12,000 minor faults per 8 frames with separate planes, measured). Every
-    # cell of it is written before it is read: Doppler row 0 is zeroed here,
-    # the rest by the echo product and the draws.
-    block = np.empty((3, cfg.n_chirps, cfg.n_samples))
-    block[:, 0] = 0.0                                      # Doppler bin 0 stays 0
-    power, along, across = block
+    # cell of it is written before it is read: Doppler row 0 of the map is
+    # zeroed here, the rest by the echo product and the draws; the work
+    # plane's row 0 is never read.
+    block = np.empty((2, cfg.n_chirps, cfg.n_samples))
+    power, work = block
+    power[0] = 0.0                                         # Doppler bin 0 stays 0
     antenna, doppler, fast = _spectral_factors(scene, cfg)
     g = antenna @ antenna.conj().T                         # G = A A^H
     i, j = np.triu_indices(len(antenna), 1)                # the pairs k < k'
@@ -273,13 +351,45 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
 
     rng = np.random.Generator(np.random.SFC64(child_seed(seed, "frame-noise")))
     var = cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0     # sigma^2 per real axis
-    rng.standard_normal(out=along[1:])                     # along: |s| + sigma z
-    along *= math.sqrt(var)
-    along += np.sqrt(power, out=power)                     # the map is rebuilt below
-    rng.standard_gamma(cfg.n_rx - 0.5, out=across[1:])     # across: sigma^2 q, q / 2 ~ Gamma(n_rx - 1/2)
-    across *= 2.0 * var
-    np.multiply(along, along, out=power)
-    power += across
+    # P(J > 0) = 1 - exp(-lambda / 2) < lambda / 2, so J > 0 needs
+    # 2 sigma^2 U0 < |s|^2; those few cells hold every strong one too
+    u0 = work[1:]
+    rng.random(out=u0)
+    u0 *= 2.0 * var
+    flat = echo.reshape(-1)
+    cells = np.flatnonzero(u0 < echo)
+    is_strong = flat[cells] > _WEAK_ECHO * var
+    weak, strong = cells[~is_strong], cells[is_strong]
+    amp = np.sqrt(flat[strong])
+    mu = flat[weak] / (2.0 * var)                          # lambda / 2 <= 1
+    u = u0.reshape(-1)[weak] / (2.0 * var)
+    n_extra = np.zeros(len(weak), dtype=np.int64)          # J, by inversion
+    term, tail = np.exp(-mu), -np.expm1(-mu)               # P(J = j), P(J > j) at j = 0
+    more = u < tail
+    k = 0
+    while more.any():
+        k += 1
+        n_extra += more
+        term *= mu / k
+        tail -= term
+        more &= (u < tail) & (term > 0)
+    if cfg.n_rx > _MAX_UNIFORM_FACTORS:
+        rng.standard_gamma(cfg.n_rx, out=echo)             # chi^2(2 n_rx) / 2
+        echo *= 2.0 * var
+    else:
+        rng.random(out=echo)
+        np.subtract(1.0, echo, out=echo)
+        for _ in range(cfg.n_rx - 1):
+            rng.random(out=u0)
+            np.subtract(1.0, u0, out=u0)
+            echo *= u0
+        np.log(echo, out=echo)
+        echo *= -2.0 * var                                 # sigma^2 chi^2(2 n_rx)
+    extra = n_extra > 0
+    flat[weak[extra]] += 2.0 * var * rng.standard_gamma(n_extra[extra])
+    z = rng.standard_normal(len(strong))
+    flat[strong] = (amp + math.sqrt(var) * z) ** 2
+    flat[strong] += 2.0 * var * rng.standard_gamma(cfg.n_rx - 0.5, len(strong))
 
     def read_cells(d, r):
         # (N, 2 n_rx) real vectors: re and im of each antenna in turn
@@ -288,11 +398,14 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
         s_hat = np.zeros_like(x)
         s_hat[:, 0] = 1.0
         np.divide(x, norm, out=s_hat, where=norm > 0)
+        m = power[d, r]
+        root = np.sqrt(m)
+        w, sin2 = _vmf_cosine(norm[:, 0] * root, var, x.shape[1], rng)
         v = rng.standard_normal(x.shape)
         v -= s_hat * (v * s_hat).sum(axis=1, keepdims=True)
         v /= np.sqrt((v * v).sum(axis=1, keepdims=True))
-        v *= np.sqrt(across[d, r])[:, None]
-        v += along[d, r][:, None] * s_hat
+        v *= np.sqrt(m * sin2)[:, None]
+        v += (root * w)[:, None] * s_hat
         return v.view(complex).T
 
     return power, read_cells

@@ -132,6 +132,36 @@ def test_simulate_full_identical_for_any_thread_count(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# (noise_floor, n_rx, n_chirps) at the edges of the frame sampler, and the
+# exit code each run ends with: tiny floors make kappa of the read cells'
+# direction huge, one antenna makes the base draw one uniform, one or two
+# chirps leave the map no or one noisy Doppler row
+SAMPLER_EDGES = {
+    "floor-1e-300": (1e-300, 4, 64, 0),
+    "floor-1e-30": (1e-30, 4, 64, 0),
+    "one-antenna": (10.0, 1, 64, 2),
+    "one-chirp": (10.0, 4, 1, 2),
+    "two-chirps": (10.0, 4, 2, 2),
+    "noise-free": (0.0, 4, 64, 0),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_EDGES)
+def test_full_mode_at_the_sampler_edges_ends_cleanly(tmp_path, capsys, case):
+    # no RuntimeWarning (the suite makes them errors): exit 0, or exit 2 in
+    # one line when no frame of a sequence yields its user
+    noise_floor, n_rx, n_chirps, want = SAMPLER_EDGES[case]
+    cfg = tmp_path / "full.yaml"
+    cfg.write_text(SMALL_FULL_YAML.replace("noise_floor: 10.0", f"noise_floor: {noise_floor!r}")
+                   .replace("n_chirps: 64", f"n_chirps: {n_chirps}\n  n_rx: {n_rx}"))
+    code = main(["simulate", "--mode", "full", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == want
+    if code == 2:
+        assert assert_one_line_error(capsys).endswith("produced no usable samples\n")
+    else:
+        assert len(load_samples(tmp_path / "o" / "samples.csv")) > 0
+
+
 def test_failed_simulate_leaves_the_output_directory_unchanged(tmp_path, capsys, monkeypatch):
     out = tmp_path / "data"
     assert main(["simulate", "--seed", "3", "--out", str(out)]) == 0

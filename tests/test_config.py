@@ -1,3 +1,5 @@
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from isac_ident.config import (
     load_config,
     with_seed,
 )
+from isac_ident.radar_frontend import RadarConfig
 
 
 def test_defaults_without_file():
@@ -122,3 +125,38 @@ def test_non_finite_noise_floor_exits_2_in_one_line(tmp_path, capsys):
     assert code == 2 and err.count("\n") == 1
     assert err == "error: invalid radar section: noise_floor must be finite, got nan\n"
     assert not (tmp_path / "out").exists()
+
+
+OVERFLOW_PROFILE = ("scenario:\n  sequences: 2\n  samples_per_sequence: [2, 2]\n"
+                    "radar:\n  n_chirps: 64\n  n_samples: 128\n  noise_floor: {!r}\n")
+
+
+def test_overflowing_noise_floor_exits_2_in_one_line(tmp_path, capsys):
+    # sigma^2 = noise_floor * 64 * 128 / 2 is inf here: the frame once drew
+    # inf * 0 and CFAR subtracted inf from inf, four RuntimeWarnings deep
+    path = tmp_path / "run.yaml"
+    path.write_text(OVERFLOW_PROFILE.format(1e306))
+    code = main(["simulate", "--mode", "full", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: invalid radar section: noise_floor 1e+306 ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_accepted_noise_floor_simulates_without_warning(tmp_path, capsys):
+    # a CFAR row of the map sums 128 cells of mean noise power 4 * noise_floor
+    # * 64 * 128; the largest accepted floor keeps that 2^10 below the
+    # largest float, and the next float up is rejected
+    largest = sys.float_info.max / 2 ** 10 / (4 * 64 * 128 ** 2)
+    assert RadarConfig(n_chirps=64, n_samples=128, noise_floor=largest).noise_floor == largest
+    with pytest.raises(ValueError, match="noise_floor"):
+        RadarConfig(n_chirps=64, n_samples=128, noise_floor=math.nextafter(largest, math.inf))
+    path = tmp_path / "run.yaml"
+    path.write_text(OVERFLOW_PROFILE.format(largest))
+    code = main(["simulate", "--mode", "full", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    # the noise buries every echo, so no frame matches its user: a clean
+    # exit 2 in one line, and no RuntimeWarning (the suite makes them errors)
+    assert code == 2
+    assert capsys.readouterr().err == "error: sequence 0 produced no usable samples\n"

@@ -609,7 +609,7 @@ def test_detect_map_axes_are_cached_read_only_and_fresh():
 
 
 def test_full_mode_frame_working_set_is_one_block():
-    # a six-object default-profile frame holds its 3-plane block (3,072,000
+    # a six-object default-profile frame holds its 2-plane block (2,048,000
     # bytes) and nothing map-sized beside it: CFAR runs in row blocks and
     # DBSCAN pairs points in chunks, so every other buffer is small
     scene = [moving_obj(0, 40.0, -20.0, 8.0, refl=1.1), moving_obj(1, 25.5, 30.0, -5.0, refl=1.3),
@@ -626,7 +626,7 @@ def test_full_mode_frame_working_set_is_one_block():
         tracemalloc.stop()
     assert power.nbytes == 1_024_000
     assert len(cands) >= 5
-    assert peak <= 4_000_000
+    assert peak <= 3_000_000
 
 
 def test_one_object_frames_match_the_dense_oracle():

@@ -249,8 +249,10 @@ def faint_scene():
 
 
 def test_spectra_noise_is_the_seeded_draws():
-    # draw order: z over Doppler bins 1 and up, then q, then 2 n_rx normals
-    # per cell read, in the order the cells are read
+    # draw order: U0 over Doppler bins 1 and up, then the n_rx uniform
+    # planes; per cell read, X, Y and U of the direction's cosine, then 2 n_rx
+    # normals. The faint echo reaches no cell's 2 sigma^2 U0, so no cell
+    # draws a Poisson count, and its direction is uniform (kappa ~ 0)
     cfg = RadarConfig(n_chirps=16, n_samples=64, n_rx=3, noise_floor=50.0,
                       chirp_duration_s=64 / 16.666e6 + 1e-6)
     power, read_cells = sample_frame(faint_scene(), cfg, seed=9)
@@ -259,19 +261,25 @@ def test_spectra_noise_is_the_seeded_draws():
 
     rng = np.random.Generator(np.random.SFC64(child_seed(9, "frame-noise")))
     var = 50.0 * 16 * 64 / 2.0
-    along = np.zeros((16, 64))
-    along[1:] = rng.standard_normal((15, 64)) * math.sqrt(var)
-    across = np.zeros((16, 64))
-    across[1:] = rng.standard_gamma(2.5, (15, 64)) * (2.0 * var)
-    assert np.array_equal(power, along * along + across)
+    rng.random((15, 64))                                   # U0
+    base = 1.0 - rng.random((15, 64))
+    for _ in range(2):
+        base *= 1.0 - rng.random((15, 64))
+    want_power = np.zeros((16, 64))
+    want_power[1:] = np.log(base) * (-2.0 * var)
+    assert np.array_equal(power, want_power)
 
     _, echo_cells = sample_frame(faint_scene(), dataclasses.replace(cfg, noise_floor=0.0))
     x = np.ascontiguousarray(echo_cells(d, r).T).view(float)
     s_hat = x / np.hypot.reduce(x, axis=1, keepdims=True)
+    gx, gy = rng.standard_gamma(2.5, 4), rng.standard_gamma(2.5, 4)
+    rng.random(4)                                          # U: at kappa ~ 0 every proposal is kept
+    w, sin2 = (gy - gx) / (gy + gx), 4.0 * gx * gy / (gy + gx) ** 2
     v = rng.standard_normal((4, 6))
     v -= s_hat * (v * s_hat).sum(axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    want = along[d, r][:, None] * s_hat + np.sqrt(across[d, r])[:, None] * v
+    m = power[d, r]
+    want = (np.sqrt(m) * w)[:, None] * s_hat + np.sqrt(m * sin2)[:, None] * v
     assert np.allclose(cells, want.view(complex).T, rtol=1e-12, atol=1e-12 * math.sqrt(var))
 
 
@@ -354,6 +362,82 @@ def test_sampled_cell_matches_the_dense_draws(snr):
     spread_got, spread_dense = np.abs(peak_got - med), np.abs(peak_dense - med)
     se = math.sqrt((spread_got.var() + spread_dense.var()) / n)
     assert abs(spread_got.mean() - spread_dense.mean()) <= 5 * se + 1e-12
+
+
+# ------------------------------------------------- the law of a sampled cell
+
+# c(0.01) of the two-sample Kolmogorov-Smirnov test: D > c sqrt((n + m) / (n m))
+# rejects equal laws at the 1 % level
+KS_C_1PCT = math.sqrt(-math.log(0.01 / 2) / 2)
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = np.searchsorted(a, both, "right") / a.size - np.searchsorted(b, both, "right") / b.size
+    return np.abs(gap).max()
+
+
+def assert_same_law(got, want):
+    assert ks_distance(got, want) <= KS_C_1PCT * math.sqrt(2.0 / got.size)
+
+
+def constant_echo_frame(monkeypatch, lam, n_rx, seed, read=False):
+    """A 401 x 500 noisy frame whose 200,000 noisy cells all hold the echo (|s|, 0, ...).
+
+    `_spectral_factors` is one object with flat Doppler and range factors,
+    so every cell's echo is its antenna vector, with |s|^2 = lam sigma^2.
+    Returns |s| / sigma, the noisy map cells over sigma^2 and, if `read`,
+    those cells as read, over sigma, shaped (cells, 2 n_rx).
+    """
+    n_chirps, n_samples = 401, 500
+    cfg = RadarConfig(n_chirps=n_chirps, n_samples=n_samples, n_rx=n_rx, noise_floor=1.0,
+                      chirp_duration_s=n_samples / 16.666e6 + 1e-6)
+    sigma = math.sqrt(n_chirps * n_samples / 2.0)
+    antenna = np.zeros((1, n_rx), dtype=complex)
+    antenna[0, 0] = math.sqrt(lam) * sigma
+    monkeypatch.setattr(radar_frontend, "_spectral_factors", lambda scene, cfg: (
+        antenna, np.ones((1, n_chirps), dtype=complex), np.ones((1, n_samples), dtype=complex)))
+    power, read_cells = sample_frame(faint_scene(), cfg, seed=seed)
+    cells = power[1:].ravel() / sigma ** 2
+    if not read:
+        return antenna[0, 0].real / sigma, cells, None
+    d, r = np.divmod(np.arange(n_samples, n_chirps * n_samples), n_samples)
+    x = np.ascontiguousarray(read_cells(d, r).T).view(float) / sigma
+    # a read cell is the map cell split in two: |x|^2 is the map's value
+    assert np.allclose((x * x).sum(axis=1), cells, rtol=1e-12, atol=0.0)
+    return antenna[0, 0].real / sigma, cells, x
+
+
+@pytest.mark.parametrize("n_rx,lam", [
+    (n_rx, lam) for n_rx in (1, 4) for lam in (0.0, 1e-3, 1.99, 2.01, 400.0, 3000.0)
+] + [(9, 0.0), (9, 1.99)])
+def test_map_cell_has_the_law_of_the_two_draw_construction(monkeypatch, lam, n_rx):
+    # weak cells (lam <= 2) are Poisson mixtures of central chi^2, strong ones
+    # (|s| + sigma z)^2 + sigma^2 q: each must be noncentral chi^2(2 n_rx,
+    # lam), the law of (a + z)^2 + 2 Gamma(n_rx - 1/2) with a = |s| / sigma;
+    # weak cells of nine antennas draw their central part as one Gamma(9)
+    a, cells, _ = constant_echo_frame(monkeypatch, lam, n_rx, seed=int(lam) + n_rx)
+    rng = np.random.default_rng(25)
+    want = (a + rng.standard_normal(cells.size)) ** 2 + 2.0 * rng.standard_gamma(
+        n_rx - 0.5, cells.size)
+    assert_same_law(cells, want)
+
+
+@pytest.mark.parametrize("n_rx", [1, 4])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 9.0, 144.0, 2000.0])
+def test_read_cell_splits_into_a_normal_along_the_echo_and_a_chi2_across(monkeypatch, lam,
+                                                                        n_rx):
+    # x / sigma ~ N(s / sigma, I): its part along s_hat (the first axis here)
+    # is N(a, 1), its squared part across it chi^2(2 n_rx - 1), the two
+    # independent, whatever kappa the von Mises-Fisher split ran at
+    a, _, x = constant_echo_frame(monkeypatch, lam, n_rx, seed=7 + n_rx, read=True)
+    along, across = x[:, 0], (x[:, 1:] ** 2).sum(axis=1)
+    rng = np.random.default_rng(26)
+    assert_same_law(along, a + rng.standard_normal(along.size))
+    assert_same_law(across, rng.chisquare(2 * n_rx - 1, across.size))
+    assert abs(np.corrcoef(along, across)[0, 1]) <= 5.0 / math.sqrt(along.size)
 
 
 # ------------------------------------------------- spectra land on the physics
