@@ -2,7 +2,8 @@
 
 Each command resolves its config, checks its inputs, does its work and
 writes its results; `main` then writes a manifest (config snapshot, seed,
-command, library versions, outputs, wall clock, stats) atomically, last,
+command, library versions with the hash of the package's sources, outputs,
+wall clock, stats) atomically, last,
 so a run can be reproduced bit-exactly from the manifest alone. A run that
 fails writes no manifest, and a command creates `--out` just before its
 first write, so one that fails before then leaves the directory as it
@@ -13,6 +14,8 @@ was. Exit codes: 0 success, 2 usage or configuration error, 3 data error
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import sys
@@ -36,7 +39,7 @@ from isac_ident.dataset import (
 )
 from isac_ident.mlp import save_model
 from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
-from isac_ident.radar_frontend import CubeFormatError, load_cube
+from isac_ident.radar_frontend import CubeFormatError, RadarConfig, load_cube
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, make_solver, predict_split
 
@@ -54,8 +57,21 @@ USAGE_ERRORS = (ConfigError, GenerationError, DetectConfigError)
 DATA_ERRORS = (DataError, SampleFormatError, CubeFormatError, SolverError, OSError)
 
 
+@functools.cache
+def _source_sha256() -> str:
+    """SHA-256 over the package's `.py` sources, each file's path relative to
+    the package, then its bytes, in sorted path order: which code made a run."""
+    package = Path(isac_ident.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _versions() -> dict:
-    """Library versions, numpy's BLAS and the BLAS thread variables as numpy loaded them."""
+    """Library versions, numpy's BLAS, the BLAS thread variables as numpy
+    loaded them and the hash of the package's sources."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -67,6 +83,7 @@ def _versions() -> dict:
         "python": sys.version.split()[0],
         "blas": blas,
         "blas_threads": dict(isac_ident.BLAS_THREADS),
+        "source_sha256": _source_sha256(),
     }
 
 
@@ -85,6 +102,18 @@ def _config(args, data_dir: Path | None = None) -> RunConfig:
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     return cfg
+
+
+def _require_radar_axes(radar: RadarConfig) -> None:
+    """Refuse a radar profile whose map cannot place an object: one antenna
+    gives a flat angle spectrum, and clutter removal leaves one or two chirps
+    at most one noisy Doppler row. `RadarConfig` itself accepts both."""
+    if radar.n_rx < 2:
+        raise ConfigError(f"radar.n_rx must be at least 2 for full mode and detect "
+                          f"(one antenna gives no angle), got {radar.n_rx}")
+    if radar.n_chirps < 3:
+        raise ConfigError(f"radar.n_chirps must be at least 3 for full mode and detect "
+                          f"(clutter removal leaves too few Doppler rows), got {radar.n_chirps}")
 
 
 def _out_dir(args) -> Path:
@@ -119,6 +148,8 @@ def _load_split(args):
 
 def cmd_simulate(args):
     cfg = _config(args)
+    if args.mode == "full":
+        _require_radar_axes(cfg.radar)
     stats = {}
     samples = generate_dataset(cfg.scenario, mode=args.mode, comm=cfg.comm,
                                radar=cfg.radar, detect=cfg.detect, stats=stats)
@@ -137,6 +168,7 @@ def cmd_simulate(args):
 
 def cmd_detect(args):
     cfg = _config(args)
+    _require_radar_axes(cfg.radar)
     cube_dir = Path(args.cube_dir)
     cube_paths = sorted(cube_dir.glob("*.rcub"))
     if not cube_paths:

@@ -5,8 +5,10 @@ three dense layers each, are concatenated, and a four-layer head reduces
 to a single sigmoid likelihood (`ModelWidths.shapes()`). Everything is
 plain numpy float64 with hand-written backpropagation and Adam, so
 training (`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed
-on a given platform. Training normalizes its inputs once per fit, writes
-each batch's gradient in place into a vector laid out like `theta`
+on a given platform. The loss is binary cross-entropy on the head's
+clipped pre-activation (its logit), so a saturated head still gets a
+gradient. Training normalizes its inputs once per fit, writes each
+batch's gradient in place into a vector laid out like `theta`
 (`_loss_and_grad`) and updates Adam's moments in place (`adam_step`);
 `loss_and_grad_arrays` is the same loss on raw rows. The beam branch
 sees only the serving-beam index, so inference reads its output from a
@@ -14,13 +16,14 @@ per-beam table (`beam_table`, `score_with_beam_table`) and runs only the
 radar branch and the head per row; `score_candidates` is the reference
 forward pass over both branches.
 
-On 6-row samples and 32-row batches numpy's per-call dispatch sets the
-cost. A layer is `a.dot(W.T)` on the transposed view, then `z += b` and
-the activation in place: `ndarray.dot` has the bits of `a @ W.T`, and a
-(32, 3) by (3, 16) product takes 1.4 us through it against 2.4 us through
-`matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a contiguous
-copy of `W.T` would change the bits. Training caches each layer's (input,
-output); relu's gradient mask is `output > 0`, equal to z > 0 even for NaN.
+On 6-row samples and 64-row batches numpy's per-call dispatch sets much
+of the cost. A layer is `a.dot(W.T)` on the transposed view, then `z += b`
+and the activation in place: `ndarray.dot` has the bits of `a @ W.T`, and
+a (32, 3) by (3, 16) product takes 1.4 us through it against 2.4 us
+through `matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a
+contiguous copy of `W.T` would change the bits. Training caches each
+layer's (input, output), the sigmoid layer's output being its clipped
+logit; relu's gradient mask is `output > 0`, equal to z > 0 even for NaN.
 """
 
 from __future__ import annotations
@@ -140,7 +143,9 @@ def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpMod
 
 def _forward_layers(layers, x, caches: list | None = None):
     """Run `x` through `layers`. Training passes `caches`, which gets each
-    layer's (input, output) for backprop; inference keeps none."""
+    layer's (input, output) for backprop, and a sigmoid layer then stops at
+    its logit clip(z, -500, 500), which the loss reads; inference keeps no
+    caches and applies the sigmoid."""
     a = x
     for layer in layers:
         z = a.dot(layer.weights.T)
@@ -149,9 +154,10 @@ def _forward_layers(layers, x, caches: list | None = None):
             np.maximum(z, 0.0, out=z)
         else:  # 1 / (1 + exp(-clip(z, -500, 500))), one operation at a time
             np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
-            np.exp(np.negative(z, out=z), out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
+            if caches is None:
+                np.exp(np.negative(z, out=z), out=z)
+                z += 1.0
+                np.divide(1.0, z, out=z)
         if caches is not None:
             caches.append((a, z))
         a = z
@@ -161,11 +167,13 @@ def _forward_layers(layers, x, caches: list | None = None):
 def _backward_layers(layers, caches, d_out, grads, input_grad=True):
     """Write each layer's gradient into its view in `grads` (layers laid out
     like `layers`) and return the gradient of the input, or None when
-    `input_grad` is False: a branch's first layer needs none."""
+    `input_grad` is False: a branch's first layer needs none. At a sigmoid
+    layer, the head's last, `d_out` is already the loss's gradient in its
+    logit, so no sigmoid derivative multiplies it."""
     d = d_out
     for k in reversed(range(len(layers))):
         layer, g, (a_in, a_out) = layers[k], grads[k], caches[k]
-        dz = d * (a_out > 0) if layer.activation == "relu" else d * (a_out * (1.0 - a_out))
+        dz = d * (a_out > 0) if layer.activation == "relu" else d
         np.add.reduce(dz, axis=0, out=g.bias)
         np.dot(dz.T, a_in, out=g.weights)
         d = dz.dot(layer.weights) if k or input_grad else None
@@ -187,7 +195,8 @@ def normalize_inputs(norm: NormBounds, feats: np.ndarray, beams: np.ndarray):
 
 def _score_batch(model: MlpModel, x_radar: np.ndarray, a_beam: np.ndarray, caches=(None, None)):
     """Scores of normalized radar rows beside their beam-branch activations;
-    `caches` is (radar, head) lists when training."""
+    `caches` is (radar, head) lists when training, which returns the
+    clipped logits instead (`_forward_layers`)."""
     c_radar, c_head = caches
     h = np.concatenate([_forward_layers(model.radar_branch, x_radar, c_radar), a_beam], axis=1)
     return _forward_layers(model.head, h, c_head)[:, 0]
@@ -231,16 +240,22 @@ def score_with_beam_table(model: MlpModel, table: np.ndarray, feats, beam_rows) 
 
 
 def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> float:
-    """Mean squared error of normalized rows; their gradient is written into
-    `grads`, a model laid over the gradient vector (`_model_on`)."""
+    """Binary cross-entropy of normalized rows; their gradient is written into
+    `grads`, a model laid over the gradient vector (`_model_on`).
+
+    With z the head's logit clipped to [-500, 500], the loss is
+    mean(max(z, 0) - y z + log1p(exp(-|z|))), which never takes the log of a
+    rounded score, and the logit's gradient is (sigmoid(z) - y) / n: no
+    sigmoid derivative, so a saturated head still learns.
+    """
     c_radar, c_beam, c_head = [], [], []
     a_beam = _forward_layers(model.beam_branch, x_beam, c_beam)
-    scores = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
-    err = scores - y
-    loss = float(np.add.reduce(err * err) / len(y))  # np.mean(err ** 2), bit for bit
+    z = _score_batch(model, x_radar, a_beam, (c_radar, c_head))
+    n = len(y)
+    loss = float(np.add.reduce(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))) / n)
 
-    d_scores = (2.0 / len(y)) * err[:, None]
-    d_h = _backward_layers(model.head, c_head, d_scores, grads.head)
+    d_z = ((1.0 / (1.0 + np.exp(-z)) - y) / n)[:, None]
+    d_h = _backward_layers(model.head, c_head, d_z, grads.head)
     radar_width = len(model.radar_branch[-1].bias)
     _backward_layers(model.radar_branch, c_radar, d_h[:, :radar_width], grads.radar_branch,
                      input_grad=False)
@@ -250,8 +265,8 @@ def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> floa
 
 
 def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
-    """Mean squared error over a batch of raw rows and its backprop gradient,
-    one vector aligned with model.theta."""
+    """`_loss_and_grad`'s binary cross-entropy over a batch of raw rows and its
+    backprop gradient, one vector aligned with model.theta."""
     feats = np.asarray(feats, dtype=float)
     beams = np.asarray(beams, dtype=float)
     y = np.asarray(targets, dtype=float)

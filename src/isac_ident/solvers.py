@@ -63,11 +63,12 @@ class Sample:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the learned solver."""
+    """Hyperparameters for the learned solver; `lr` is the peak of the cosine
+    schedule `DnnSolver.fit` decays it by."""
 
-    lr: float = 1e-3
+    lr: float = 2e-3
     epochs: int = 100
-    batch: int = 32
+    batch: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -318,14 +319,19 @@ class DnnSolver:
         self._beam_table = None if model is None else beam_table(model)
 
     def fit(self, train) -> None:
-        """Adam on the expanded rows, reshuffled every epoch by a seeded generator;
+        """Adam on the binary cross-entropy of the expanded rows (see
+        `mlp._loss_and_grad`), reshuffled every epoch by a seeded generator;
         keeps the final weights (no early stopping) and each epoch's mean loss.
 
-        The rows are normalized once per fit and permuted once per epoch; a
-        batch is a slice of them, and its gradient goes into one vector that
-        `adam_step` reads in place, so a step pays for arithmetic, not
-        gathers. The weights are those of `mlp.loss_and_grad_arrays` per
-        batch followed by the allocating Adam formula, bit for bit.
+        The step size decays over the run's T = epochs * ceil(rows / batch)
+        steps by a cosine (Loshchilov & Hutter, arXiv:1608.03983): step t
+        uses lr * (1 + cos(pi (t - 1) / T)) / 2, so the last steps are small
+        and Adam cannot throw a nearly fitted model off course late. The rows
+        are normalized once per fit and permuted once per epoch; a batch is a
+        slice of them, and its gradient goes into one vector that `adam_step`
+        reads in place, so a step pays for arithmetic, not gathers. The
+        weights are those of `mlp.loss_and_grad_arrays` per batch followed by
+        the allocating Adam formula, bit for bit.
         """
         _require_nonempty(train, "train")
         feats, beams, targets = expand_to_rows(train)
@@ -337,7 +343,8 @@ class DnnSolver:
         model = init_weights(self.widths, norm, seed=hyper.seed)
         grads = _model_on(self.widths, norm)
         x_radar, x_beam = normalize_inputs(norm, feats, beams)
-        state = AdamState(lr=hyper.lr)
+        state = AdamState()
+        total_steps = hyper.epochs * math.ceil(n / hyper.batch)
         rng = child_rng(hyper.seed, "shuffle")
         self.epoch_losses = []
         for _ in range(hyper.epochs):
@@ -348,6 +355,7 @@ class DnnSolver:
             for start in range(0, n, hyper.batch):
                 batch = slice(start, start + hyper.batch)
                 loss = _loss_and_grad(model, xr[batch], xb[batch], y[batch], grads)
+                state.lr = hyper.lr * 0.5 * (1.0 + math.cos(math.pi * state.step / total_steps))
                 adam_step(state, model.theta, grads.theta)
                 total += loss * len(y[batch])
             self.epoch_losses.append(total / n)

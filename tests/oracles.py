@@ -113,23 +113,25 @@ def reference_forward(model, feats, beams):
 
 
 def reference_loss_and_grad(model, feats, beams, targets):
-    """Mean squared error of raw rows, np.mean(err ** 2), and its gradient laid
-    out like theta, by allocating backprop: relu mask (z > 0).astype(float)."""
+    """Binary cross-entropy of raw rows on the head's logit zc = clip(z, -500,
+    500), np.mean(max(zc, 0) - y zc + log1p(exp(-|zc|))), and its gradient
+    laid out like theta, by allocating backprop: (score - y) / n at the logit,
+    then the relu mask (z > 0).astype(float)."""
     scores, (c_radar, c_beam, c_head) = reference_forward(model, feats, beams)
-    err = scores - np.asarray(targets, dtype=float)
-    loss = float(np.mean(err ** 2))
+    y = np.asarray(targets, dtype=float)
+    zc = np.clip(c_head[-1][1][:, 0], -500.0, 500.0)
+    loss = float(np.mean(np.maximum(zc, 0.0) - y * zc + np.log1p(np.exp(-np.abs(zc)))))
 
     def back(layers, caches, d):
         """One branch's gradient laid out like theta, and its input's gradient."""
         parts = []
         for layer, (a_in, z, out) in zip(reversed(layers), reversed(caches)):
-            act = (z > 0).astype(float) if layer.activation == "relu" else out * (1.0 - out)
-            dz = d * act
+            dz = d * (z > 0).astype(float) if layer.activation == "relu" else d
             parts.insert(0, np.concatenate([(dz.T @ a_in).ravel(), dz.sum(axis=0)]))
             d = dz @ layer.weights
         return np.concatenate(parts), d
 
-    g_head, d_h = back(model.head, c_head, (2.0 / len(err)) * err[:, None])
+    g_head, d_h = back(model.head, c_head, ((scores - y) / len(y))[:, None])
     width = len(model.radar_branch[-1].bias)
     g_radar, _ = back(model.radar_branch, c_radar, d_h[:, :width])
     g_beam, _ = back(model.beam_branch, c_beam, d_h[:, width:])
@@ -163,7 +165,8 @@ def finite_difference_grads(model, feats, beams, targets, h=1e-4):
 def reference_dnn_fit(train, pointing_angles, hyper, widths):
     """`DnnSolver.fit` as a plain loop: `reference_loss_and_grad` on each
     batch of raw rows, gathered by index, then Adam written as allocating
-    array expressions.
+    array expressions, at step t with the cosine step size
+    lr (1 + cos(pi (t - 1) / T)) / 2 over the run's T steps.
     Returns the final theta and the mean loss of every epoch."""
     feats, beams, targets = reference_expand_to_rows(train)
     norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
@@ -175,6 +178,7 @@ def reference_dnn_fit(train, pointing_angles, hyper, widths):
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = v = 0.0
     step = 0
+    total_steps = hyper.epochs * math.ceil(len(feats) / hyper.batch)
     epoch_losses = []
     for _ in range(hyper.epochs):
         order = rng.permutation(len(feats))
@@ -182,12 +186,13 @@ def reference_dnn_fit(train, pointing_angles, hyper, widths):
         for start in range(0, len(feats), hyper.batch):
             idx = order[start:start + hyper.batch]
             loss, grad = reference_loss_and_grad(model, feats[idx], beams[idx], targets[idx])
+            lr = hyper.lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
             step += 1
             m = b1 * m + (1.0 - b1) * grad
             v = b2 * v + (1.0 - b2) * (grad * grad)
             m_hat = m / (1.0 - b1 ** step)
             v_hat = v / (1.0 - b2 ** step)
-            model.theta[:] = model.theta - hyper.lr * m_hat / (np.sqrt(v_hat) + eps)
+            model.theta[:] = model.theta - lr * m_hat / (np.sqrt(v_hat) + eps)
             total += loss * len(idx)
         epoch_losses.append(total / len(feats))
     return model.theta, epoch_losses

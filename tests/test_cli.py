@@ -1,8 +1,10 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import isac_ident
-from isac_ident import solvers
+from isac_ident import cli, solvers
 from isac_ident.cli import main
 from isac_ident.config import config_from_dict
 from isac_ident.dataset import (SAMPLE_HEADER, format_sample, load_samples, save_samples,
@@ -133,33 +135,52 @@ def test_simulate_full_identical_for_any_thread_count(tmp_path, monkeypatch):
 
 
 # (noise_floor, n_rx, n_chirps) at the edges of the frame sampler, and the
-# exit code each run ends with: tiny floors make kappa of the read cells'
-# direction huge, one antenna makes the base draw one uniform, one or two
-# chirps leave the map no or one noisy Doppler row
+# field a run is refused for, or None: tiny floors make kappa of the read
+# cells' direction huge; one antenna gives no angle, and one or two chirps
+# leave the map no or one noisy Doppler row, so those are refused up front
 SAMPLER_EDGES = {
-    "floor-1e-300": (1e-300, 4, 64, 0),
-    "floor-1e-30": (1e-30, 4, 64, 0),
-    "one-antenna": (10.0, 1, 64, 2),
-    "one-chirp": (10.0, 4, 1, 2),
-    "two-chirps": (10.0, 4, 2, 2),
-    "noise-free": (0.0, 4, 64, 0),
+    "floor-1e-300": (1e-300, 4, 64, None),
+    "floor-1e-30": (1e-30, 4, 64, None),
+    "one-antenna": (10.0, 1, 64, "radar.n_rx must be at least 2"),
+    "one-chirp": (10.0, 4, 1, "radar.n_chirps must be at least 3"),
+    "two-chirps": (10.0, 4, 2, "radar.n_chirps must be at least 3"),
+    "noise-free": (0.0, 4, 64, None),
 }
 
 
 @pytest.mark.parametrize("case", SAMPLER_EDGES)
 def test_full_mode_at_the_sampler_edges_ends_cleanly(tmp_path, capsys, case):
     # no RuntimeWarning (the suite makes them errors): exit 0, or exit 2 in
-    # one line when no frame of a sequence yields its user
-    noise_floor, n_rx, n_chirps, want = SAMPLER_EDGES[case]
+    # one line that names the refused field
+    noise_floor, n_rx, n_chirps, refused = SAMPLER_EDGES[case]
     cfg = tmp_path / "full.yaml"
     cfg.write_text(SMALL_FULL_YAML.replace("noise_floor: 10.0", f"noise_floor: {noise_floor!r}")
                    .replace("n_chirps: 64", f"n_chirps: {n_chirps}\n  n_rx: {n_rx}"))
     code = main(["simulate", "--mode", "full", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == want
-    if code == 2:
-        assert assert_one_line_error(capsys).endswith("produced no usable samples\n")
+    if refused:
+        assert code == 2
+        assert refused in assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
     else:
+        assert code == 0
         assert len(load_samples(tmp_path / "o" / "samples.csv")) > 0
+
+
+@pytest.mark.parametrize("radar, field", [("n_rx: 1", "radar.n_rx"),
+                                          ("n_chirps: 2", "radar.n_chirps")])
+def test_detect_refuses_a_profile_without_angle_or_doppler(tmp_path, capsys, radar, field):
+    # the same refusal as full mode, before any cube is read; fast mode
+    # never renders a frame, so it still runs
+    cube_dir = tmp_path / "cubes"
+    cube_dir.mkdir()
+    save_cube(synthesize_frame([moving_obj(0, 30.0, 0.0, 5.0)], RadarConfig(), seed=0),
+              cube_dir / "frame000.rcub")
+    cfg = tmp_path / "radar.yaml"
+    cfg.write_text(f"scenario:\n  sequences: 2\n  samples_per_sequence: [3, 3]\n"
+                   f"radar:\n  {radar}\n")
+    assert main(["detect", str(cube_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert field in assert_one_line_error(capsys)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "fast")]) == 0
 
 
 def test_failed_simulate_leaves_the_output_directory_unchanged(tmp_path, capsys, monkeypatch):
@@ -387,6 +408,25 @@ def test_accuracy_by_candidates_adds_up_to_the_accuracy_table(dataset_dir, tmp_p
         hits = [row["hits"][name] for row in by_k]
         assert all(0 <= h <= row["samples"] for h, row in zip(hits, by_k))
         assert sum(hits) == round(acc * len(test))
+
+
+def test_manifest_records_the_hash_of_the_package_sources(dataset_dir, tmp_path, monkeypatch):
+    package = Path(isac_ident.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):  # the package is flat
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    versions = json.loads((dataset_dir / "manifest.json").read_text())["versions"]
+    assert versions["source_sha256"] == digest.hexdigest()
+    # a copy of the package hashes alike, other files aside, until a source changes
+    copy = tmp_path / "isac_ident"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "notes.txt").write_text("not a source\n")
+    monkeypatch.setattr(isac_ident, "__file__", str(copy / "__init__.py"))
+    rehash = cli._source_sha256.__wrapped__  # the process's hash is computed once
+    assert rehash() == digest.hexdigest()
+    (copy / "mlp.py").write_bytes((package / "mlp.py").read_bytes() + b"\n")
+    assert rehash() != digest.hexdigest()
 
 
 def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):

@@ -21,6 +21,8 @@ def test_defaults_without_file():
     assert cfg.comm.n_beams == 64
     assert cfg.scenario.n_sequences == 20
     assert cfg.training.epochs == 100
+    assert cfg.training.batch == 64
+    assert cfg.training.lr == 2e-3
 
 
 def test_load_yaml(tmp_path):

@@ -98,18 +98,40 @@ def test_scores_stay_in_unit_interval(seed, r, a, v, beam):
 # ---------------------------------------------------------------- loss
 
 def test_loss_zero_when_scores_match():
-    # drive the sigmoid to saturation with a huge bias: score == 1.0 in float
+    # drive the sigmoid to saturation with a huge bias: score == 1.0 in float,
+    # and the logit clipped at 500 leaves the loss log1p(exp(-500))
     model = zeroed(init_weights(TINY, NORM, seed=0))
     model.head[-1].bias[:] = 600.0
     loss, grad = loss_and_grad_arrays(model, feat(), [1], [1.0])
-    assert loss == 0.0
+    assert loss == math.log1p(math.exp(-500.0)) > 0.0
     assert np.all(grad == 0)
 
 
 def test_loss_half_score_quarter():
+    # a zero logit scores 0.5, whose cross-entropy is ln 2 for either target
     model = zeroed(init_weights(TINY, NORM, seed=0))
-    loss, _ = loss_and_grad_arrays(model, feat(), [0], [1.0])
-    assert loss == pytest.approx(0.25)
+    for target in (0.0, 1.0):
+        loss, _ = loss_and_grad_arrays(model, feat(), [0], [target])
+        assert loss == pytest.approx(math.log(2.0))
+
+
+def test_saturated_head_recovers_under_cross_entropy():
+    # an output bias of -50 scores every row about 2e-22, where the sigmoid's
+    # derivative vanishes; the cross-entropy's logit gradient does not, so
+    # Adam brings the scores of a half-positive batch back up
+    model = init_weights(TINY, NORM, seed=3)
+    model.head[-1].bias[:] = -50.0
+    rng = np.random.default_rng(4)
+    feats = np.column_stack([rng.uniform(5, 95, 32), rng.uniform(-80, 80, 32),
+                             rng.uniform(-18, 18, 32)])
+    beams = rng.integers(0, 16, 32)
+    targets = (np.arange(32) % 2).astype(float)
+    assert score_candidates(model, feats, beams).mean() < 1e-20
+    state = AdamState(lr=0.1)
+    for _ in range(200):
+        _, grad = loss_and_grad_arrays(model, feats, beams, targets)
+        adam_step(state, model.theta, grad)
+    assert score_candidates(model, feats, beams).mean() > 0.1
 
 
 def test_loss_rejects_empty_and_bad_targets():
@@ -142,7 +164,9 @@ def test_loss_and_grad_equal_the_reference_bit_for_bit(head_bias):
     ref_loss, ref_grad = reference_loss_and_grad(model, feats, beams, targets)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
-    assert (grad != 0).any() == (head_bias < 0)  # a saturated 1.0 passes no gradient
+    # a saturated head still gets a gradient from the rows it scores wrongly
+    # (the targets hold zeros and ones), and the clip at 500 bounds the loss
+    assert grad[-1] != 0 and 100.0 < loss < 500.0
 
 
 def test_gradients_match_central_differences():
