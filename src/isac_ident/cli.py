@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     except USAGE_ERRORS + DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, USAGE_ERRORS) else EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: the run's arrays do not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -7,14 +7,14 @@ range-Doppler map. `detect_map` runs the chain from that map on, reading
 per-antenna samples only at the cells CFAR flags: `detect_objects` feeds it
 the map and the spectra of an ADC cube, and full-mode datasets feed it what
 `radar_frontend.sample_frame` draws, so that path runs no FFT over a cube.
-Cell-averaging CFAR runs along the range axis of the map, with its
-threshold calibrated for a sum of `n_rx` exponentials, CFAR_BLOCK_ROWS
-Doppler rows at a time, so no array the size of the map is allocated beside
-it. The zero-padded angle FFT runs only at the flagged cells, over their
-`n_rx` antenna samples, and each cell keeps the angle bins of its main
-lobe. The resulting (angle, Doppler, range) cells are clustered with DBSCAN
-in bin units and each cluster becomes one candidate object summarized by
-the mean of its members.
+Cell-averaging CFAR (`cfar_flags`) runs along the range axis of the map,
+with its threshold calibrated for a sum of `n_rx` exponentials,
+CFAR_BLOCK_ROWS Doppler rows at a time, so no array the size of the map is
+allocated beside it. The zero-padded angle FFT runs only at the flagged
+cells, over their `n_rx` antenna samples, and each cell keeps the angle
+bins of its main lobe. The resulting (angle, Doppler, range) cells are
+clustered with DBSCAN in bin units and each cluster becomes one candidate
+object summarized by the mean of its members.
 """
 
 from __future__ import annotations
@@ -140,10 +140,11 @@ def _velocity_axis(cfg: RadarConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _map_axes(cfg: RadarConfig, angle_fft_size: int):
-    """Angle, velocity and range axes of `detect_map`'s points, built once per profile.
+    """Angle, velocity and range axes of `detect_map`'s points and `process_cube`'s cube.
 
-    Every frame of a dataset asks for the same axes, so they are cached, and
-    read-only so that no caller can change them for the next.
+    Built once per profile: every frame of a dataset asks for the same axes,
+    so they are cached, and read-only so that no caller can change them for
+    the next.
     """
     axes = (_angle_axis(cfg, angle_fft_size), _velocity_axis(cfg),
             np.arange(cfg.n_samples) * cfg.range_bin_m)
@@ -185,11 +186,7 @@ def process_cube(cube: RadarCube, angle_fft_size: int = 64, clutter_clean: bool 
     profile its working set peaks at about 200 MB.
     """
     x = np.fft.fftshift(_range_doppler(cube, clutter_clean), axes=1)  # Doppler, zero centered
-    cfg = cube.config
-    return PowerCube(power=_angle_power(x, angle_fft_size),
-                     angle_deg=_angle_axis(cfg, angle_fft_size),
-                     velocity_mps=_velocity_axis(cfg),
-                     range_m=np.arange(cfg.n_samples) * cfg.range_bin_m)
+    return PowerCube(_angle_power(x, angle_fft_size), *_map_axes(cube.config, angle_fft_size))
 
 
 def _n_look_pfa(r: float, m: int, n: int) -> float:
@@ -227,14 +224,17 @@ def cfar_threshold_factor(n_train: int, pfa: float, n_looks: int = 1) -> float:
             hi = mid
 
 
-def _cfar_blocks(power: np.ndarray, cfg: DetectConfig, n_looks: int):
-    """Yield (first row, threshold) for each CFAR_BLOCK_ROWS range rows of `power`.
+def cfar_flags(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
+    """Flat C-order indices of the cells of `power` above their CA-CFAR threshold.
 
-    The rows are those of `power` flattened to (rows, range bins). Every
-    block's threshold is computed into the same buffers, so a caller reads
-    one before asking for the next, and the working set is three buffers of
-    CFAR_BLOCK_ROWS rows however large `power` is. The floor is taken from
-    the whole of `power`.
+    CFAR runs along the last (range) axis. A cell's threshold is alpha *
+    max(mean of its training cells, cfar_floor_frac * peak of `power`), with
+    alpha from `cfar_threshold_factor` for sums of `n_looks` exponentials.
+    The training windows are [i-guard-train, i-guard-1] and [i+guard+1,
+    i+guard+train], truncated at the edges (one-sided at the extremes). The
+    thresholds are computed CFAR_BLOCK_ROWS range rows at a time into the
+    same three buffers, so the working set stays small however large
+    `power` is.
     """
     train, guard = cfg.cfar_train, cfg.cfar_guard
     n = power.shape[-1]
@@ -255,6 +255,7 @@ def _cfar_blocks(power: np.ndarray, cfg: DetectConfig, n_looks: int):
     idx = np.arange(n)
     counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
               + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
+    flags = []
     for start in range(0, len(rows), CFAR_BLOCK_ROWS):
         block = rows[start:start + CFAR_BLOCK_ROWS]
         m = len(block)
@@ -268,24 +269,8 @@ def _cfar_blocks(power: np.ndarray, cfg: DetectConfig, n_looks: int):
         np.divide(threshold, counts, out=threshold)
         np.maximum(threshold, floor, out=threshold)
         threshold *= alpha
-        yield start, threshold
-
-
-def cfar_threshold(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
-    """The CA-CFAR threshold of every cell of `power`, along its last (range) axis.
-
-    alpha * max(mean of the training cells, cfar_floor_frac * peak), with
-    alpha from `cfar_threshold_factor`. Training windows are
-    [i-guard-train, i-guard-1] and [i+guard+1, i+guard+train], truncated at
-    the edges (one-sided at the extremes). It is computed in blocks of
-    CFAR_BLOCK_ROWS range rows (`_cfar_blocks`), so besides the result the
-    working set is three block-sized buffers.
-    """
-    out = np.empty(power.shape)
-    rows = out.reshape(-1, power.shape[-1])
-    for start, threshold in _cfar_blocks(power, cfg, n_looks):
-        rows[start:start + len(threshold)] = threshold
-    return out
+        flags.append(np.flatnonzero(block > threshold) + start * n)
+    return np.concatenate(flags)
 
 
 def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
@@ -293,10 +278,10 @@ def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarra
 
     The scale factor holds `cfg.cfar_pfa` for noise cells that are sums of
     `n_looks` exponentials (the antenna count for a range-Doppler map); the
-    threshold is `cfar_threshold`'s. Returns the flagged cells' (angle,
-    Doppler, range) indices, shape (N, 3), in `np.argwhere` order.
+    flags are `cfar_flags`'. Returns the flagged cells' (angle, Doppler,
+    range) indices, shape (N, 3), in `np.argwhere` order.
     """
-    return np.argwhere(pc.power > cfar_threshold(pc.power, cfg, n_looks))
+    return np.column_stack(np.unravel_index(cfar_flags(pc.power, cfg, n_looks), pc.power.shape))
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -404,8 +389,7 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     with the flagged cells in CFAR order: row-major on the map with Doppler
     zero centered.
     CFAR runs along the range axis of the map itself, its threshold
-    calibrated for `n_rx` looks and the map compared with it one block of
-    Doppler rows at a time (`_cfar_blocks`). At each flagged cell
+    calibrated for `n_rx` looks (`cfar_flags`). At each flagged cell
     the zero-padded angle FFT of its antenna samples gives an angle
     spectrum, and the bins within MAIN_LOBE_DB of its peak become (angle,
     Doppler, range) points carrying that spectrum's power. Keeping the main
@@ -415,19 +399,14 @@ def detect_map(power: np.ndarray, read_cells, radar_cfg: RadarConfig,
     expected = (radar_cfg.n_chirps, radar_cfg.n_samples)
     if power.shape != expected:
         raise ValueError(f"map shape {power.shape} != config shape {expected}")
-    # flags as flat indices, split into (row, column) with one divmod: the
-    # same indices in the same order as np.nonzero, which is slower on 2-D
-    flags = []
-    n = power.shape[1]
-    for start, threshold in _cfar_blocks(power, cfg, radar_cfg.n_rx):
-        d, r = np.divmod(np.flatnonzero(power[start:start + len(threshold)] > threshold), n)
-        flags.append((d + start, r))
-    d, r = (np.concatenate(x) for x in zip(*flags))
+    n_d, n = power.shape
+    flags = cfar_flags(power, cfg, radar_cfg.n_rx)
     # CFAR rows are independent, so the flags of the zero-centered map are
-    # these; put them in its row-major order, Doppler as centered bins
-    centered = (d + len(power) // 2) % len(power)
-    order = np.argsort(centered, kind="stable")
-    d, centered, r = d[order], centered[order], r[order]
+    # these; its row-major order is a rotation of theirs that starts at the
+    # first flag in row n_d - n_d // 2, Doppler bin 0 once centered
+    flags = np.roll(flags, -np.searchsorted(flags, (n_d - n_d // 2) * n))
+    d, r = np.divmod(flags, n)
+    centered = (d + n_d // 2) % n_d
     spec = _angle_power(read_cells(d, r), cfg.angle_fft_size).T  # (cells, angle bins)
     lobe = spec >= spec.max(axis=1, keepdims=True) * 10.0 ** (-MAIN_LOBE_DB / 10.0)
     k, a = np.divmod(np.flatnonzero(lobe), lobe.shape[1])

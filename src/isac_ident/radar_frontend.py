@@ -117,10 +117,7 @@ def if_tone(obj: SceneObject, cfg: RadarConfig, antenna: int, chirp: int, sample
     (fD = 2*v_r*fc/c, closing positive) and the per-antenna phasor at the
     object azimuth.
     """
-    d = obj.range_m
-    if d <= 0:
-        raise ValueError("object range must be positive")
-    tau = 2.0 * d / C0
+    tau = 2.0 * obj.range_m / C0
     t = sample / cfg.sample_rate_hz
     f_doppler = 2.0 * obj.radial_velocity * cfg.carrier_hz / C0
     phase = (
@@ -144,8 +141,6 @@ def _phasors(scene, cfg: RadarConfig):
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
-    if any(obj.range_m <= 0 for obj in scene):
-        raise ValueError("object range must be positive")
     m = np.arange(cfg.n_rx)
     l = np.arange(cfg.n_chirps)
     i = np.arange(cfg.n_samples)

@@ -277,6 +277,29 @@ def test_angle_fft_shorter_than_antenna_count_exits_2(tmp_path, capsys, command)
     assert "angle FFT of 2 points" in assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("detect", "detect:\n  angle_fft_size: 1125899906842624\n"),   # 2^50-point angle FFT
+    ("simulate-full", "radar:\n  n_chirps: 1099511627776\n"),        # a 2^53-byte frame block
+])
+def test_a_profile_too_large_to_allocate_exits_2(tmp_path, capsys, command, setting):
+    # each first large array is bigger than a 2^47-byte address space, so
+    # the allocation fails at once on any host
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("scenario:\n  sequences: 1\n  samples_per_sequence: [1, 1]\n" + setting)
+    if command == "detect":
+        cube_dir = tmp_path / "cubes"
+        cube_dir.mkdir()
+        save_cube(synthesize_frame([moving_obj(0, 30.0, 0.0, 5.0)], RadarConfig(), seed=0),
+                  cube_dir / "frame000.rcub")
+        argv = ["detect", str(cube_dir)]
+    else:
+        argv = ["simulate", "--mode", "full"]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = assert_one_line_error(capsys)
+    assert "do not fit in memory" in err and "Unable to allocate" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_corrupt_header_exits_3(tmp_path, capsys):
     cube_dir = tmp_path / "cubes"
     cube_dir.mkdir()

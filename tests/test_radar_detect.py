@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isac_ident.dataset import FULL_MODE_DETECT, FULL_MODE_RADAR
@@ -21,7 +21,7 @@ from isac_ident.radar_detect import (
     _velocity_axis,
     antenna_power,
     cfar_detect,
-    cfar_threshold,
+    cfar_flags,
     cfar_threshold_factor,
     dbscan,
     detect_map,
@@ -221,17 +221,38 @@ def test_cfar_matches_reference_at_every_look_count(data, seed, planes, rows, tr
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(1, 2 * CFAR_BLOCK_ROWS + CFAR_BLOCK_ROWS // 2),
        train=st.integers(1, 8), guard=st.integers(0, 3),
-       floor=st.sampled_from([0.0, 1e-3, 0.05]), n_looks=st.sampled_from([1, 4]))
+       floor=st.sampled_from([0.0, 1e-3, 0.05]), n_looks=st.sampled_from([1, 4]),
+       one_ulp_above=st.booleans())
 def test_cfar_threshold_matches_the_allocating_reference_bit_for_bit(data, seed, rows, train,
-                                                                    guard, floor, n_looks):
+                                                                    guard, floor, n_looks,
+                                                                    one_ulp_above):
     # range axes from the shortest window that fits up: every cell's windows
     # are truncated at one edge or both; up to two full row blocks and a
-    # partial one
+    # partial one. Flags on a random map would hide a threshold one ulp off,
+    # so one cell per row is put exactly at its reference threshold, or one
+    # ulp above it, where a threshold one ulp higher or lower flips its flag.
+    # The row's prefix sums (and the peak, through the floor) tie a cell's
+    # threshold to its own value, so the cell is set again until it holds.
     n_range = data.draw(st.integers(2 * (train + guard) + 1, 4 * (train + guard) + 8))
-    power = np.random.default_rng(seed).exponential(1.0, size=(rows, n_range))
+    rng = np.random.default_rng(seed)
+    power = rng.exponential(1.0, size=(rows, n_range))
+    cells = (np.arange(rows), rng.integers(n_range, size=rows))
     cfg = DetectConfig(cfar_train=train, cfar_guard=guard, cfar_pfa=0.05, cfar_floor_frac=floor)
-    got = cfar_threshold(power, cfg, n_looks)
-    assert np.array_equal(got, reference_cfar_threshold(power, cfg, n_looks))
+
+    def tie():
+        threshold = reference_cfar_threshold(power, cfg, n_looks)[cells]
+        return np.nextafter(threshold, np.inf) if one_ulp_above else threshold
+
+    for _ in range(20):
+        target = tie()
+        if np.array_equal(power[cells], target):
+            break
+        power[cells] = target
+    # a row can settle into a cycle of a few ulps instead; a map whose rows
+    # all do holds no tie to test
+    assume(np.any(power[cells] == tie()))
+    want = np.flatnonzero(power > reference_cfar_threshold(power, cfg, n_looks))
+    assert np.array_equal(cfar_flags(power, cfg, n_looks), want)
 
 
 @pytest.mark.parametrize("power", [0.0, 3.7])
@@ -291,8 +312,8 @@ def test_cfar_on_range_doppler_map_of_noise_is_calibrated():
     for seed in (11, 12):
         cube = random_cube(256, 1024, seed=seed)
         power = antenna_power(_range_doppler(cube))
-        hits += np.count_nonzero(power > cfar_threshold(power, cfg, n_looks=4))
-        single_look_hits += np.count_nonzero(power > cfar_threshold(power, cfg))
+        hits += len(cfar_flags(power, cfg, n_looks=4))
+        single_look_hits += len(cfar_flags(power, cfg))
         cells += power.size
     assert cells >= 5 * 10**5
     assert 0.5 * pfa <= hits / cells <= 2.0 * pfa
@@ -549,8 +570,8 @@ def test_unfloored_cfar_flags_no_zero_doppler_cell(seed):
     spectra = _range_doppler(cube)
     rd = antenna_power(spectra)
     assert not spectra[:, 0].any()
-    # row 0 of the FFT-ordered map is zero velocity
-    assert 0 not in np.nonzero(rd > cfar_threshold(rd, cfg, n_looks=len(spectra)))[0]
+    # row 0 of the FFT-ordered map is zero velocity: the flat indices below its length
+    assert not (cfar_flags(rd, cfg, n_looks=len(spectra)) < rd.shape[1]).any()
     power, read_cells = sample_frame([moving_obj(0, 40.0, 15.0, 6.0)], FULL_MODE_RADAR, seed=seed)
     assert not power[0].any()
     for cands in (detect_objects(cube, cfg), detect_map(power, read_cells, FULL_MODE_RADAR, cfg)):
@@ -576,16 +597,22 @@ def flags_read(power, read_cells, radar, cfg):
     return cells
 
 
-@pytest.mark.parametrize("n_chirps", [249, 16])
+@pytest.mark.parametrize("n_chirps", [249, 16, 1, 2, 3])
 def test_detect_map_reads_the_cfar_flags_in_centered_row_major_order(n_chirps):
-    # 249 rows are seven 32-row CFAR blocks and a partial one of 25
-    power, read_cells, radar = noise_frame(n_chirps, 128, seed=3)
+    # 249 rows are seven 32-row CFAR blocks and a partial one of 25. The
+    # centered order starts at FFT row n_chirps - n_chirps // 2: the last
+    # row at 2 and 3 rows, past the whole map at 1
+    power = np.random.default_rng(3).gamma(4.0, size=(n_chirps, 512))
+    radar = small_radar(n_chirps, 512)
     cfg = DetectConfig(cfar_pfa=1e-2)
-    d, r = np.nonzero(power > cfar_threshold(power, cfg, radar.n_rx))
+    d, r = np.nonzero(power > reference_cfar_threshold(power, cfg, radar.n_rx))
     centered = (d + n_chirps // 2) % n_chirps
     order = np.lexsort((r, centered))
-    got_d, got_r = flags_read(power, read_cells, radar, cfg)
+    got_d, got_r = flags_read(power, lambda d, r: np.ones((radar.n_rx, len(d)), dtype=complex),
+                              radar, cfg)
     assert np.array_equal(got_d, d[order]) and np.array_equal(got_r, r[order])
+    split = n_chirps - n_chirps // 2
+    assert (d < split).any() and ((d >= split).any() or n_chirps == 1)
     if n_chirps == 249:
         assert (d >= 7 * CFAR_BLOCK_ROWS).sum() >= 5
 
