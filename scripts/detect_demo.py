@@ -4,8 +4,9 @@
 Synthesizes one frame of a built-in three-object scene (the user 30 m
 out, two decoys at 60 m and 90 m), writes the ADC cube to disk, runs the
 detection chain, and prints detected candidates next to the ground truth.
-A config file picks the radar and detect profiles. The cube directory it
-leaves behind is valid input for `isac-ident detect`.
+A config file picks the radar and detect profiles; one that `detect` would
+refuse exits 2 with one `error:` line before any cube is written. The cube
+directory it leaves behind is valid input for `isac-ident detect`.
 
 Usage:
     python scripts/detect_demo.py --out /tmp/cubes [--config configs/example.yaml]
@@ -16,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from isac_ident.config import ConfigError, RunConfig, load_config
+from isac_ident.config import ConfigError, RunConfig, load_config, require_radar_axes
 from isac_ident.radar_detect import detect_objects
 from isac_ident.radar_frontend import CubeFormatError, save_cube, synthesize_frame
 from isac_ident.scene import SceneObject
@@ -43,8 +44,10 @@ def main():
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
+        require_radar_axes(cfg.radar)
     except ConfigError as exc:
-        ap.error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     scene = default_scene()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

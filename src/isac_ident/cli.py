@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 import isac_ident
-from isac_ident.config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config, with_seed
+from isac_ident.config import (ConfigError, RunConfig, config_from_dict, config_to_dict,
+                               load_config, require_radar_axes, with_seed)
 from isac_ident.dataset import (
     GenerationError,
     SampleFormatError,
@@ -39,7 +40,7 @@ from isac_ident.dataset import (
 )
 from isac_ident.mlp import save_model
 from isac_ident.radar_detect import DetectConfigError, detect_objects, write_candidates
-from isac_ident.radar_frontend import CubeFormatError, RadarConfig, load_cube
+from isac_ident.radar_frontend import CubeFormatError, load_cube
 from isac_ident.scene import dft_codebook
 from isac_ident.solvers import SOLVER_NAMES, DnnSolver, SolverError, make_solver, predict_split
 
@@ -104,18 +105,6 @@ def _config(args, data_dir: Path | None = None) -> RunConfig:
     return cfg
 
 
-def _require_radar_axes(radar: RadarConfig) -> None:
-    """Refuse a radar profile whose map cannot place an object: one antenna
-    gives a flat angle spectrum, and clutter removal leaves one or two chirps
-    at most one noisy Doppler row. `RadarConfig` itself accepts both."""
-    if radar.n_rx < 2:
-        raise ConfigError(f"radar.n_rx must be at least 2 for full mode and detect "
-                          f"(one antenna gives no angle), got {radar.n_rx}")
-    if radar.n_chirps < 3:
-        raise ConfigError(f"radar.n_chirps must be at least 3 for full mode and detect "
-                          f"(clutter removal leaves too few Doppler rows), got {radar.n_chirps}")
-
-
 def _out_dir(args) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +141,7 @@ def cmd_simulate(args):
         raise ConfigError(f"scenario.sequences must be at least 2 for simulate (train and test "
                           f"are split by sequence), got {cfg.scenario.n_sequences}")
     if args.mode == "full":
-        _require_radar_axes(cfg.radar)
+        require_radar_axes(cfg.radar)
     stats = {}
     samples = generate_dataset(cfg.scenario, mode=args.mode, comm=cfg.comm,
                                radar=cfg.radar, detect=cfg.detect, stats=stats)
@@ -171,7 +160,7 @@ def cmd_simulate(args):
 
 def cmd_detect(args):
     cfg = _config(args)
-    _require_radar_axes(cfg.radar)
+    require_radar_axes(cfg.radar)
     cube_dir = Path(args.cube_dir)
     cube_paths = sorted(cube_dir.glob("*.rcub"))
     if not cube_paths:
@@ -249,14 +238,14 @@ def cmd_train(args):
     cfg, (solver,), stats, ((name, acc),) = _fit_and_score(args, [args.solver])
     out_dir = Path(args.out)
     if isinstance(solver, DnnSolver):
-        params_file = "model.ckpt"
-        save_model(solver.model, out_dir / params_file, hyper=asdict(cfg.training))
+        save_model(solver.model, out_dir / "model.ckpt", hyper=asdict(cfg.training))
+        params_files = ["model.ckpt", "model.ckpt.json"]
     else:
-        params_file = "params.json"
-        (out_dir / params_file).write_text(json.dumps(
+        params_files = ["params.json"]
+        (out_dir / "params.json").write_text(json.dumps(
             {"solver": name, **solver.params}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{name}: test accuracy {acc:.4f}")
-    return cfg, ["accuracy.csv", "predictions.csv", params_file], stats
+    return cfg, ["accuracy.csv", "predictions.csv", *params_files], stats
 
 
 def cmd_report(args):

@@ -25,6 +25,19 @@ class ConfigError(ValueError):
     """Configuration file is missing, malformed, or inconsistent."""
 
 
+def require_radar_axes(radar: RadarConfig) -> None:
+    """Refuse a radar profile whose map cannot place an object: one antenna
+    gives a flat angle spectrum, and clutter removal leaves one or two chirps
+    at most one noisy Doppler row. `RadarConfig` itself accepts both, so full
+    mode, `detect` and the detection demo call this first."""
+    if radar.n_rx < 2:
+        raise ConfigError(f"radar.n_rx must be at least 2 for full mode and detect "
+                          f"(one antenna gives no angle), got {radar.n_rx}")
+    if radar.n_chirps < 3:
+        raise ConfigError(f"radar.n_chirps must be at least 3 for full mode and detect "
+                          f"(clutter removal leaves too few Doppler rows), got {radar.n_chirps}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0

@@ -347,9 +347,12 @@ def generate_dataset(
         detect = detect or FULL_MODE_DETECT
         raw = os.environ.get("ISAC_IDENT_THREADS", "1")
         try:
-            workers = max(1, int(raw))
+            workers = int(raw)
         except ValueError:
-            raise GenerationError(f"ISAC_IDENT_THREADS must be an integer, got {raw!r}") from None
+            workers = 0                                    # refused below, as any value under 1
+        if workers < 1:
+            raise GenerationError(f"ISAC_IDENT_THREADS must be an integer of at least 1, "
+                                  f"got {raw!r}")
 
     samples: list[Sample] = []
     dropped = dict.fromkeys(DROP_REASONS, 0)

@@ -29,9 +29,9 @@ from isac_ident.radar_frontend import C0, RadarConfig, RadarCube
 from isac_ident.scene import check_finite_fields
 
 MAIN_LOBE_DB = 3.0  # a flagged cell keeps the angle bins within this many dB of its peak
-# CFAR thresholds this many range rows per pass, so its buffers stay small
+# CFAR thresholds this many range rows per pass, so its arrays stay small
 CFAR_BLOCK_ROWS = 32
-# DBSCAN pairs this many points with all the others per pass of its distance buffer
+# DBSCAN pairs this many points with all the others per pass
 DBSCAN_CHUNK_ROWS = 64
 
 
@@ -109,20 +109,18 @@ class PowerCube:
 def _range_doppler(cube: RadarCube, clutter_clean: bool = True) -> np.ndarray:
     """Per-antenna range-Doppler spectra, shape (n_rx, D, R), Doppler not shifted.
 
-    Range FFT, optional static clutter removal (per-range-bin mean across
-    chirps) and Doppler FFT, all in one complex buffer of the cube's size.
-    Clutter removal leaves Doppler bin 0 holding only rounding residue, which
-    an unfloored CFAR would flag, so that bin is then set to exactly 0; every
+    Range FFT over the whole cube, optional static clutter removal
+    (per-range-bin mean across chirps) and Doppler FFT in place. Clutter
+    removal leaves Doppler bin 0 holding only rounding residue, which an
+    unfloored CFAR would flag, so that bin is then set to exactly 0; every
     other bin keeps the bits of the mean-removed FFT.
     """
-    x = np.empty(cube.data.shape, dtype=complex)
-    for data, y in zip(cube.data, x):                      # one antenna at a time
-        np.fft.fft(data, axis=1, out=y)                    # range
-        if clutter_clean:
-            y -= y.mean(axis=0)                            # static clutter removal
-        np.fft.fft(y, axis=0, out=y)                       # Doppler
-        if clutter_clean:
-            y[0] = 0.0
+    x = np.fft.fft(cube.data, axis=2)                      # range
+    if clutter_clean:
+        x -= x.mean(axis=1, keepdims=True)                 # static clutter removal
+    np.fft.fft(x, axis=1, out=x)                           # Doppler
+    if clutter_clean:
+        x[:, 0] = 0.0
     return x
 
 
@@ -232,9 +230,8 @@ def cfar_flags(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.nda
     alpha from `cfar_threshold_factor` for sums of `n_looks` exponentials.
     The training windows are [i-guard-train, i-guard-1] and [i+guard+1,
     i+guard+train], truncated at the edges (one-sided at the extremes). The
-    thresholds are computed CFAR_BLOCK_ROWS range rows at a time into the
-    same three buffers, so the working set stays small however large
-    `power` is.
+    thresholds are computed CFAR_BLOCK_ROWS range rows at a time, so the
+    working set stays small however large `power` is.
     """
     train, guard = cfg.cfar_train, cfg.cfar_guard
     n = power.shape[-1]
@@ -246,31 +243,27 @@ def cfar_flags(power: np.ndarray, cfg: DetectConfig, n_looks: int = 1) -> np.nda
     alpha = cfar_threshold_factor(2 * train, cfg.cfar_pfa, n_looks)
     floor = cfg.cfar_floor_frac * power.max()
     rows = power.reshape(-1, n)
-    # cs[:, pad + k] holds the sum of a row's first k cells, k clamped to
-    # [0, n], so each window edge is a shifted slice and truncation needs no
-    # clipping; its first pad + 1 columns stay 0 for every block
-    cs_buf = np.zeros((min(CFAR_BLOCK_ROWS, len(rows)), n + 1 + 2 * pad))
-    threshold_buf = np.empty((len(cs_buf), n))
-    temp_buf = np.empty((len(cs_buf), n))
     idx = np.arange(n)
     counts = ((np.clip(idx - guard, 0, n) - np.clip(idx - pad, 0, n))
               + (np.clip(idx + pad + 1, 0, n) - np.clip(idx + guard + 1, 0, n)))
-    flags = []
-    for start in range(0, len(rows), CFAR_BLOCK_ROWS):
+
+    def block_flags(start):
+        # one block's arrays are freed before the next block's are made
         block = rows[start:start + CFAR_BLOCK_ROWS]
-        m = len(block)
-        cs, threshold, temp = cs_buf[:m], threshold_buf[:m], temp_buf[:m]
+        # cs[:, pad + k] holds the sum of a row's first k cells, k clamped to
+        # [0, n], so each window edge is a shifted slice and truncation needs
+        # no clipping
+        cs = np.zeros((len(block), n + 1 + 2 * pad))
         np.cumsum(block, axis=-1, out=cs[:, pad + 1:pad + 1 + n])
         cs[:, pad + 1 + n:] = cs[:, pad + n:pad + n + 1]
         lo_a, lo_b, hi_a, hi_b = (cs[:, k:k + n] for k in (0, train, pad + guard + 1, 2 * pad + 1))
-        # ((lo_b - lo_a) + (hi_b - hi_a)) / counts, floored, times alpha
-        np.subtract(lo_b, lo_a, out=threshold)
-        threshold += np.subtract(hi_b, hi_a, out=temp)
-        np.divide(threshold, counts, out=threshold)
+        threshold = (lo_b - lo_a) + (hi_b - hi_a)
+        threshold /= counts
         np.maximum(threshold, floor, out=threshold)
         threshold *= alpha
-        flags.append(np.flatnonzero(block > threshold) + start * n)
-    return np.concatenate(flags)
+        return np.flatnonzero(block > threshold) + start * n
+
+    return np.concatenate([block_flags(start) for start in range(0, len(rows), CFAR_BLOCK_ROWS)])
 
 
 def cfar_detect(pc: PowerCube, cfg: DetectConfig, n_looks: int = 1) -> np.ndarray:
@@ -304,20 +297,19 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     if n == 0:
         return labels
 
-    # Neighbour pairs (i, j), both directions, DBSCAN_CHUNK_ROWS rows of i at
-    # a time in one reused buffer. The squared differences are summed
+    # Neighbour pairs (i, j), both directions, as flat indices i * n + j,
+    # DBSCAN_CHUNK_ROWS rows of i at a time, each chunk's distances freed
+    # before the next's are made. The squared differences are summed
     # coordinate by coordinate, in order.
     cols = np.ascontiguousarray(pts.T)
-    d2_buf = np.empty((len(cols), min(n, DBSCAN_CHUNK_ROWS), n))
-    src, dst = [], []
-    for start in range(0, n, DBSCAN_CHUNK_ROWS):
-        rows = cols[:, start:start + DBSCAN_CHUNK_ROWS]
-        d2 = np.subtract(rows[:, :, None], cols[:, None, :], out=d2_buf[:, :rows.shape[1]])
+
+    def chunk_pairs(start):
+        d2 = cols[:, start:start + DBSCAN_CHUNK_ROWS, None] - cols[:, None, :]
         d2 *= d2
-        i, j = np.divmod(np.flatnonzero(d2.sum(axis=0) <= eps * eps), n)
-        src.append(i + start)
-        dst.append(j)
-    src, dst = np.concatenate(src), np.concatenate(dst)
+        return np.flatnonzero(d2.sum(axis=0) <= eps * eps) + start * n
+
+    pairs = np.concatenate([chunk_pairs(start) for start in range(0, n, DBSCAN_CHUNK_ROWS)])
+    src, dst = np.divmod(pairs, n)
     core = np.bincount(src, minlength=n) >= min_pts
 
     # Components of the core-core pairs: hook each root onto the lowest root

@@ -18,9 +18,9 @@ split along and across the echo by a von Mises-Fisher draw given the
 map's value. Its echo power is one real matrix product over pairs of
 objects, through their Gram matrix over the antennas. `simulate --mode
 full` uses it; no cube, and no array of per-antenna spectra, is built: a
-frame's map-sized arrays are the two planes of one block. A test checks
-that the samples `simulate` derives from it do not depend on the BLAS
-thread count.
+frame's map-sized arrays are the map and one plane of uniform draws. A
+test checks that the samples `simulate` derives from it do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -290,17 +290,7 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     (n_chirps - 1, K^2) x (K^2, n_samples) matrix product, clamped at 0
     against rounding. The echo at a cell comes from the per-object factors.
     """
-    # Every plane of the frame lives in one block, allocated first: the map
-    # and a work plane for the draws. Freed as one chunk larger than the rest
-    # of the frame's arrays together (CFAR's row blocks included), it keeps
-    # glibc's trim threshold above what a frame frees, so a frame thread
-    # reuses its heap instead of faulting it in again every frame (about
-    # 12,000 minor faults per 8 frames with separate planes, measured). Every
-    # cell of it is written before it is read: Doppler row 0 of the map is
-    # zeroed here, the rest by the echo product and the draws; the work
-    # plane's row 0 is never read.
-    block = np.empty((2, cfg.n_chirps, cfg.n_samples))
-    power, work = block
+    power = np.empty((cfg.n_chirps, cfg.n_samples))
     power[0] = 0.0                                         # Doppler bin 0 stays 0
     antenna, doppler, fast = _spectral_factors(scene, cfg)
     g = antenna @ antenna.conj().T                         # G = A A^H
@@ -325,8 +315,7 @@ def sample_frame(scene, cfg: RadarConfig, seed: int = 0):
     var = cfg.noise_floor * cfg.n_chirps * cfg.n_samples / 2.0     # sigma^2 per real axis
     # P(J > 0) = 1 - exp(-lambda / 2) < lambda / 2, so J > 0 needs
     # 2 sigma^2 U0 < |s|^2; those few cells hold every strong one too
-    u0 = work[1:]
-    rng.random(out=u0)
+    u0 = rng.random(echo.shape)
     u0 *= 2.0 * var
     flat = echo.reshape(-1)
     cells = np.flatnonzero(u0 < echo)

@@ -294,7 +294,7 @@ def test_angle_fft_shorter_than_antenna_count_exits_2(tmp_path, capsys, command)
 
 @pytest.mark.parametrize("command, setting", [
     ("detect", "detect:\n  angle_fft_size: 1125899906842624\n"),   # 2^50-point angle FFT
-    ("simulate-full", "radar:\n  n_chirps: 1099511627776\n"),        # a 2^53-byte frame block
+    ("simulate-full", "radar:\n  n_chirps: 1099511627776\n"),        # a 2^52-byte map
 ])
 def test_a_profile_too_large_to_allocate_exits_2(tmp_path, capsys, command, setting):
     # each first large array is bigger than a 2^47-byte address space, so
@@ -451,6 +451,26 @@ def test_accuracy_by_candidates_adds_up_to_the_accuracy_table(dataset_dir, tmp_p
         assert sum(hits) == round(acc * len(test))
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["detect"], ["train", "--solver", "dnn"],
+                                  ["train", "--solver", "offset"], ["eval"], ["report"]],
+                         ids=["simulate", "detect", "train-dnn", "train-offset", "eval", "report"])
+def test_manifest_outputs_are_the_files_written(dataset_dir, tmp_path, argv):
+    if argv[0] == "simulate":
+        out = dataset_dir
+    else:
+        if argv[0] == "detect":
+            source = tmp_path / "cubes"
+            source.mkdir()
+            save_cube(synthesize_frame([moving_obj(0, 30.0, -15.0, 5.0)], RadarConfig(), seed=0),
+                      source / "frame000.rcub")
+        else:
+            source = dataset_dir
+        out = tmp_path / "o"
+        assert main([argv[0], str(source), *argv[1:], "--out", str(out)]) == 0
+    written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+    assert written == sorted(json.loads((out / "manifest.json").read_text())["outputs"])
+
+
 def test_manifest_records_the_hash_of_the_package_sources(dataset_dir, tmp_path, monkeypatch):
     package = Path(isac_ident.__file__).parent
     digest = hashlib.sha256()
@@ -539,6 +559,10 @@ BAD_SETTINGS = {
     "seed-key-negative": (["simulate"], "seed: -2\n", {}),
     "threads-not-integer": (["simulate", "--mode", "full"], SMALL_FULL_YAML,
                             {"ISAC_IDENT_THREADS": "two"}),
+    "threads-zero": (["simulate", "--mode", "full"], SMALL_FULL_YAML,
+                     {"ISAC_IDENT_THREADS": "0"}),
+    "threads-negative": (["simulate", "--mode", "full"], SMALL_FULL_YAML,
+                         {"ISAC_IDENT_THREADS": "-4"}),
     "comm-list": (["simulate"], "comm: [1, 2]\n", {}),
     "radar-number": (["simulate"], "radar: 5\n", {}),
     "scenario-number": (["simulate"], "scenario: 5\n", {}),

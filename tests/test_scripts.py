@@ -41,18 +41,36 @@ def test_compare_outputs_fails_on_unlisted_moves_and_stale_entries(moved, listed
     assert bool(load_script("compare_outputs").verdict(moved, listed)) == fails
 
 
-def test_detect_demo_refuses_a_cube_float32_cannot_hold(tmp_path):
-    # noise of power 1e80 per sample puts most cube values beyond float32
-    cfg = tmp_path / "loud.yaml"
-    cfg.write_text("radar:\n  noise_floor: 1.0e+80\n")
+def run_detect_demo(tmp_path, config):
+    """detect_demo.py under `-W error::RuntimeWarning` with `config` as its --config."""
+    cfg = tmp_path / "demo.yaml"
+    cfg.write_text(config)
     root = Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          str(root / "scripts" / "detect_demo.py"), "--config", str(cfg),
-                          "--out", str(tmp_path / "cubes")],
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(root / "scripts" / "detect_demo.py"), "--config", str(cfg),
+                           "--out", str(tmp_path / "cubes")],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_detect_demo_refuses_a_cube_float32_cannot_hold(tmp_path):
+    # noise of power 1e80 per sample puts most cube values beyond float32
+    run = run_detect_demo(tmp_path, "radar:\n  noise_floor: 1.0e+80\n")
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
     assert "not finite in float32" in run.stderr
     assert not (tmp_path / "cubes" / "frame000.rcub").exists()
+
+
+@pytest.mark.parametrize("radar, fragment", [
+    ("{n_rx: 0}", "invalid radar section"),         # RadarConfig refuses it
+    ("{n_rx: 1}", "radar.n_rx must be at least 2"),  # detect refuses it
+    ("{n_chirps: 2}", "radar.n_chirps must be at least 3"),
+], ids=["n_rx-0", "n_rx-1", "n_chirps-2"])
+def test_detect_demo_refuses_a_profile_as_detect_does(tmp_path, radar, fragment):
+    run = run_detect_demo(tmp_path, f"radar: {radar}\n")
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert fragment in run.stderr
+    assert not list(tmp_path.glob("cubes/*.rcub"))
