@@ -9,6 +9,7 @@ one thread and numpy's RuntimeWarnings as errors:
 
 - fast seed 0 `simulate`, then `eval --solver all` at 5 epochs;
 - `train --solver dnn` at 5 epochs, keeping `model.ckpt` and its `.json`;
+- `train --solver linreg-3d`, whose fit is `params.json`, and `report`;
 - `simulate --mode full` on CI's six-sample config;
 - the tree's own `scripts/detect_demo.py --seed 0/1/2` cubes, and `detect`
   on each;
@@ -58,6 +59,9 @@ def recipe(tree: Path, inputs: Path, out: Path):
          "--out", str(out / "fast")],
         [*cli, "eval", str(out / "fast"), "--solver", "all", "--out", str(out / "eval")],
         [*cli, "train", str(out / "fast"), "--solver", "dnn", "--out", str(out / "train")],
+        [*cli, "train", str(out / "fast"), "--solver", "linreg-3d",
+         "--out", str(out / "train-linreg-3d")],
+        [*cli, "report", str(out / "fast"), "--out", str(out / "report")],
         [*cli, "simulate", "--mode", "full", "--config", str(inputs / "full6.yaml"),
          "--out", str(out / "full6")],
     ]

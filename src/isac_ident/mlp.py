@@ -2,12 +2,13 @@
 
 Two input branches (radar state and beam index) expand separately through
 three dense layers each, are concatenated, and a four-layer head reduces
-to a single sigmoid likelihood (`ModelWidths.shapes()`). Everything is
-plain numpy float64 with hand-written backpropagation and Adam, so
-training (`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed
-on a given platform. The loss is binary cross-entropy on the head's
-clipped pre-activation (its logit), so a saturated head still gets a
-gradient. Training normalizes its inputs once per fit, writes each
+to a single sigmoid unit (`ModelWidths.shapes()`). Training and inference
+both stop at its clipped pre-activation, the logit: the loss is binary
+cross-entropy on it, so a saturated head still gets a gradient, and only
+`score_candidates` applies the sigmoid. Everything is plain numpy float64
+with hand-written backpropagation and Adam, so training
+(`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed on a given
+platform. Training normalizes its inputs once per fit, writes each
 batch's gradient in place into a vector laid out like `theta`
 (`_loss_and_grad`) and updates Adam's moments in place (`adam_step`);
 `loss_and_grad_arrays` is the same loss on raw rows. The beam branch
@@ -22,8 +23,8 @@ and the activation in place: `ndarray.dot` has the bits of `a @ W.T`, and
 a (32, 3) by (3, 16) product takes 1.4 us through it against 2.4 us
 through `matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a
 contiguous copy of `W.T` would change the bits. Training caches each
-layer's (input, output), the sigmoid layer's output being its clipped
-logit; relu's gradient mask is `output > 0`, equal to z > 0 even for NaN.
+layer's (input, output); relu's gradient mask is `output > 0`, equal to
+z > 0 even for NaN.
 """
 
 from __future__ import annotations
@@ -142,22 +143,17 @@ def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpMod
 
 
 def _forward_layers(layers, x, caches: list | None = None):
-    """Run `x` through `layers`. Training passes `caches`, which gets each
-    layer's (input, output) for backprop, and a sigmoid layer then stops at
-    its logit clip(z, -500, 500), which the loss reads; inference keeps no
-    caches and applies the sigmoid."""
+    """Run `x` through `layers`; a sigmoid layer stops at its logit
+    clip(z, -500, 500). Training passes `caches`, which gets each layer's
+    (input, output) for backprop."""
     a = x
     for layer in layers:
         z = a.dot(layer.weights.T)
         z += layer.bias
         if layer.activation == "relu":
             np.maximum(z, 0.0, out=z)
-        else:  # 1 / (1 + exp(-clip(z, -500, 500))), one operation at a time
+        else:  # the logit: the sigmoid is score_candidates' and the loss's
             np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
-            if caches is None:
-                np.exp(np.negative(z, out=z), out=z)
-                z += 1.0
-                np.divide(1.0, z, out=z)
         if caches is not None:
             caches.append((a, z))
         a = z
@@ -194,9 +190,8 @@ def normalize_inputs(norm: NormBounds, feats: np.ndarray, beams: np.ndarray):
 
 
 def _score_batch(model: MlpModel, x_radar: np.ndarray, a_beam: np.ndarray, caches=(None, None)):
-    """Scores of normalized radar rows beside their beam-branch activations;
-    `caches` is (radar, head) lists when training, which returns the
-    clipped logits instead (`_forward_layers`)."""
+    """Clipped logits of normalized radar rows beside their beam-branch
+    activations; `caches` is (radar, head) lists when training."""
     c_radar, c_head = caches
     h = np.concatenate([_forward_layers(model.radar_branch, x_radar, c_radar), a_beam], axis=1)
     return _forward_layers(model.head, h, c_head)[:, 0]
@@ -211,13 +206,15 @@ def _require_finite(*arrays: np.ndarray) -> None:
 def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
     """Likelihood scores for raw (range, angle, velocity) rows and beam indices.
 
-    The reference forward pass: both branches run on every row.
+    The reference forward pass: both branches run on every row, and the
+    sigmoid 1 / (1 + exp(-z)) of the clipped logit z is the score.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     beams = np.atleast_1d(np.asarray(beams, dtype=float))
     _require_finite(feats, beams)
     x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
-    return _score_batch(model, x_radar, _forward_layers(model.beam_branch, x_beam))
+    z = _score_batch(model, x_radar, _forward_layers(model.beam_branch, x_beam))
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def beam_table(model: MlpModel) -> np.ndarray:
@@ -232,8 +229,8 @@ def beam_table(model: MlpModel) -> np.ndarray:
 
 
 def score_with_beam_table(model: MlpModel, table: np.ndarray, feats, beam_rows) -> np.ndarray:
-    """`score_candidates` for raw rows whose beam-branch activations are
-    `table[beam_rows]`, `table` being `beam_table(model)`."""
+    """`score_candidates`' logits, before its sigmoid, of raw rows whose beam-branch
+    activations are `table[beam_rows]`, `table` being `beam_table(model)`."""
     feats = np.asarray(feats, dtype=float)
     _require_finite(feats)
     return _score_batch(model, _normalize_radar(model.norm, feats), table[beam_rows])

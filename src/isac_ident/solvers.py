@@ -222,8 +222,6 @@ def predict_split(solvers, samples) -> list[np.ndarray]:
     `score_rows(feats, beams)`) scores all its rows in one call, and each
     sample's prediction is its highest-scoring row, ties to the lowest index.
     """
-    if not samples:
-        return [np.zeros(0, dtype=int) for _ in solvers]
     feats, beams, _ = expand_to_rows(samples)
     sizes = _sizes(samples)
     return [segment_argmax(solver.score_rows(feats, beams), sizes) for solver in solvers]
@@ -240,7 +238,8 @@ def _require_in_codebook(beams, n_beams: int) -> None:
 
 
 def predict_dnn(candidates, b_star: int, model: MlpModel) -> int:
-    """Highest-scoring candidate; ties take the lowest index."""
+    """Highest `score_candidates` likelihood, ties to the lowest index; `DnnSolver`
+    ranks by logit, which agrees unless two likelihoods round to 1.0."""
     if not candidates:
         raise ValueError("candidate list must be non-empty")
     feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in candidates]
@@ -293,10 +292,10 @@ class TableSolver:
 class DnnSolver:
     """The learned solver: `fit` trains the per-candidate scorer, `predict` is its argmax.
 
-    Inference reads the beam branch from a per-beam table (`mlp.beam_table`)
-    built whenever `model` is fitted or assigned, and runs only the radar
-    branch and the head per row; `mlp.score_candidates` is the reference
-    forward pass it matches.
+    A row's score is the head's clipped logit (`mlp.score_candidates` before
+    its sigmoid), read with the beam branch from a per-beam table
+    (`mlp.beam_table`) built whenever a model for the solver's codebook is
+    fitted or assigned; only the radar branch and the head run per row.
     """
 
     name = "dnn"
@@ -315,6 +314,9 @@ class DnnSolver:
 
     @model.setter
     def model(self, model: MlpModel | None) -> None:
+        if model is not None and model.norm.n_beams != len(self.pointing_angles):
+            raise SolverError(f"model is for a {model.norm.n_beams}-beam codebook, "
+                              f"not the solver's {len(self.pointing_angles)} beams")
         self._model = model
         self._beam_table = None if model is None else beam_table(model)
 
@@ -362,12 +364,13 @@ class DnnSolver:
         self.model = model
 
     def score_rows(self, feats, beams) -> np.ndarray:
-        """The scorer's likelihood of every row, `SCORE_CHUNK` rows per call."""
+        """The scorer's logit of every row, `SCORE_CHUNK` rows per call."""
         _require_in_codebook(beams, len(self._beam_table))
-        return np.concatenate([
-            score_with_beam_table(self.model, self._beam_table, feats[i:i + SCORE_CHUNK],
-                                  beams[i:i + SCORE_CHUNK])
-            for i in range(0, len(feats), SCORE_CHUNK)])
+        scores = np.empty(len(feats))
+        for i in range(0, len(feats), SCORE_CHUNK):
+            scores[i:i + SCORE_CHUNK] = score_with_beam_table(
+                self.model, self._beam_table, feats[i:i + SCORE_CHUNK], beams[i:i + SCORE_CHUNK])
+        return scores
 
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:

@@ -300,6 +300,25 @@ def test_spectra_noise_is_the_seeded_draws():
     assert np.allclose(cells, want.view(complex).T, rtol=1e-12, atol=1e-12 * math.sqrt(var))
 
 
+def test_spectra_noise_past_the_uniform_factors_is_one_gamma_draw():
+    # above radar_frontend._MAX_UNIFORM_FACTORS antennas the map's noise plane
+    # is one standard_gamma(n_rx) draw, chi^2(2 n_rx) / 2, times 2 sigma^2
+    cfg = RadarConfig(n_chirps=16, n_samples=64, n_rx=9, noise_floor=50.0,
+                      chirp_duration_s=64 / 16.666e6 + 1e-6)
+    assert cfg.n_rx > radar_frontend._MAX_UNIFORM_FACTORS
+    power, _ = sample_frame(faint_scene(), cfg, seed=9)
+    rng = np.random.Generator(np.random.SFC64(child_seed(9, "frame-noise")))
+    var = 50.0 * 16 * 64 / 2.0
+    rng.random((15, 64))                                   # U0
+    want_power = np.zeros((16, 64))
+    want_power[1:] = rng.standard_gamma(9, (15, 64)) * (2.0 * var)
+    assert np.array_equal(power, want_power)
+
+    for scene in (faint_scene(), [moving_obj(40.0, 10.0, 3.0, refl=1e3)]):
+        power, _ = sample_frame(scene, dataclasses.replace(cfg, n_rx=24), seed=9)
+        assert np.isfinite(power).all() and (power[1:] > 0).all() and not power[0].any()
+
+
 def test_spectra_noise_power_per_cell():
     # a noise-only map cell sums 2 n_rx squared N(0, sigma^2) axes, sigma^2 =
     # noise_floor * n_chirps * n_samples / 2: mean 2 n_rx sigma^2, and

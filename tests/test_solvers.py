@@ -1,14 +1,22 @@
 import functools
+import struct
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_dnn_fit, reference_expand_to_rows
+from oracles import reference_dnn_fit, reference_expand_to_rows, reference_forward
 
 from isac_ident.dataset import ScenarioConfig, generate_dataset, split_by_sequence
-from isac_ident.mlp import ModelWidths, load_model, save_model, score_candidates
+from isac_ident.mlp import (
+    ModelWidths,
+    NormBounds,
+    init_weights,
+    load_model,
+    save_model,
+    score_candidates,
+)
 from isac_ident.radar_detect import Candidate
 from isac_ident.scene import CommConfig, dft_codebook
 from isac_ident.solvers import (
@@ -34,6 +42,12 @@ TINY = ModelWidths(radar=(8, 12, 16), beam=(8, 12, 16), head=(16, 8, 4))
 
 def cand(a, r=50.0, v=0.0, power=1.0):
     return Candidate(range_m=r, angle_deg=float(np.clip(a, -90, 90)), vel_mps=v, power=power)
+
+
+def reference_logits(model, feats, beams):
+    """The head's clipped last-layer z of the reference forward pass."""
+    _, (_, _, c_head) = reference_forward(model, feats, beams)
+    return np.clip(c_head[-1][1][:, 0], -500.0, 500.0)
 
 
 def fitted(name, train):
@@ -487,7 +501,8 @@ def test_expand_to_rows_matches_reference(seed):
 
 def assert_split_matches_per_sample(train, samples):
     """Split predictions equal per-sample `predict`; the DNN may differ only at a
-    near-tie, since its batched scores differ from per-sample ones in the last bits."""
+    near-tie of its logits, since its batched scores differ from per-sample ones in
+    the last bits."""
     angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
     for name in SOLVER_NAMES:
         solver = make_solver(name, angles, hyper=TrainConfig(epochs=2))
@@ -501,7 +516,7 @@ def assert_split_matches_per_sample(train, samples):
         for s, a, b in zip(samples, split, single):
             if a != b:
                 feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in s.candidates]
-                scores = score_candidates(solver.model, feats, [s.b_star] * len(feats))
+                scores = reference_logits(solver.model, feats, [s.b_star] * len(feats))
                 assert abs(scores[a] - scores[b]) <= 1e-12, (s.sample_id, a, b)
 
 
@@ -601,11 +616,11 @@ def test_dnn_scores_match_the_reference_forward(fast_split):
     solver = fast_dnn(fast_split.train, seed=0)
     feats, beams, _ = expand_to_rows(fast_split.test)
     np.testing.assert_allclose(solver.score_rows(feats, beams),
-                               score_candidates(solver.model, feats, beams), rtol=0, atol=1e-12)
+                               reference_logits(solver.model, feats, beams), rtol=0, atol=1e-12)
     for s in fast_split.test:  # the row counts of per-sample `predict`
         feats, beams, _ = expand_to_rows([s])
         np.testing.assert_allclose(solver.score_rows(feats, beams),
-                                   score_candidates(solver.model, feats, beams), rtol=0, atol=1e-12)
+                                   reference_logits(solver.model, feats, beams), rtol=0, atol=1e-12)
 
 
 def test_reassigned_dnn_model_is_the_one_scored(fast_split, tmp_path):
@@ -619,8 +634,55 @@ def test_reassigned_dnn_model_is_the_one_scored(fast_split, tmp_path):
     assert [solver.predict(s.candidates, s.b_star) for s in test] == expected
     feats, beams, _ = expand_to_rows(test)
     np.testing.assert_allclose(solver.score_rows(feats, beams),
-                               score_candidates(other, feats, beams), rtol=0, atol=1e-12)
+                               reference_logits(other, feats, beams), rtol=0, atol=1e-12)
     assert predict_split([solver], test)[0].tolist() == expected
+
+
+def default_model(n_beams):
+    norm = NormBounds(range_max=200.0, angle_span=180.0, vel_max=20.0, n_beams=n_beams)
+    return init_weights(ModelWidths(), norm, seed=0)
+
+
+def test_dnn_ranks_by_logit_where_every_sigmoid_is_one():
+    model = default_model(len(ANGLES))
+    model.head[-1].bias[:] = 60.0
+    cands = (cand(-20.0, r=50.0, v=3.0), cand(10.0, r=120.0, v=-5.0),
+             cand(40.0, r=30.0, v=8.0), cand(-60.0, r=90.0, v=0.0))
+    feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in cands]
+    logits = reference_logits(model, feats, [12] * len(cands))
+    assert (logits > 37.0).all() and len(np.unique(logits)) == len(cands)
+    assert (score_candidates(model, feats, [12] * len(cands)) == 1.0).all()
+    best = int(np.argmax(logits))
+    assert best != 0  # a sigmoid tie would pick candidate 0
+    solver = DnnSolver(ANGLES)
+    solver.model = model
+    assert solver.predict(cands, 12) == best
+    sample = Sample(sample_id=0, sequence_id=0, candidates=cands, b_star=12, label=0)
+    assert predict_split([solver], [sample])[0].tolist() == [best]
+
+
+def test_dnn_model_for_another_codebook_is_refused(tmp_path):
+    solver = DnnSolver(ANGLES)
+    own = default_model(len(ANGLES))
+    solver.model = own
+    with pytest.raises(SolverError, match=f"64-beam codebook, not the solver's {len(ANGLES)}"):
+        solver.model = default_model(64)
+    save_model(own, tmp_path / "model.ckpt")
+    raw = bytearray((tmp_path / "model.ckpt").read_bytes())
+    raw[32:40] = struct.pack("<d", 1e18)  # the checkpoint's n_beams
+    (tmp_path / "model.ckpt").write_bytes(bytes(raw))
+    with pytest.raises(SolverError, match="1000000000000000000-beam codebook"):
+        solver.model = load_model(tmp_path / "model.ckpt")
+    assert solver.model is own
+    assert solver.predict((cand(0.0), cand(10.0)), 3) in (0, 1)
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_score_rows_of_no_rows_is_no_scores(name):
+    solver = make_solver(name, ANGLES, hyper=TrainConfig(epochs=2))
+    solver.fit(offset_samples(2.0, 40, np.random.default_rng(23)))
+    scores = solver.score_rows(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    assert scores.shape == (0,) and scores.dtype == float
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
