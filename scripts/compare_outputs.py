@@ -10,7 +10,8 @@ one thread and numpy's RuntimeWarnings as errors:
 - fast seed 0 `simulate`, then `eval --solver all` at 5 epochs;
 - `train --solver dnn` at 5 epochs, keeping `model.ckpt` and its `.json`;
 - `train --solver linreg-3d`, whose fit is `params.json`, and `report`;
-- `simulate --mode full` on CI's six-sample config;
+- `simulate --mode full` on CI's six-sample config, then `eval --solver all`
+  at 5 epochs, so DNN predictions on full-mode candidates are compared too;
 - the tree's own `scripts/detect_demo.py --seed 0/1/2` cubes, and `detect`
   on each;
 - the SHA-256 of `synthesize_frame`'s float64 cube of the demo scene at
@@ -35,7 +36,8 @@ import sys
 from pathlib import Path
 
 FAST_YAML = "training:\n  epochs: 5\n"
-FULL6_YAML = "scenario:\n  sequences: 2\n  samples_per_sequence: [6, 6]\n  candidates: [4, 6]\n"
+FULL6_YAML = ("scenario:\n  sequences: 2\n  samples_per_sequence: [6, 6]\n  candidates: [4, 6]\n"
+              "training:\n  epochs: 5\n")
 DEMO_SEEDS = (0, 1, 2)
 CUBE_DIGESTS = """\
 import hashlib, sys
@@ -64,6 +66,7 @@ def recipe(tree: Path, inputs: Path, out: Path):
         [*cli, "report", str(out / "fast"), "--out", str(out / "report")],
         [*cli, "simulate", "--mode", "full", "--config", str(inputs / "full6.yaml"),
          "--out", str(out / "full6")],
+        [*cli, "eval", str(out / "full6"), "--solver", "all", "--out", str(out / "eval-full6")],
     ]
     for seed in DEMO_SEEDS:
         steps += [[str(tree / "scripts" / "detect_demo.py"), "--seed", str(seed),

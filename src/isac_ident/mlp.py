@@ -5,26 +5,27 @@ three dense layers each, are concatenated, and a four-layer head reduces
 to a single sigmoid unit (`ModelWidths.shapes()`). Training and inference
 both stop at its clipped pre-activation, the logit: the loss is binary
 cross-entropy on it, so a saturated head still gets a gradient, and only
-`score_candidates` applies the sigmoid. Everything is plain numpy float64
-with hand-written backpropagation and Adam, so training
-(`solvers.DnnSolver.fit`) is bit-reproducible for a fixed seed on a given
-platform. Training normalizes its inputs once per fit, writes each
-batch's gradient in place into a vector laid out like `theta`
-(`_loss_and_grad`) and updates Adam's moments in place (`adam_step`);
-`loss_and_grad_arrays` is the same loss on raw rows. The beam branch
-sees only the serving-beam index, so inference reads its output from a
-per-beam table (`beam_table`, `score_with_beam_table`) and runs only the
-radar branch and the head per row; `score_candidates` is the reference
-forward pass over both branches.
+`score_candidates`, the reference forward pass, applies the sigmoid.
+Everything is plain numpy float64 with hand-written backpropagation and
+Adam, so training (`solvers.DnnSolver.fit`) is bit-reproducible for a
+fixed seed on a given platform. Training normalizes its inputs once per
+fit, writes each batch's gradient in place into a vector laid out like
+`theta` (`_loss_and_grad`) and updates Adam's moments in place
+(`adam_step`); `loss_and_grad_arrays` is the same loss on raw rows.
+Inference runs through a `ScoringPlan` built once per model
+(`scoring_plan`, `plan_logits`): the beam branch sees only the
+serving-beam index, so it and the beam half of the head's first layer are
+read from a per-beam table.
 
 On 6-row samples and 64-row batches numpy's per-call dispatch sets much
-of the cost. A layer is `a.dot(W.T)` on the transposed view, then `z += b`
-and the activation in place: `ndarray.dot` has the bits of `a @ W.T`, and
-a (32, 3) by (3, 16) product takes 1.4 us through it against 2.4 us
-through `matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a
-contiguous copy of `W.T` would change the bits. Training caches each
-layer's (input, output); relu's gradient mask is `output > 0`, equal to
-z > 0 even for NaN.
+of the cost. A training layer is `a.dot(W.T)` on the transposed view, then
+`z += b` and the activation in place: `ndarray.dot` has the bits of
+`a @ W.T`, and a (32, 3) by (3, 16) product takes 1.4 us through it against
+2.4 us through `matmul` (2-vCPU Xeon, numpy 2.4.6, one OpenBLAS thread); a
+contiguous copy of `W.T` would change the bits. The plan holds such copies
+and folds the input scaling into its first layer, so its logits differ from
+`score_candidates`' in the last bits. Training caches each layer's (input,
+output); relu's gradient mask is `output > 0`, equal to z > 0 even for NaN.
 """
 
 from __future__ import annotations
@@ -217,23 +218,48 @@ def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def beam_table(model: MlpModel) -> np.ndarray:
-    """Beam-branch activations of every codebook beam, row b for beam index b.
+@dataclass(frozen=True)
+class ScoringPlan:
+    """`scoring_plan`'s inference weights: (contiguous W.T, bias, activation)
+    per layer, radar branch then head. The first layer reads raw rows (W0 /
+    scale, b0 + W0 (shift / scale)); the head's first layer, at `beam_layer`,
+    keeps the radar columns, and its bias is the (n_beams, out) per-beam table
+    of the beam columns times the beam branch's output, plus the layer's bias."""
 
-    The branch sees only the beam index, so inference reads these rows
-    (`score_with_beam_table`) instead of running the branch per candidate.
-    The table is valid until `model.theta` changes.
-    """
-    x_beam = _normalize_beams(model.norm, np.arange(model.norm.n_beams))
-    return _forward_layers(model.beam_branch, x_beam)
+    layers: tuple[tuple[np.ndarray, np.ndarray, str], ...]
+    beam_layer: int
 
 
-def score_with_beam_table(model: MlpModel, table: np.ndarray, feats, beam_rows) -> np.ndarray:
-    """`score_candidates`' logits, before its sigmoid, of raw rows whose beam-branch
-    activations are `table[beam_rows]`, `table` being `beam_table(model)`."""
-    feats = np.asarray(feats, dtype=float)
-    _require_finite(feats)
-    return _score_batch(model, _normalize_radar(model.norm, feats), table[beam_rows])
+def scoring_plan(model: MlpModel) -> ScoringPlan:
+    """The `ScoringPlan` of `model`, copied out of `theta`, whose later changes
+    it does not see."""
+    norm, (first, *radar), (head_in, *head) = model.norm, model.radar_branch, model.head
+    width = len(model.radar_branch[-1].bias)
+    a_beam = _forward_layers(model.beam_branch, _normalize_beams(norm, np.arange(norm.n_beams)))
+    layers = [(first.weights / norm.scale, first.bias + first.weights.dot(norm.shift / norm.scale),
+               first.activation),
+              *((l.weights, l.bias, l.activation) for l in radar),
+              (head_in.weights[:, :width],
+               a_beam.dot(head_in.weights[:, width:].T) + head_in.bias, head_in.activation),
+              *((l.weights, l.bias, l.activation) for l in head)]
+    return ScoringPlan(tuple((np.ascontiguousarray(w.T), np.array(b), act) for w, b, act in layers),
+                       beam_layer=len(model.radar_branch))
+
+
+def plan_logits(plan: ScoringPlan, feats, beams) -> np.ndarray:
+    """`score_candidates`' logits, before its sigmoid, of raw rows through
+    `plan`; `beams` is each row's beam index, or one index for every row."""
+    a = np.asarray(feats, dtype=float)
+    _require_finite(a)
+    for k, (w_t, bias, activation) in enumerate(plan.layers):
+        z = a.dot(w_t)
+        z += bias[beams] if k == plan.beam_layer else bias
+        if activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        else:
+            np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
+        a = z
+    return a[:, 0]
 
 
 def _loss_and_grad(model: MlpModel, x_radar, x_beam, y, grads: MlpModel) -> float:

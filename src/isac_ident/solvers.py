@@ -28,11 +28,11 @@ from isac_ident.mlp import (
     _loss_and_grad,
     _model_on,
     adam_step,
-    beam_table,
     init_weights,
     normalize_inputs,
+    plan_logits,
     score_candidates,
-    score_with_beam_table,
+    scoring_plan,
 )
 from isac_ident.radar_detect import Candidate
 from isac_ident.seeding import child_rng
@@ -263,6 +263,8 @@ class TableSolver:
         self.pointing_angles = np.asarray(pointing_angles, dtype=float)
 
     def fit(self, train) -> None:
+        _require_in_codebook(np.array([s.b_star for s in train], dtype=int),
+                             len(self.pointing_angles))
         self.params, self.table, self.sigma = self.fit_rule(train, self.pointing_angles)
 
     def score_rows(self, feats, beams) -> np.ndarray:
@@ -293,9 +295,9 @@ class DnnSolver:
     """The learned solver: `fit` trains the per-candidate scorer, `predict` is its argmax.
 
     A row's score is the head's clipped logit (`mlp.score_candidates` before
-    its sigmoid), read with the beam branch from a per-beam table
-    (`mlp.beam_table`) built whenever a model for the solver's codebook is
-    fitted or assigned; only the radar branch and the head run per row.
+    its sigmoid), scored by `mlp.plan_logits` through the `mlp.ScoringPlan`
+    built whenever a model for the solver's codebook is fitted or assigned;
+    only the radar branch and the head run per row.
     """
 
     name = "dnn"
@@ -318,7 +320,7 @@ class DnnSolver:
             raise SolverError(f"model is for a {model.norm.n_beams}-beam codebook, "
                               f"not the solver's {len(self.pointing_angles)} beams")
         self._model = model
-        self._beam_table = None if model is None else beam_table(model)
+        self._plan = None if model is None else scoring_plan(model)
 
     def fit(self, train) -> None:
         """Adam on the binary cross-entropy of the expanded rows (see
@@ -337,6 +339,7 @@ class DnnSolver:
         """
         _require_nonempty(train, "train")
         feats, beams, targets = expand_to_rows(train)
+        _require_in_codebook(beams, len(self.pointing_angles))
         norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
                           angle_span=max(2.0 * float(np.abs(feats[:, 1]).max()), 10.0),
                           vel_max=max(float(np.abs(feats[:, 2]).max()), 1.0),
@@ -364,21 +367,20 @@ class DnnSolver:
         self.model = model
 
     def score_rows(self, feats, beams) -> np.ndarray:
-        """The scorer's logit of every row, `SCORE_CHUNK` rows per call."""
-        _require_in_codebook(beams, len(self._beam_table))
+        """The plan's logit of every row (`mlp.plan_logits`), `SCORE_CHUNK` rows per call."""
+        _require_in_codebook(beams, len(self.pointing_angles))
         scores = np.empty(len(feats))
         for i in range(0, len(feats), SCORE_CHUNK):
-            scores[i:i + SCORE_CHUNK] = score_with_beam_table(
-                self.model, self._beam_table, feats[i:i + SCORE_CHUNK], beams[i:i + SCORE_CHUNK])
+            scores[i:i + SCORE_CHUNK] = plan_logits(self._plan, feats[i:i + SCORE_CHUNK],
+                                                    beams[i:i + SCORE_CHUNK])
         return scores
 
     def predict(self, candidates, b_star: int) -> int:
         if not candidates:
             raise ValueError("candidate list must be non-empty")
-        _require_in_codebook(b_star, len(self._beam_table))
+        _require_in_codebook(b_star, len(self.pointing_angles))
         feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in candidates]
-        return int(score_with_beam_table(self.model, self._beam_table, feats,
-                                         [b_star] * len(feats)).argmax())
+        return int(plan_logits(self._plan, feats, b_star).argmax())
 
 
 def make_solver(name: str, pointing_angles,

@@ -658,27 +658,32 @@ def test_bad_test_sample_exits_3(tmp_path, capsys, argv, bad, fragment):
     assert fragment in assert_one_line_error(capsys)
 
 
-def test_absurd_but_finite_state_scores_silently(dataset_dir, tmp_path, capsys):
-    # a range of 1e300 squares past the largest double: the distance is inf,
-    # which is the right answer, and the run warns about nothing
+@pytest.mark.parametrize("solver", ["linreg-3d", "dnn", "all"])
+@pytest.mark.parametrize("range_m", ["1e300", "1e308", "1.7e308"])
+def test_absurd_but_finite_state_scores_silently(dataset_dir, tmp_path, capsys, solver, range_m):
+    # a range of 1e300 squares past the largest double: the table distance is
+    # inf, which is the right answer; the DNN folds the input scaling into its
+    # first layer, where an overflow would show; and the run warns about nothing
     path = dataset_dir / "test.csv"
     header, first, *rest = path.read_text().splitlines()
     fields = first.split(",")
-    fields[4] = "1e300"
+    fields[4] = range_m
     path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
     out = tmp_path / "eval"
     capsys.readouterr()
-    assert main(["eval", str(dataset_dir), "--solver", "linreg-3d", "--out", str(out)]) == 0
+    assert main(["eval", str(dataset_dir), "--solver", solver, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    comm = config_from_dict(json.loads((dataset_dir / "manifest.json").read_text())["config"]).comm
-    angles = dft_codebook(comm.n_antennas, comm.n_beams, comm.element_spacing).pointing_angles
-    solver = solvers.make_solver("linreg-3d", angles)
-    solver.fit(load_samples(dataset_dir / "train.csv"))
-    test = load_samples(path)
-    assert test[0].candidates[0].range_m == 1e300
-    rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
-    assert [int(row.split(",")[2]) for row in rows] == [
-        solver.predict(s.candidates, s.b_star) for s in test]
+    cfg = config_from_dict(json.loads((dataset_dir / "manifest.json").read_text())["config"])
+    angles = dft_codebook(cfg.comm.n_antennas, cfg.comm.n_beams,
+                          cfg.comm.element_spacing).pointing_angles
+    train, test = load_samples(dataset_dir / "train.csv"), load_samples(path)
+    assert test[0].candidates[0].range_m == float(range_m)
+    columns, *rows = (out / "predictions.csv").read_text().strip().splitlines()
+    for col, name in enumerate(columns.split(",")[2:], start=2):
+        fitted = solvers.make_solver(name, angles, hyper=cfg.training)
+        fitted.fit(train)
+        assert [int(row.split(",")[col]) for row in rows] == [
+            fitted.predict(s.candidates, s.b_star) for s in test], name
 
 
 # test.csv bodies after the header that the loader or the split check must refuse, with

@@ -499,37 +499,42 @@ def test_expand_to_rows_matches_reference(seed):
             assert np.array_equal(got, want) and got.dtype == want.dtype and got.shape == want.shape
 
 
-def assert_split_matches_per_sample(train, samples):
-    """Split predictions equal per-sample `predict`; the DNN may differ only at a
-    near-tie of its logits, since its batched scores differ from per-sample ones in
-    the last bits."""
+def assert_split_matches_per_sample(solver, samples):
+    """`solver`'s split predictions equal its per-sample `predict`; the DNN's may
+    differ only at a near-tie of its logits, since its batched scores differ from
+    per-sample ones in the last bits."""
+    (split,) = predict_split([solver], samples)
+    split = split.tolist()
+    single = [solver.predict(s.candidates, s.b_star) for s in samples]
+    if solver.name != "dnn":
+        assert split == single, solver.name
+        return
+    for s, a, b in zip(samples, split, single):
+        if a != b:
+            feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in s.candidates]
+            scores = reference_logits(solver.model, feats, [s.b_star] * len(feats))
+            assert abs(scores[a] - scores[b]) <= 1e-12, (s.sample_id, a, b)
+
+
+def assert_splits_match_per_sample(train, samples):
+    """`assert_split_matches_per_sample` for each solver fitted on `train`."""
     angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
     for name in SOLVER_NAMES:
         solver = make_solver(name, angles, hyper=TrainConfig(epochs=2))
         solver.fit(train)
-        (split,) = predict_split([solver], samples)
-        split = split.tolist()
-        single = [solver.predict(s.candidates, s.b_star) for s in samples]
-        if name != "dnn":
-            assert split == single, name
-            continue
-        for s, a, b in zip(samples, split, single):
-            if a != b:
-                feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in s.candidates]
-                scores = reference_logits(solver.model, feats, [s.b_star] * len(feats))
-                assert abs(scores[a] - scores[b]) <= 1e-12, (s.sample_id, a, b)
+        assert_split_matches_per_sample(solver, samples)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_split_predictions_match_per_sample_fast(seed):
     samples = generate_dataset(ScenarioConfig(seed=seed), comm=COMM)
-    assert_split_matches_per_sample(split_by_sequence(samples, 0.8, seed=seed).train, samples)
+    assert_splits_match_per_sample(split_by_sequence(samples, 0.8, seed=seed).train, samples)
 
 
 def test_split_predictions_match_per_sample_full():
     samples = generate_dataset(ScenarioConfig(n_sequences=3, samples_per_sequence=(10, 12),
                                               seed=0), mode="full", comm=COMM)
-    assert_split_matches_per_sample(samples, samples)
+    assert_splits_match_per_sample(samples, samples)
 
 
 # offsets x whose glibc pow(x, 2), Python's `x ** 2`, differs from x * x in the last bit
@@ -638,6 +643,28 @@ def test_reassigned_dnn_model_is_the_one_scored(fast_split, tmp_path):
     assert predict_split([solver], test)[0].tolist() == expected
 
 
+# the shallowest models `ModelWidths` allows: a head of just the logit layer, and
+# one-layer branches, whose first layer is also their last
+EDGE_WIDTHS = {"head-of-one-layer": ModelWidths(head=()),
+               "one-layer-branches": ModelWidths(radar=(16,), beam=(8,))}
+
+
+@pytest.mark.parametrize("widths", EDGE_WIDTHS.values(), ids=EDGE_WIDTHS)
+def test_dnn_scores_shallow_models_like_the_reference(fast_split, widths, tmp_path):
+    angles = dft_codebook(COMM.n_antennas, COMM.n_beams).pointing_angles
+    solver = DnnSolver(angles, TrainConfig(epochs=2), widths=widths)
+    solver.fit(fast_split.train)
+    feats, beams, _ = expand_to_rows(fast_split.test)
+    scores = solver.score_rows(feats, beams)
+    np.testing.assert_allclose(scores, reference_logits(solver.model, feats, beams),
+                               rtol=0, atol=1e-12)
+    assert_split_matches_per_sample(solver, fast_split.test)
+    save_model(solver.model, tmp_path / "model.ckpt")
+    solver.model = load_model(tmp_path / "model.ckpt")
+    assert solver.model.widths == widths
+    assert np.array_equal(solver.score_rows(feats, beams), scores)
+
+
 def default_model(n_beams):
     norm = NormBounds(range_max=200.0, angle_span=180.0, vel_max=20.0, n_beams=n_beams)
     return init_weights(ModelWidths(), norm, seed=0)
@@ -683,6 +710,14 @@ def test_score_rows_of_no_rows_is_no_scores(name):
     solver.fit(offset_samples(2.0, 40, np.random.default_rng(23)))
     scores = solver.score_rows(np.zeros((0, 3)), np.zeros(0, dtype=int))
     assert scores.shape == (0,) and scores.dtype == float
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_fit_on_a_beam_outside_the_codebook_raises_solver_error(name):
+    train = [*offset_samples(2.0, 40, np.random.default_rng(23)), *at_beam(40, 0.0)]
+    solver = make_solver(name, ANGLES, hyper=TrainConfig(epochs=2))
+    with pytest.raises(SolverError, match=f"beam 40 is outside the {len(ANGLES)}-beam codebook"):
+        solver.fit(train)
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
