@@ -10,7 +10,8 @@ Everything is plain numpy float64 with hand-written backpropagation and
 Adam, so training (`solvers.DnnSolver.fit`) is bit-reproducible for a
 fixed seed on a given platform. Training normalizes its inputs once per
 fit, writes each batch's gradient in place into a vector laid out like
-`theta` (`_loss_and_grad`) and updates Adam's moments in place
+`theta` (`_loss_and_grad`) and updates Adam's moments in place, kept
+pre-scaled so that a step is ten elementwise passes over the parameters
 (`adam_step`); `loss_and_grad_arrays` is the same loss on raw rows.
 Inference runs through a `ScoringPlan` built once per model
 (`scoring_plan`, `plan_logits`): the beam branch sees only the
@@ -44,6 +45,7 @@ _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
 _ACT_CODES = {"relu": 0, "sigmoid": 1}
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+_FLUSH_EVERY = 32  # Adam steps between flushes of the first moment's subnormals
 
 
 class CheckpointError(ValueError):
@@ -248,17 +250,22 @@ def scoring_plan(model: MlpModel) -> ScoringPlan:
 
 def plan_logits(plan: ScoringPlan, feats, beams) -> np.ndarray:
     """`score_candidates`' logits, before its sigmoid, of raw rows through
-    `plan`; `beams` is each row's beam index, or one index for every row."""
+    `plan`; `beams` is each row's beam index, or one index for every row.
+
+    A finite but huge row can overflow a layer, and inf - inf is NaN: this
+    warns about neither, and its final clip takes a NaN logit to -500, so
+    such a row ranks last, as an infinite table distance does."""
     a = np.asarray(feats, dtype=float)
     _require_finite(a)
-    for k, (w_t, bias, activation) in enumerate(plan.layers):
-        z = a.dot(w_t)
-        z += bias[beams] if k == plan.beam_layer else bias
-        if activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        else:
-            np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
-        a = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (w_t, bias, activation) in enumerate(plan.layers):
+            z = a.dot(w_t)
+            z += bias[beams] if k == plan.beam_layer else bias
+            if activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.fmin(np.fmax(z, -500.0, out=z), 500.0, out=z)
+            a = z
     return a[:, 0]
 
 
@@ -305,51 +312,54 @@ def loss_and_grad_arrays(model: MlpModel, feats, beams, targets):
 
 @dataclass
 class AdamState:
-    """Adam's step count and moment estimates. The first `adam_step`
-    allocates `m`, `v` and two work buffers shaped like its theta; later
-    steps update them in place and reject a theta of any other shape."""
+    """Adam's step count and its moments, kept pre-scaled: `m` is the first
+    moment over (1 - beta1) and `v` the second over (1 - beta2). The first
+    `adam_step` allocates `m`, `v` and one work buffer shaped like its theta;
+    later steps update them in place and reject a theta of any other shape."""
 
     lr: float = 1e-3
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    work: np.ndarray | None = field(default=None, repr=False)
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of `theta`, in place (Kingma & Ba,
-    arXiv:1412.6980).
+    arXiv:1412.6980), with its moments pre-scaled as `AdamState` keeps them.
 
-    Each elementwise operation of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
-    and theta -= lr*(m/c1) / (sqrt(v/c2) + eps) runs in that order into the
-    state's buffers, so the update has the bits of the allocating formula.
+    With m~ = m / (1-b1) and v~ = v / (1-b2) the moments update as
+    m~ = b1*m~ + g and v~ = b2*v~ + g*g, and with r = sqrt(c2 / (1-b2)) the
+    textbook step lr*(m/c1) / (sqrt(v/c2) + eps) is
+    (lr*(1-b1)/c1*r) * m~ / (sqrt(v~) + eps*r): the same update with the
+    same eps, exact in algebra, in ten elementwise passes and one work buffer.
+    Every 32 steps, entries of m~ below the smallest normal float are set to
+    0: a parameter whose gradient stays 0 would otherwise keep a first moment
+    decaying through the subnormals, where float arithmetic is slow.
     """
     if theta.shape != grad.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     if state.m is None:
-        state.m, state.v = np.zeros(theta.shape), np.zeros(theta.shape)
-        state.work = np.empty(theta.shape), np.empty(theta.shape)
+        state.m, state.v, state.work = (np.zeros(theta.shape), np.zeros(theta.shape),
+                                        np.empty(theta.shape))
     elif state.m.shape != theta.shape:
         raise ValueError(f"parameter shape {theta.shape} != shape {state.m.shape} "
                          "this Adam state was built on")
     state.step += 1
-    m, v, (t, u) = state.m, state.v, state.work
+    m, v, u = state.m, state.v, state.work
     m *= _BETA1
-    np.multiply(grad, 1.0 - _BETA1, out=t)
-    m += t
+    m += grad
     v *= _BETA2
-    np.multiply(grad, grad, out=t)
-    t *= 1.0 - _BETA2
-    v += t
-    c1 = 1.0 - _BETA1 ** state.step
-    # c1 rounds to 1.0 from step 356 on, and m / 1.0 is m bit for bit.
-    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=t)
-    np.multiply(m_hat, state.lr, out=t)
-    np.divide(v, 1.0 - _BETA2 ** state.step, out=u)
-    np.sqrt(u, out=u)
-    u += _EPS
-    t /= u
-    theta -= t
+    np.multiply(grad, grad, out=u)
+    v += u
+    r = math.sqrt((1.0 - _BETA2 ** state.step) / (1.0 - _BETA2))
+    np.sqrt(v, out=u)
+    u += _EPS * r
+    np.divide(m, u, out=u)
+    u *= state.lr * (1.0 - _BETA1) / (1.0 - _BETA1 ** state.step) * r
+    theta -= u
+    if state.step % _FLUSH_EVERY == 0:
+        m[np.abs(m) < np.finfo(float).tiny] = 0.0
 
 
 def save_model(model: MlpModel, path, hyper: dict | None = None) -> None:

@@ -64,7 +64,9 @@ class Sample:
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the learned solver; `lr` is the peak of the cosine
-    schedule `DnnSolver.fit` decays it by."""
+    schedule `DnnSolver.fit` decays it by. At 75 epochs one of the nine fast
+    runs of `scripts/run_benchmark.py --train-seeds 0 10 20` fails its gate
+    (a 3.4x loss rise in the last quarter), so the default is 100."""
 
     lr: float = 2e-3
     epochs: int = 100
@@ -335,7 +337,8 @@ class DnnSolver:
         slice of them, and its gradient goes into one vector that `adam_step`
         reads in place, so a step pays for arithmetic, not gathers. The
         weights are those of `mlp.loss_and_grad_arrays` per batch followed by
-        the allocating Adam formula, bit for bit.
+        `mlp.adam_step`'s pre-scaled Adam written as allocating array
+        expressions, bit for bit.
         """
         _require_nonempty(train, "train")
         feats, beams, targets = expand_to_rows(train)

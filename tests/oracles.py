@@ -164,9 +164,10 @@ def finite_difference_grads(model, feats, beams, targets, h=1e-4):
 
 def reference_dnn_fit(train, pointing_angles, hyper, widths):
     """`DnnSolver.fit` as a plain loop: `reference_loss_and_grad` on each
-    batch of raw rows, gathered by index, then Adam written as allocating
-    array expressions, at step t with the cosine step size
-    lr (1 + cos(pi (t - 1) / T)) / 2 over the run's T steps.
+    batch of raw rows, gathered by index, then Adam on pre-scaled moments
+    written as allocating array expressions, at step t with the cosine step
+    size lr (1 + cos(pi (t - 1) / T)) / 2 over the run's T steps, and the
+    first moment's subnormals set to 0 every 32 steps.
     Returns the final theta and the mean loss of every epoch."""
     feats, beams, targets = reference_expand_to_rows(train)
     norm = NormBounds(range_max=max(float(feats[:, 0].max()), 1.0),
@@ -188,11 +189,13 @@ def reference_dnn_fit(train, pointing_angles, hyper, widths):
             loss, grad = reference_loss_and_grad(model, feats[idx], beams[idx], targets[idx])
             lr = hyper.lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
             step += 1
-            m = b1 * m + (1.0 - b1) * grad
-            v = b2 * v + (1.0 - b2) * (grad * grad)
-            m_hat = m / (1.0 - b1 ** step)
-            v_hat = v / (1.0 - b2 ** step)
-            model.theta[:] = model.theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+            m = b1 * m + grad
+            v = b2 * v + grad * grad
+            r = math.sqrt((1.0 - b2 ** step) / (1.0 - b2))
+            step_size = lr * (1.0 - b1) / (1.0 - b1 ** step) * r
+            model.theta[:] = model.theta - step_size * (m / (np.sqrt(v) + eps * r))
+            if step % 32 == 0:
+                m = np.where(np.abs(m) < np.finfo(float).tiny, 0.0, m)
             total += loss * len(idx)
         epoch_losses.append(total / len(feats))
     return model.theta, epoch_losses

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -211,25 +212,73 @@ def test_adam_shape_mismatch():
         adam_step(AdamState(), theta, np.zeros(2))
 
 
+def _quadratic_grad(w, centers, t):
+    """Gradient of sum((w - c)^2) at step t, except for a fifth parameter
+    whose gradient is 1e-300 for three steps and then 0, so that its first
+    moment decays into the subnormals from about step 180."""
+    return [*(2.0 * (wi - c) for wi, c in zip(w, centers)), 1e-300 if t <= 3 else 0.0]
+
+
 def test_adam_trajectory_matches_scratch_implementation():
-    # oracle: plain-float Adam on f(w) = sum((w - c)^2), written independently
-    # in the code's operation order and compared exactly over 400 steps; from
-    # step 356 on the first moment's bias correction is exactly 1.0
+    # oracle: plain-float Adam on pre-scaled moments, written independently in
+    # the code's operation order and compared exactly over 400 steps, moments
+    # included; the flush at step 192 zeroes the fifth first moment
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    assert 1.0 - b1 ** 355 != 1.0 and 1.0 - b1 ** 356 == 1.0
     centers = [0.3, -2.0, 7.5, 0.0]
-    w = [1.0, 1.0, -4.0, 0.25]
-    m, v = [0.0] * 4, [0.0] * 4
+    w = [1.0, 1.0, -4.0, 0.25, 1.0]
+    m, v = [0.0] * 5, [0.0] * 5
     theta = np.array(w)
     state = AdamState(lr=lr)
     for t in range(1, 401):
-        for i, c in enumerate(centers):
-            g = 2.0 * (w[i] - c)
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        g = _quadratic_grad(w, centers, t)
+        r = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+        step_size = lr * (1.0 - b1) / (1.0 - b1 ** t) * r
+        for i in range(5):
+            m[i] = b1 * m[i] + g[i]
+            v[i] = b2 * v[i] + g[i] * g[i]
+            w[i] -= step_size * (m[i] / (math.sqrt(v[i]) + eps * r))
+            if t % 32 == 0 and abs(m[i]) < sys.float_info.min:
+                m[i] = 0.0
+        if t == 191:
+            assert 0.0 < m[4] < sys.float_info.min
+        adam_step(state, theta, np.array(_quadratic_grad(theta.tolist(), centers, t)))
+        assert theta.tolist() == w and state.m.tolist() == m and state.v.tolist() == v, t
+    assert m[4] == 0.0
+
+
+def test_adam_tracks_the_textbook_update():
+    # Kingma & Ba's Algorithm 1 with unscaled moments, in plain floats: the
+    # pre-scaled form differs only by rounding, within 1e-12 of the largest
+    # parameter (the fourth one converges to 0, where elementwise relative
+    # error means nothing)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    centers = [0.3, -2.0, 7.5, 0.0]
+    w = [1.0, 1.0, -4.0, 0.25, 1.0]
+    m, v = [0.0] * 5, [0.0] * 5
+    theta = np.array(w)
+    state = AdamState(lr=lr)
+    for t in range(1, 401):
+        g = _quadratic_grad(w, centers, t)
+        for i in range(5):
+            m[i] = b1 * m[i] + (1.0 - b1) * g[i]
+            v[i] = b2 * v[i] + (1.0 - b2) * (g[i] * g[i])
             w[i] -= lr * (m[i] / (1.0 - b1 ** t)) / (math.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
-        adam_step(state, theta, 2.0 * (theta - np.array(centers)))
-        assert theta.tolist() == w, t
+        adam_step(state, theta, np.array(_quadratic_grad(theta.tolist(), centers, t)))
+        assert np.abs(theta - w).max() <= 1e-12 * np.abs(w).max(), t
+
+
+def test_adam_flushes_subnormal_first_moments():
+    # gradients of several magnitudes, then none: each first moment decays by
+    # 0.9 a step and crosses into the subnormals by about step 6800, where the
+    # flush every 32 steps sets it to 0 instead
+    theta = np.ones(4)
+    state = AdamState(lr=1e-3)
+    grad = np.array([1.0, -1e-100, 1e-300, -3e-250])
+    for t in range(1, 7201):
+        adam_step(state, theta, grad if t <= 10 else np.zeros(4))
+        if t % 32 == 0:
+            assert not ((state.m != 0.0) & (np.abs(state.m) < np.finfo(float).tiny)).any(), t
+    assert (state.m == 0.0).all()
 
 
 @pytest.mark.parametrize("built_on, used_on", [(1, 2), (2, 3)])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -29,6 +30,34 @@ def load_script(name):
 ])
 def test_loss_spikes_counts_rises_and_the_late_ones(losses, want):
     assert load_script("run_benchmark").loss_spikes(losses) == want
+
+
+class FixedScores:
+    """A solver whose `score_rows` returns the same scores for any rows."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_rows(self, feats, beams):
+        assert len(feats) == len(beams) == len(self.scores)
+        return np.array(self.scores)
+
+
+def test_smallest_margin_skips_samples_of_one_candidate():
+    from isac_ident.radar_detect import Candidate
+    from isac_ident.solvers import Sample
+
+    def sample(k, label):
+        cands = tuple(Candidate(range_m=10.0 + i, angle_deg=0.0, vel_mps=0.0, power=1.0)
+                      for i in range(k))
+        return Sample(sample_id=0, sequence_id=0, candidates=cands, b_star=0, label=label)
+
+    smallest_margin = load_script("run_benchmark").smallest_margin
+    # margins 3 - 2.5 = 0.5 and 4 - 5 = -1; the one-candidate sample is left out
+    test = [sample(3, 1), sample(1, 0), sample(2, 0)]
+    assert smallest_margin(FixedScores([1.0, 3.0, 2.5, 4.0, 5.0]), test[::2]) == -1.0
+    assert smallest_margin(FixedScores([1.0, 3.0, 2.5]), test[:2]) == 0.5
+    assert smallest_margin(FixedScores([]), [test[1]]) == math.inf
 
 
 @pytest.mark.parametrize("moved, listed, fails", [

@@ -688,6 +688,29 @@ def test_dnn_ranks_by_logit_where_every_sigmoid_is_one():
     assert predict_split([solver], [sample])[0].tolist() == [best]
 
 
+def test_dnn_ranks_a_row_whose_activations_overflow_last():
+    # velocity weights of the first layer scaled by 100 take a velocity of
+    # -1.7e308 past the largest double, and a later layer to inf - inf = NaN;
+    # the logit of that row is -500, with no warning, and the other rows keep
+    # their bits
+    model = default_model(len(ANGLES))
+    model.radar_branch[0].weights[:, 2] *= 100.0
+    cands = (cand(-20.0, r=50.0, v=-1.7e308), cand(10.0, r=120.0, v=-5.0),
+             cand(40.0, r=30.0, v=8.0))
+    feats = np.array([(c.range_m, c.angle_deg, c.vel_mps) for c in cands])
+    solver = DnnSolver(ANGLES)
+    solver.model = model
+    with np.errstate(all="ignore"):
+        assert np.isnan(reference_logits(model, feats[:1], [12])).all()
+    scores = solver.score_rows(feats, np.full(3, 12))
+    assert scores[0] == -500.0
+    assert scores[1:].tolist() == solver.score_rows(feats[1:], np.full(2, 12)).tolist()
+    sample = Sample(sample_id=0, sequence_id=0, candidates=cands, b_star=12, label=1)
+    best = 1 + int(np.argmax(scores[1:]))
+    assert predict_split([solver], [sample])[0].tolist() == [best]
+    assert solver.predict(cands, 12) == best
+
+
 def test_dnn_model_for_another_codebook_is_refused(tmp_path):
     solver = DnnSolver(ANGLES)
     own = default_model(len(ANGLES))
