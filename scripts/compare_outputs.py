@@ -15,9 +15,9 @@ one thread and numpy's RuntimeWarnings as errors:
 - the tree's own `scripts/detect_demo.py --seed 0/1/2` cubes, and `detect`
   on each;
 - the SHA-256 of `synthesize_frame`'s float64 cube of the demo scene at
-  seeds 0/1/2 and a noise floor of 1000. A cube file rounds each value to
-  float32, and the demo draws no noise, so without this a change in the
-  last bits of the synthesis would show nowhere.
+  seeds 0/1/2 and a noise floor of 1000. A cube file, the demo's too,
+  rounds each value to float32, so a change in the last bits of the
+  synthesis would show nowhere else.
 
 It prints "same" or "moved" for each output file. `manifest.json` is left
 out, because it holds wall-clock times and the source hash. CHILD_SRC's

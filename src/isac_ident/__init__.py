@@ -14,27 +14,6 @@ if "numpy" not in sys.modules:
 # The values that governed BLAS when numpy loaded; None is the library default.
 BLAS_THREADS = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
 
-from isac_ident.radar_detect import Candidate, DetectConfig, detect_objects
-from isac_ident.radar_frontend import RadarConfig, RadarCube, synthesize_frame
-from isac_ident.scene import CommConfig, Codebook, SceneObject, dft_codebook
-from isac_ident.solvers import SOLVER_NAMES, Sample, evaluate, make_solver
+import numpy  # noqa: E402,F401  loads BLAS now, under the pin above
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Candidate",
-    "Codebook",
-    "CommConfig",
-    "DetectConfig",
-    "RadarConfig",
-    "RadarCube",
-    "SOLVER_NAMES",
-    "Sample",
-    "SceneObject",
-    "detect_objects",
-    "dft_codebook",
-    "evaluate",
-    "make_solver",
-    "synthesize_frame",
-    "__version__",
-]

@@ -431,69 +431,63 @@ def load_samples(path) -> list[Sample]:
     faulty line in file order is the one reported.
     """
     path = Path(path)
+
+    def error(lineno, message):
+        return SampleFormatError(f"{path}:{lineno}: {message}")
+
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise SampleFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines:
-        raise SampleFormatError(f"{path}:1: empty file")
+        raise error(1, "empty file")
     if lines[0] != SAMPLE_HEADER:
-        raise SampleFormatError(f"{path}:1: bad header {lines[0]!r}")
+        raise error(1, f"bad header {lines[0]!r}")
     samples: list[Sample] = []
-    cands: list[Candidate] = []  # candidates of the open sample
-    head = None  # the open sample's first row: (lineno, sample_id, sequence_id, K_t, b_star, label)
     seen: set[int] = set()  # ids of the samples opened so far
-
-    def short_block():
-        return SampleFormatError(
-            f"{path}:{head[0]}: sample {head[1]} has fewer rows than K_t={head[3]}")
-
-    def disagreement(lineno, row):
-        name, value, first = next(
-            (name, v, f) for name, v, f in zip(_SAMPLE_KEY_COLUMNS, row, head[1:]) if v != f)
-        return SampleFormatError(f"{path}:{lineno}: sample {head[1]} has {name} {value}, "
-                                 f"but its first row (line {head[0]}) has {first}")
-
+    first = key = None  # the open sample's first line and its _SAMPLE_KEY_COLUMNS
+    cands: list[Candidate] = []  # candidates of the open sample
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 10:
-            raise SampleFormatError(f"{path}:{lineno}: expected 10 columns, got {len(parts)}")
+            raise error(lineno, f"expected 10 columns, got {len(parts)}")
         try:
             sid, seq, k_t, k = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
             range_m, angle_deg, vel_mps, power = (float(parts[4]), float(parts[5]),
                                                   float(parts[6]), float(parts[7]))
             b_star, label = int(parts[8]), int(parts[9])
         except ValueError as exc:
-            raise SampleFormatError(f"{path}:{lineno}: {exc}") from None
-        if head is None:
+            raise error(lineno, exc) from None
+        row = (sid, seq, k_t, b_star, label)
+        if key is None:
             if k_t < 1:
-                raise SampleFormatError(f"{path}:{lineno}: K_t must be >= 1, got {k_t}")
+                raise error(lineno, f"K_t must be >= 1, got {k_t}")
             if sid in seen:
-                raise SampleFormatError(f"{path}:{lineno}: sample_id {sid} is repeated")
+                raise error(lineno, f"sample_id {sid} is repeated")
             seen.add(sid)
-            head = (lineno, sid, seq, k_t, b_star, label)
-            key = head[1:]
-        elif (sid, seq, k_t, b_star, label) != key:
-            if sid != head[1]:
-                raise short_block()
-            raise disagreement(lineno, (sid, seq, k_t, b_star, label))
+            first, key = lineno, row
+        elif row != key:
+            if sid != key[0]:
+                break  # the next sample began before this one had K_t rows
+            name, value, want = next(c for c in zip(_SAMPLE_KEY_COLUMNS, row, key) if c[1] != c[2])
+            raise error(lineno, f"sample {sid} has {name} {value}, "
+                                f"but its first row (line {first}) has {want}")
         if k != len(cands):
-            raise SampleFormatError(f"{path}:{lineno}: candidate index {k} out of order")
+            raise error(lineno, f"candidate index {k} out of order")
         try:
             cands.append(Candidate(range_m, angle_deg, vel_mps, 1, power))
         except ValueError as exc:
-            raise SampleFormatError(f"{path}:{lineno}: {exc}") from None
-        if len(cands) == head[3]:
-            first, sid, seq, _, b_star, label = head
+            raise error(lineno, exc) from None
+        if len(cands) == k_t:
             try:
                 samples.append(Sample(sample_id=sid, sequence_id=seq, candidates=tuple(cands),
                                       b_star=b_star, label=label))
             except ValueError as exc:
-                raise SampleFormatError(f"{path}:{first}: {exc}") from None
-            cands, head = [], None
-    if head is not None:
-        raise short_block()
+                raise error(first, exc) from None
+            key, cands = None, []
+    if key is not None:
+        raise error(first, f"sample {key[0]} has fewer rows than K_t={key[2]}")
     return samples

@@ -147,8 +147,8 @@ def init_weights(widths: ModelWidths, norm: NormBounds, seed: int = 0) -> MlpMod
 
 def _forward_layers(layers, x, caches: list | None = None):
     """Run `x` through `layers`; a sigmoid layer stops at its logit
-    clip(z, -500, 500). Training passes `caches`, which gets each layer's
-    (input, output) for backprop."""
+    clip(z, -500, 500), -500 for a NaN z. Training passes `caches`, which
+    gets each layer's (input, output) for backprop."""
     a = x
     for layer in layers:
         z = a.dot(layer.weights.T)
@@ -156,7 +156,7 @@ def _forward_layers(layers, x, caches: list | None = None):
         if layer.activation == "relu":
             np.maximum(z, 0.0, out=z)
         else:  # the logit: the sigmoid is score_candidates' and the loss's
-            np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
+            np.fmin(np.fmax(z, -500.0, out=z), 500.0, out=z)
         if caches is not None:
             caches.append((a, z))
         a = z
@@ -210,13 +210,15 @@ def score_candidates(model: MlpModel, feats, beams) -> np.ndarray:
     """Likelihood scores for raw (range, angle, velocity) rows and beam indices.
 
     The reference forward pass: both branches run on every row, and the
-    sigmoid 1 / (1 + exp(-z)) of the clipped logit z is the score.
+    sigmoid 1 / (1 + exp(-z)) of the clipped logit z is the score. A row whose
+    layers overflow into a NaN logit scores last, without a warning.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     beams = np.atleast_1d(np.asarray(beams, dtype=float))
     _require_finite(feats, beams)
     x_radar, x_beam = normalize_inputs(model.norm, feats, beams)
-    z = _score_batch(model, x_radar, _forward_layers(model.beam_branch, x_beam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _score_batch(model, x_radar, _forward_layers(model.beam_branch, x_beam))
     return 1.0 / (1.0 + np.exp(-z))
 
 

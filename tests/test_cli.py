@@ -490,6 +490,20 @@ def test_manifest_records_the_hash_of_the_package_sources(dataset_dir, tmp_path,
     assert rehash() != digest.hexdigest()
 
 
+def test_package_import_pins_blas_and_loads_no_submodule():
+    # the package root loads numpy under its BLAS pin and nothing else of its own;
+    # callers import the submodules they use
+    src = str(Path(isac_ident.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in isac_ident.BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import json, os, sys, isac_ident; print(json.dumps(["
+             "sorted(m for m in sys.modules if m.startswith('isac_ident.')),"
+             " 'numpy' in sys.modules, [os.environ.get(v) for v in isac_ident.BLAS_THREADS]]))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert json.loads(run.stdout) == [[], True, ["1", "1", "1"]]
+
+
 def test_train_dnn_checkpoint_independent_of_blas_thread_variables(tmp_path):
     # a batch of 512 makes the backward matmuls large enough for OpenBLAS to
     # split them over threads, which it does by default on a multi-core host

@@ -350,6 +350,19 @@ def test_single_fault_reports_its_line_and_message(tmp_path, case):
     assert fragment in str(err.value)
 
 
+def test_first_fault_in_file_order_is_reported(tmp_path):
+    # sample 0 is short, which shows at line 4 where sample 1 begins; the bad
+    # range on line 5 comes after that, so line 2 is the one reported
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([
+        dataset.SAMPLE_HEADER,
+        "0,0,3,0,50.0,10.0,3.0,2.0,12,0", "0,0,3,1,60.0,12.0,3.0,1.0,12,0",
+        "1,0,2,0,50.0,10.0,3.0,2.0,12,0", "1,0,2,1,oops,12.0,3.0,1.0,12,0"]) + "\n")
+    with pytest.raises(SampleFormatError) as err:
+        load_samples(path)
+    assert str(err.value) == f"{path}:2: sample 0 has fewer rows than K_t=3"
+
+
 def float_bits(x: float) -> bytes:
     return struct.pack("<d", x)
 

@@ -711,6 +711,23 @@ def test_dnn_ranks_a_row_whose_activations_overflow_last():
     assert solver.predict(cands, 12) == best
 
 
+def test_reference_scorer_ranks_a_row_whose_activations_overflow_last():
+    # the overflowing model above through score_candidates: the NaN logit
+    # of the huge row clips to -500, with no warning (the suite makes them
+    # errors), so predict_dnn agrees with DnnSolver
+    model = default_model(len(ANGLES))
+    model.radar_branch[0].weights[:, 2] *= 100.0
+    cands = (cand(10.0, r=120.0, v=-5.0), cand(-20.0, r=50.0, v=-1.7e308))
+    feats = [(c.range_m, c.angle_deg, c.vel_mps) for c in cands]
+    scores = score_candidates(model, feats, [12, 12])
+    assert scores[1] == 1.0 / (1.0 + np.exp(500.0))
+    assert scores[0] == pytest.approx(score_candidates(model, feats[:1], [12])[0], rel=1e-12)
+    assert predict_dnn(cands, 12, model) == 0
+    solver = DnnSolver(ANGLES)
+    solver.model = model
+    assert solver.predict(cands, 12) == 0
+
+
 def test_dnn_model_for_another_codebook_is_refused(tmp_path):
     solver = DnnSolver(ANGLES)
     own = default_model(len(ANGLES))
